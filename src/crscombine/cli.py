@@ -163,9 +163,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="flat key=value file supplying defaults for any flag")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; drawn and echoed when absent")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallelism hint (accepted for compatibility; execution "
-                        "is deterministic regardless)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 

@@ -10,7 +10,9 @@ exact optimum.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
-(common-random-number) power estimate.
+(common-random-number) power estimate.  The common random numbers are drawn
+once per search: every Monte Carlo candidate, in the 2-opt climb and in the
+exhaustive oracle, is scored on one ``SignFlipKernel``.
 
 All programs are solved exactly by a depth-first branch and bound over row
 assignments, with an additive objective bound and min/max side-sum feasibility
@@ -40,7 +42,7 @@ from .estimation import (
     psi_from_scales,
     psi_matrix,
 )
-from .power import PowerEstimate, power_from_limit
+from .power import PowerEstimate, SignFlipKernel, power_from_limit
 from .regression import RegressionSpec
 
 ENUMERATION_MAX_QBAR = 7     # up to this size, sweep all q-bar! assignments directly
@@ -319,6 +321,20 @@ def limit_params_for_perm(psi: PsiMatrix, cols: np.ndarray) -> LimitParams:
     return LimitParams(xi=psi.xi[rows, cols], sigma=psi.sigma[rows, cols])
 
 
+def _power_scorer(psi: PsiMatrix, delta: float, alpha: float, method: str,
+                  reps: int, seed: int):
+    """The power of a pairing ``cols`` under ``method``.
+
+    Monte Carlo candidates share one kernel, so the common random numbers are
+    drawn once and every estimate equals ``power_mc`` at (seed, reps).
+    """
+    if method == "mc":
+        kernel = SignFlipKernel(psi.qbar, alpha, reps=reps, seed=seed)
+        return lambda cols: kernel.estimate(limit_params_for_perm(psi, cols), delta)
+    return lambda cols: power_from_limit(limit_params_for_perm(psi, cols), delta, alpha,
+                                         method=method, reps=reps, seed=seed)
+
+
 def _perm_of_grouping(psi: PsiMatrix, g: Grouping) -> np.ndarray:
     col_of = {t: i for i, t in enumerate(psi.treated_ids)}
     row_of = {c: i for i, c in enumerate(psi.control_ids)}
@@ -361,13 +377,13 @@ def combine_exhaustive_psi(
         value, pi_l, pi_r = _k1_power_of_perm(psi, cols)
         est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
         return psi.grouping_for(cols), est
+    evaluate = _power_scorer(psi, delta, alpha, method, reps, seed)
     best_cols = None
     best_est: PowerEstimate | None = None
     for cols in perms:
         if np.isnan(psi.values[rows, cols]).any():
             continue
-        est = power_from_limit(limit_params_for_perm(psi, cols), delta, alpha,
-                               method=method, reps=reps, seed=seed)
+        est = evaluate(cols)
         if best_est is None or est.value > best_est.value:
             best_cols, best_est = cols, est
     if best_est is None:
@@ -431,17 +447,17 @@ def combine_heuristic_psi(
 ):
     """2-opt local search over pairwise swaps, starting from combine_k1.
 
-    Every candidate pairing is scored with the same seed (common random
+    Every candidate pairing is scored on the same draws (common random
     numbers), so accepted swaps strictly increase the recorded power and the
-    run is deterministic.  Returns ``(grouping, estimate, trace)``; the trace
-    records the initial power and each accepted swap.
+    run is deterministic.  With the Monte Carlo evaluator the draws are made
+    once per call and every candidate is scored on that one kernel; each
+    estimate equals ``power_mc`` at (seed, reps).  Returns ``(grouping,
+    estimate, trace)``; the trace records the initial power and each accepted
+    swap.
     """
     if power_method == "auto":
         power_method = "k1" if k_budget(1 << (psi.qbar - 1), alpha) == 1 else "mc"
-
-    def evaluate(cols: np.ndarray) -> PowerEstimate:
-        return power_from_limit(limit_params_for_perm(psi, cols), delta, alpha,
-                                method=power_method, reps=reps, seed=seed)
+    evaluate = _power_scorer(psi, delta, alpha, power_method, reps, seed)
 
     if delta == 0.0:
         cols = np.arange(psi.qbar)
@@ -507,8 +523,7 @@ def enumerate_side_subsets(big: tuple[int, ...], n_groups: int) -> list[frozense
     return out
 
 
-def _solve_partition_assignment(obj, side, subset_masks, full_mask, lo, hi,
-                                subset_sizes, max_size):
+def _solve_partition_assignment(obj, side, subset_masks, full_mask, lo, hi, max_size):
     """Branch and bound over rows choosing disjoint subsets covering the big side.
 
     Same bounding as the square assignment, plus coverage pruning: the
@@ -625,7 +640,6 @@ def combine_unequal(
     big_index = {j: b for b, j in enumerate(sorted(big))}
     subset_masks = [sum(1 << big_index[j] for j in m) for m in subsets]
     full_mask = (1 << len(big)) - 1
-    subset_sizes = [len(m) for m in subsets]
     max_size = len(big) - qbar + 1
 
     best_choice = None
@@ -633,8 +647,7 @@ def combine_unequal(
     rows = np.arange(qbar)
     for a in range(1, plan.A + 1):
         result = _solve_partition_assignment(
-            obj, side, subset_masks, full_mask, log_eps[a - 1], log_eps[a],
-            subset_sizes, max_size,
+            obj, side, subset_masks, full_mask, log_eps[a - 1], log_eps[a], max_size,
         )
         if result is None:
             continue

@@ -9,6 +9,7 @@ randomization values (the nonrandomized version: ties never reject).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .estimation import ols_within_group, score_stat
 from .regression import RegressionSpec
 
 MAX_Q = 24  # memory guard: 2^(q-1) sign vectors are materialized
+CACHE_MAX_Q = 16  # sign sets up to this size (512 KiB) are built once and shared
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,17 @@ def k_budget(n_unique: int, alpha: float) -> int:
 
 
 def sign_changes(q: int) -> SignChangeSet:
-    """Enumerate the 2^(q-1) sign vectors with first entry +1."""
+    """Enumerate the 2^(q-1) sign vectors with first entry +1.
+
+    The array is read-only, so sets up to ``CACHE_MAX_Q`` groups are built
+    once and shared; larger ones are rebuilt rather than kept resident.
+    """
     if not 1 <= q <= MAX_Q:
         raise BoundError(f"q={q} outside supported range [1, {MAX_Q}]")
+    return _cached_sign_changes(q) if q <= CACHE_MAX_Q else _build_sign_changes(q)
+
+
+def _build_sign_changes(q: int) -> SignChangeSet:
     m = 1 << (q - 1)
     if q == 1:
         unique = np.ones((1, 1), dtype=np.int8)
@@ -73,12 +83,29 @@ def sign_changes(q: int) -> SignChangeSet:
     return SignChangeSet(q=q, unique=unique)
 
 
+_cached_sign_changes = functools.lru_cache(maxsize=None)(_build_sign_changes)
+
+
 def randomization_stats(scores: np.ndarray, s: SignChangeSet) -> np.ndarray:
     """T(g) = |(1/q) sum_j g_j * score_j| for each unique sign vector."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (s.q,):
         raise ValueError(f"expected {s.q} scores, got shape {scores.shape}")
     return np.abs(s.unique @ scores) / s.q
+
+
+def rejects(values: np.ndarray, k: int, axis: int = -1):
+    """The test decision from randomization values, entry 0 the observed one.
+
+    Along ``axis`` the first value is the observed statistic T and the other
+    L = n_u - 1 are the non-identity sign changes.  The test rejects when at
+    least n_u - k of them lie strictly below T, that is when fewer than k
+    reach it.  This is exactly ``T > np.partition(values, n_u - k - 1)[n_u -
+    k - 1]``, ties included, and a NaN counts as a value above every other in
+    both.  Returns a bool, or a bool array over the other axes.
+    """
+    values = np.moveaxis(np.asarray(values), axis, 0)
+    return (values[1:] < values[0]).sum(axis=0) >= values.shape[0] - k
 
 
 def critical_value(values: np.ndarray, alpha: float) -> float:

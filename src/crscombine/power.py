@@ -15,6 +15,9 @@ evaluators are provided:
   joint probability is evaluated by Monte Carlo on one shared set of draws,
   so the patterns partition the rejection event exactly in-sample.
 - ``power_mc``: simulates the limit experiment directly for any (q, K).
+  ``SignFlipKernel`` is its engine: it draws the common random numbers once
+  and scores any number of (xi, sigma) on them, which is how the grouping
+  searches compare candidates.
 
 Normal cdf values come from scipy's erfc-based ``ndtr`` (absolute error below
 1e-15), so independent implementations agree to ~1e-12.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .crstest import k_budget, sign_changes
+from .crstest import k_budget, rejects, sign_changes
 from .data import Grouping, Hypothesis, PanelDataset
 from .errors import BoundError
 from .estimation import LimitParams, group_limit_params
@@ -116,20 +119,75 @@ def power_k1(lp: LimitParams, delta: float, alpha: float | None = None) -> Power
     )
 
 
+def _normal_blocks(q: int, reps: int, seed):
+    """Standard normal draws in blocks of at most MC_BLOCK rows; block b comes
+    from SeedSequence((seed, b)), so the draws depend only on (seed, reps)."""
+    for b, start in enumerate(range(0, reps, MC_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        yield rng.standard_normal((min(MC_BLOCK, reps - start), q))
+
+
 def _draw_scores(lp: LimitParams, delta: float, reps: int, seed) -> np.ndarray:
     """Blocked draws of Z + xi*delta; block seeding is scheduling-independent."""
     out = np.empty((reps, lp.q))
     shift = lp.xi * delta
-    start = 0
-    block_idx = 0
-    while start < reps:
-        stop = min(start + MC_BLOCK, reps)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, block_idx)))
-        z = rng.standard_normal((stop - start, lp.q)) * lp.sigma
-        out[start:stop] = z + shift
-        start = stop
-        block_idx += 1
+    for b, z in enumerate(_normal_blocks(lp.q, reps, seed)):
+        out[b * MC_BLOCK:b * MC_BLOCK + z.shape[0]] = z * lp.sigma + shift
     return out
+
+
+class SignFlipKernel:
+    """Monte Carlo power of the sign-change test on common random numbers.
+
+    The limit experiment's standard normal draws, the sign matrix and the
+    rejection budget are made once; ``estimate`` then scores any (xi, sigma,
+    delta) on those same draws, so estimates of different groupings differ
+    only through the groupings.  Each block is scored as
+    |(Z * sigma + xi * delta) @ signs| / q and tested with ``crstest.rejects``.
+    The draws and sums are kept transposed, (q, block) and (2^(q-1), block),
+    so the comparisons run along contiguous rows; the values equal the row
+    layout's bit for bit (``tests/test_kernel.py`` pins this).  The kernel
+    holds all reps x q draws.
+    """
+
+    def __init__(self, q: int, alpha: float, reps: int = 100_000, seed: int = 0):
+        if reps < 1000:
+            raise ValueError("reps must be at least 1000")
+        s = sign_changes(q)
+        self.q = q
+        self.reps = reps
+        self.k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
+        self._signs = s.unique.astype(np.float64)  # (n_u, q)
+        self._z = [np.ascontiguousarray(z.T) for z in _normal_blocks(q, reps, seed)]
+        n = self._z[0].shape[1]
+        self._w = np.empty((q, n))
+        self._values = np.empty((s.n_unique, n))
+
+    def estimate(self, lp: LimitParams, delta: float) -> PowerEstimate:
+        """The rejection rate of the test at (xi, sigma, delta) on the kernel's
+        draws; at K = 1 the all-negative / all-positive score events are
+        tallied as the (pi_left, pi_right) components."""
+        if lp.q != self.q:
+            raise ValueError(f"kernel is for q={self.q} groups, got q={lp.q}")
+        sigma = lp.sigma[:, None]
+        shift = (lp.xi * delta)[:, None]
+        rejections = left = right = 0
+        for z in self._z:
+            n = z.shape[1]
+            w = np.multiply(z, sigma, out=self._w[:, :n])
+            np.add(w, shift, out=w)
+            values = np.matmul(self._signs, w, out=self._values[:, :n])
+            np.abs(values, out=values)
+            np.divide(values, self.q, out=values)
+            rejections += int(np.count_nonzero(rejects(values, self.k, axis=0)))
+            if self.k == 1:
+                left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
+                right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))
+        p = rejections / self.reps
+        se = math.sqrt(max(p * (1.0 - p), 0.0) / self.reps)
+        components = (left / self.reps, right / self.reps) if self.k == 1 else None
+        return PowerEstimate(value=p, method="monte_carlo", mc_reps=self.reps, mc_se=se,
+                             components=components)
 
 
 def power_mc(
@@ -139,37 +197,10 @@ def power_mc(
 
     Draws are seeded in fixed-size blocks so the estimate depends only on
     (seed, reps).  When K = 1 the all-negative / all-positive score events are
-    tallied as the (pi_left, pi_right) components.
+    tallied as the (pi_left, pi_right) components.  To score many (xi, sigma)
+    on the same draws, build one ``SignFlipKernel`` and call its ``estimate``.
     """
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
-    s = sign_changes(lp.q)
-    n_u = s.n_unique
-    k = min(k_budget(n_u, alpha), n_u - 1)
-    signs = s.unique.astype(np.float64).T  # (q, n_u)
-    rejections = 0
-    left = right = 0
-    start = 0
-    block_idx = 0
-    shift = lp.xi * delta
-    while start < reps:
-        stop = min(start + MC_BLOCK, reps)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, block_idx)))
-        w = rng.standard_normal((stop - start, lp.q)) * lp.sigma + shift
-        values = np.abs(w @ signs) / lp.q
-        statistic = values[:, 0]
-        cv = np.partition(values, n_u - k - 1, axis=1)[:, n_u - k - 1]
-        rejections += int(np.count_nonzero(statistic > cv))
-        if k == 1:
-            left += int(np.count_nonzero(np.all(w < 0.0, axis=1)))
-            right += int(np.count_nonzero(np.all(w > 0.0, axis=1)))
-        start = stop
-        block_idx += 1
-    p = rejections / reps
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / reps)
-    components = (left / reps, right / reps) if k == 1 else None
-    return PowerEstimate(value=p, method="monte_carlo", mc_reps=reps, mc_se=se,
-                         components=components)
+    return SignFlipKernel(lp.q, alpha, reps=reps, seed=seed).estimate(lp, delta)
 
 
 def power_exact(

@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import combine_heuristic_psi, combine_k1
-from .crstest import k_budget, sign_changes
+from .combine import _perm_of_grouping, combine_heuristic_psi, combine_k1
+from .crstest import k_budget, rejects, sign_changes
 from .data import Grouping, Hypothesis, PanelDataset
 from .estimation import (
     ols_within_group,
@@ -189,18 +189,13 @@ class _PairTester:
         self.qbar = qbar
         s = sign_changes(qbar)
         self.signs_t = s.unique.astype(np.float64).T  # (qbar, 2^(qbar-1))
-        self.n_u = s.n_unique
-        self.k = min(k_budget(self.n_u, alpha), self.n_u - 1)
+        self.k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
 
     def reject(self, scores: np.ndarray) -> bool:
-        values = np.abs(scores @ self.signs_t) / self.qbar
-        cv = np.partition(values, self.n_u - self.k - 1)[self.n_u - self.k - 1]
-        return bool(values[0] > cv)
+        return bool(rejects(np.abs(scores @ self.signs_t) / self.qbar, self.k))
 
     def reject_many(self, score_rows: np.ndarray) -> np.ndarray:
-        values = np.abs(score_rows @ self.signs_t) / self.qbar
-        cv = np.partition(values, self.n_u - self.k - 1, axis=1)[:, self.n_u - self.k - 1]
-        return values[:, 0] > cv
+        return rejects(np.abs(score_rows @ self.signs_t) / self.qbar, self.k)
 
 
 def rejection_curve(
@@ -250,7 +245,7 @@ def rejection_curve(
     rows_idx = np.arange(qbar)
     for b in beta_grid:
         draw_spec = replace(spec, beta=float(b))
-        rejects = 0
+        n_rejected = 0
         omega_counts = np.zeros(0 if perms is None else perms.shape[0], dtype=np.int64)
         for r in range(reps):
             d = gen_dgp(draw_spec, _rep_seed(seed, r))
@@ -259,7 +254,7 @@ def rejection_curve(
                     score_stat(ols_within_group(d, grouping.members(i), reg), h0)
                     for i in range(grouping.q)
                 ])
-                rejects += tester.reject(scores)
+                n_rejected += tester.reject(scores)
             elif policy == "crs_random":
                 rng = np.random.default_rng(np.random.SeedSequence((seed, r, 1)))
                 cols = rng.permutation(qbar)
@@ -269,7 +264,7 @@ def rejection_curve(
                     score_stat(ols_within_group(d, {ctrl[i], trt[cols[i]]}, reg), h0)
                     for i in range(qbar)
                 ])
-                rejects += tester.reject(scores)
+                n_rejected += tester.reject(scores)
             elif policy == "crs_data":
                 delta = delta_mag if b >= 0 else -delta_mag
                 ctrl_ids, trt_ids, score, xi, sigma = pairwise_group_stats(d, h0, reg, model)
@@ -281,8 +276,8 @@ def rejection_curve(
                         psi, delta, alpha, reps=heuristic_reps,
                         seed=_derived_int_seed(seed, r, 2), A=A,
                     )
-                cols = _cols_of_pairing(g_star, ctrl_ids, trt_ids)
-                rejects += tester.reject(score[rows_idx, cols])
+                cols = _perm_of_grouping(psi, g_star)
+                n_rejected += tester.reject(score[rows_idx, cols])
             else:  # all_omegas
                 ctrl_ids, trt_ids, score, _, _ = pairwise_group_stats(
                     d, h0, reg, model=None
@@ -294,7 +289,7 @@ def rejection_curve(
             omega_rates.append(rates)
             rate = float(rates.mean())
         else:
-            rate = rejects / reps
+            rate = n_rejected / reps
         se = math.sqrt(max(rate * (1.0 - rate), 0.0) / reps)
         points.append(CurvePoint(beta=float(b), policy=policy, reps=reps,
                                  reject_rate=rate, se=se))
@@ -303,17 +298,6 @@ def rejection_curve(
         betas=tuple(float(b) for b in beta_grid),
         omega_rates=None if omega_rates is None else np.asarray(omega_rates),
     )
-
-
-def _cols_of_pairing(g: Grouping, ctrl_ids, trt_ids) -> np.ndarray:
-    col_of = {t: i for i, t in enumerate(trt_ids)}
-    row_of = {c: i for i, c in enumerate(ctrl_ids)}
-    cols = np.empty(len(ctrl_ids), dtype=np.int64)
-    for ctrl, trt in g.groups:
-        (c,) = ctrl
-        (t,) = trt
-        cols[row_of[c]] = col_of[t]
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +364,6 @@ def calibrate(d: PanelDataset, spec: RegressionSpec | None = None) -> Calibratio
     rho: dict[int, float] = {}
     nu: dict[int, float] = {}
     T = max(d.cluster_sizes.values())
-    rows_all = d.rows_of(d.clusters)
     resid = fit.residuals
     seg_cluster = fit.segments
     for j in clusters:

@@ -46,6 +46,14 @@ class TestTestCommand:
     def test_usage_error_exit_code(self):
         assert dispatch(["test", "--data", FIXTURE]) == 2
 
+    def test_threads_flag_is_a_usage_error(self):
+        # there is no --threads flag, and argparse refuses unknown flags
+        code = dispatch([
+            "test", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--grouping", "1:4,2:5,3:6", "--c", "0,1", "--seed", "1", "--threads", "2",
+        ])
+        assert code == 2
+
     def test_unidentified_group_exit_code(self):
         # grouping with a control-only group is invalid
         code = dispatch([

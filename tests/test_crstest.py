@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crscombine import (
     BoundError,
@@ -16,6 +18,7 @@ from crscombine import (
     sign_changes,
 )
 from crscombine import test_from_scores as decide_from_scores
+from crscombine.crstest import rejects
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 from test_estimation import make_cluster_treatment_panel
@@ -80,6 +83,39 @@ class TestRandomizationStats:
                 t_pos = abs(np.dot(g, scores)) / q
                 t_neg = abs(np.dot(-g, scores)) / q
                 assert t_pos == t_neg
+
+
+def partition_rule(values, k):
+    """The cutoff form of the decision: T beats the (n_u - k)-th smallest value."""
+    n_u = values.shape[-1]
+    cv = np.partition(values, n_u - k - 1, axis=-1)[..., n_u - k - 1]
+    return values[..., 0] > cv
+
+
+# few distinct values, so exact ties with the statistic and among the others
+# are common; NaN stands in for an undefined score
+_tied_values = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0, np.inf, np.nan])
+
+
+class TestRejectionRule:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), log_n=st.integers(0, 5), rows=st.integers(1, 6))
+    def test_count_rule_equals_partition_rule(self, data, log_n, rows):
+        n_u = 1 << log_n
+        flat = data.draw(st.lists(_tied_values, min_size=rows * n_u, max_size=rows * n_u))
+        values = np.array(flat, dtype=np.float64).reshape(rows, n_u)
+        for k in range(n_u):
+            want = partition_rule(values, k)
+            assert np.array_equal(rejects(values, k), want)
+            assert np.array_equal(rejects(values.T, k, axis=0), want)
+            for r in range(rows):
+                assert bool(rejects(values[r], k)) == bool(want[r])
+
+    def test_every_k_on_one_tied_row(self):
+        values = np.array([1.0, 1.0, 0.5, 2.0, 1.0, 0.0, 0.5, 3.0])
+        # two others beat T = 1 and two tie it, so only k >= 5 rejects
+        assert [bool(rejects(values, k)) for k in range(8)] == [False] * 5 + [True] * 3
+        assert [bool(partition_rule(values, k)) for k in range(8)] == [False] * 5 + [True] * 3
 
 
 class TestCriticalValue:
