@@ -8,17 +8,18 @@ side-constrained 0/1 assignment program per subinterval, and keep the feasible
 solution with the best power.  With a fine enough partition this recovers the
 exact optimum.
 
+``band_winners`` solves all A programs exactly in one enumeration of the
+assignments, for paired (``combine_k1``) and unequal counts
+(``combine_unequal``).  A single program (``solve_interval_bilp``,
+``combine_loglinear``) goes to the depth-first branch and bound
+``_solve_assignment_bb``, which agrees with it band by band.  No external
+MILP solver is involved.
+
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
 (common-random-number) power estimate.  The common random numbers are drawn
 once per search: every Monte Carlo candidate, in the 2-opt climb and in the
 exhaustive oracle, is scored on one ``SignFlipKernel``.
-
-All programs are solved exactly by a depth-first branch and bound over row
-assignments, with an additive objective bound and min/max side-sum feasibility
-pruning; no external MILP solver is involved.  For q-bar <= 7 an equivalent
-vectorized sweep over all q-bar! assignments is used, which is faster and
-returns identical optima (including lexicographic tie-breaks).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .crstest import k_budget
 from .data import Grouping, Hypothesis, PanelDataset
-from .errors import BoundError
+from .errors import BoundError, IdentificationError
 from .estimation import (
     LimitParams,
     PsiMatrix,
@@ -45,11 +46,11 @@ from .estimation import (
 from .power import PowerEstimate, SignFlipKernel, power_from_limit
 from .regression import RegressionSpec
 
-ENUMERATION_MAX_QBAR = 7     # up to this size, sweep all q-bar! assignments directly
 EXHAUSTIVE_MAX_QBAR = 8      # hard guard for the exhaustive oracle
 UNEQUAL_MAX_SUBSETS = 10_000
 EPS0_FLOOR = 1e-300          # keeps log(eps0) finite in double precision
 _INTERVAL_TOL = 1e-9         # absolute slack on log-scale interval membership
+_CHUNK_CELLS = 1 << 13       # (parent, column) cells per expansion step of band_winners
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,85 @@ def _perm_table(qbar: int) -> np.ndarray:
     return table
 
 
+def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
+                 log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every interval program of a plan in one enumeration.
+
+    Row i takes a column m whose cluster set ``masks[m]`` (singletons in
+    paired mode) is disjoint from the earlier rows' sets; a leaf covers
+    ``full``.  Cells where obj or side is -inf are excluded, and a node is
+    dropped once its uncovered clusters cannot be split among the remaining
+    rows (1 to popcount(full) - q + 1 each).  Expansion is breadth first in
+    chunks taken depth first, so leaves arrive in lexicographic order, and
+    sums run left to right from 0.0, as in ``_solve_assignment_bb``.  Band a
+    holds the leaves with log eps[a-1] - tol <= side <= log eps[a] + tol and
+    keeps the largest obj, the lexicographically first on ties: band by band
+    the answer of ``_solve_assignment_bb``.
+
+    Returns ``(choice, feasible)``, one row per band.  Raises
+    IdentificationError when no leaf exists at all.
+    """
+    q, n_cols = obj.shape
+    usable = np.isfinite(obj) & np.isfinite(side)
+    masks = np.asarray(masks, dtype=np.int64)
+    sizes = np.array([bin(int(m)).count("1") for m in masks], dtype=np.int64)
+    total = bin(full).count("1")
+    max_size = total - q + 1
+    lo = log_eps[:-1] - _INTERVAL_TOL
+    hi = log_eps[1:] + _INTERVAL_TOL
+    best_obj = np.full(lo.shape[0], -np.inf)
+    best = np.zeros((lo.shape[0], q), dtype=np.min_scalar_type(n_cols - 1))
+    step = max(1, _CHUNK_CELLS // n_cols)
+    n_leaves = 0
+
+    def settle(obj_acc, side_acc, choice):
+        nonlocal n_leaves
+        n_leaves += obj_acc.shape[0]
+        first = np.searchsorted(hi, side_acc, side="left")
+        n_in = np.maximum(np.searchsorted(lo, side_acc, side="right") - first, 0)
+        leaf = np.repeat(np.arange(obj_acc.shape[0]), n_in)
+        if leaf.size == 0:
+            return
+        offset = np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+        band = first[leaf] + offset
+        # lexsort is stable and ``leaf`` ascends: each band's first entry is
+        # its largest obj, the lexicographically first leaf on ties
+        order = np.lexsort((-obj_acc[leaf], band))
+        band, head = np.unique(band[order], return_index=True)
+        leaf = leaf[order][head]
+        better = obj_acc[leaf] > best_obj[band]
+        band, leaf = band[better], leaf[better]
+        best_obj[band] = obj_acc[leaf]
+        best[band] = choice[leaf]
+
+    def descend(row, covered, uncovered, obj_acc, side_acc, choice):
+        remaining = q - row - 1
+        for s in range(0, obj_acc.shape[0], step):
+            part = slice(s, s + step)
+            ok = usable[row] & ((covered[part, None] & masks) == 0)
+            parent, col = np.nonzero(ok)
+            parent += s
+            unc = uncovered[parent] - sizes[col]
+            keep = (unc >= remaining) & (unc <= remaining * max_size)
+            parent, col, unc = parent[keep], col[keep], unc[keep]
+            child_obj = obj_acc[parent] + obj[row, col]
+            child_side = side_acc[parent] + side[row, col]
+            child = np.empty((parent.shape[0], row + 1), dtype=best.dtype)
+            child[:, :row] = choice[parent]
+            child[:, row] = col
+            if remaining == 0:
+                settle(child_obj, child_side, child)
+            else:
+                descend(row + 1, covered[parent] | masks[col], unc,
+                        child_obj, child_side, child)
+
+    descend(0, np.zeros(1, dtype=np.int64), np.array([total]), np.zeros(1),
+            np.zeros(1), np.empty((1, 0), dtype=best.dtype))
+    if n_leaves == 0:
+        raise IdentificationError("no identified pairing exists")
+    return best.astype(np.int64), best_obj > -np.inf
+
+
 def combine_k1(
     psi: PsiMatrix,
     delta: float,
@@ -240,12 +320,18 @@ def combine_k1(
 ):
     """Interval-partitioned assignment search for the K = 1 optimal pairing.
 
-    Solves the side-constrained program on each of the A subintervals,
-    evaluates the K = 1 power of every feasible solution, and returns the best
-    (ties: smallest interval index, then lexicographically smallest pairing).
+    Solves the side-constrained program on each of the A subintervals in one
+    pass (``band_winners``), evaluates the K = 1 power of every feasible
+    solution, and returns the best.  Ties: within an interval the
+    lexicographically smallest pairing among equal objectives, across
+    intervals the smallest interval index among equal powers.
 
     Returns ``(grouping, estimate, diagnostics)`` where diagnostics holds one
     record per interval with its bounds, feasibility, and achieved power.
+
+    The pass enumerates every pairing, so its cost grows as q-bar!: 1-2 ms
+    at q-bar = 6, 20-30 ms at 8, 0.2-0.3 s at 9 and 2-3 s at 10 on one core.
+    Raises IdentificationError when every pairing uses an excluded pair.
 
     delta = 0 makes the objective flat (every Psi is one half); the
     lexicographically smallest pairing is returned with a warning.
@@ -264,46 +350,23 @@ def combine_k1(
         return psi.grouping_for(cols), est, []
 
     plan = IntervalPlan.build(psi, delta, A=A, spacing=spacing, eps0=eps0)
-    log_eps = np.log(plan.eps)
     obj, side = _branch_coeffs(psi, delta)
+    choice, feasible = band_winners(obj, side, [1 << c for c in range(qbar)],
+                                    (1 << qbar) - 1, np.log(plan.eps))
 
     best_cols: np.ndarray | None = None
     best_power = -np.inf
     diagnostics: list[dict] = []
-
-    if qbar <= ENUMERATION_MAX_QBAR:
-        perms = _perm_table(qbar)
-        rows = np.arange(qbar)
-        obj_sum = obj[rows, perms].sum(axis=1)
-        side_sum = side[rows, perms].sum(axis=1)
-        power = (np.prod(psi.values[rows, perms], axis=1)
-                 + np.prod(psi.comp[rows, perms], axis=1))
-        valid = np.isfinite(obj_sum) & np.isfinite(side_sum)
-        for a in range(1, plan.A + 1):
-            in_band = valid & (side_sum >= log_eps[a - 1] - _INTERVAL_TOL) \
-                            & (side_sum <= log_eps[a] + _INTERVAL_TOL)
-            rec = {"a": a, "lo": float(plan.eps[a - 1]), "hi": float(plan.eps[a]),
-                   "feasible": bool(in_band.any()), "power": -np.inf}
-            if rec["feasible"]:
-                idx = np.flatnonzero(in_band)
-                winner = idx[int(np.argmax(obj_sum[idx]))]
-                rec["power"] = float(power[winner])
-                if rec["power"] > best_power:
-                    best_power = rec["power"]
-                    best_cols = perms[winner]
-            diagnostics.append(rec)
-    else:
-        for a in range(1, plan.A + 1):
-            result = _solve_assignment_bb(obj, side, log_eps[a - 1], log_eps[a])
-            rec = {"a": a, "lo": float(plan.eps[a - 1]), "hi": float(plan.eps[a]),
-                   "feasible": result is not None, "power": -np.inf}
-            if result is not None:
-                cols, _, _ = result
-                rec["power"], _, _ = _k1_power_of_perm(psi, cols)
-                if rec["power"] > best_power:
-                    best_power = rec["power"]
-                    best_cols = cols
-            diagnostics.append(rec)
+    for a in range(1, plan.A + 1):
+        rec = {"a": a, "lo": float(plan.eps[a - 1]), "hi": float(plan.eps[a]),
+               "feasible": bool(feasible[a - 1]), "power": -np.inf}
+        if rec["feasible"]:
+            cols = choice[a - 1]
+            rec["power"], _, _ = _k1_power_of_perm(psi, cols)
+            if rec["power"] > best_power:
+                best_power = rec["power"]
+                best_cols = cols
+        diagnostics.append(rec)
 
     if best_cols is None:
         raise RuntimeError(
@@ -373,6 +436,8 @@ def combine_exhaustive_psi(
                  + np.prod(psi.comp[rows, perms], axis=1))
         power = np.where(np.isnan(power), -np.inf, power)
         winner = int(np.argmax(power))
+        if power[winner] == -np.inf:
+            raise IdentificationError("no identified pairing exists")
         cols = perms[winner]
         value, pi_l, pi_r = _k1_power_of_perm(psi, cols)
         est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
@@ -387,7 +452,7 @@ def combine_exhaustive_psi(
         if best_est is None or est.value > best_est.value:
             best_cols, best_est = cols, est
     if best_est is None:
-        raise RuntimeError("no identified pairing exists")
+        raise IdentificationError("no identified pairing exists")
     return psi.grouping_for(best_cols), best_est
 
 
@@ -431,7 +496,7 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     zeros = np.zeros_like(obj)
     result = _solve_assignment_bb(obj, zeros, -1.0, 1.0)
     if result is None:
-        raise RuntimeError("no identified pairing exists")
+        raise IdentificationError("no identified pairing exists")
     cols, objective, _ = result
     return _solution_from_cols(psi, cols, objective, 0.0)
 
@@ -523,69 +588,6 @@ def enumerate_side_subsets(big: tuple[int, ...], n_groups: int) -> list[frozense
     return out
 
 
-def _solve_partition_assignment(obj, side, subset_masks, full_mask, lo, hi, max_size):
-    """Branch and bound over rows choosing disjoint subsets covering the big side.
-
-    Same bounding as the square assignment, plus coverage pruning: the
-    uncovered count must be splittable among the remaining rows with each
-    getting between 1 and max_size elements, and the last row must take
-    exactly the uncovered set.
-    """
-    q, n_sub = obj.shape
-    best_choice: list[int] | None = None
-    best_obj = -np.inf
-    chosen = np.empty(q, dtype=np.int64)
-    mask_of_full = full_mask
-    total = int(bin(full_mask).count("1"))
-
-    finite = np.isfinite(obj) & np.isfinite(side)
-
-    def dfs(row: int, covered: int, obj_acc: float, side_acc: float) -> None:
-        nonlocal best_choice, best_obj
-        if row == q:
-            if covered == mask_of_full and \
-               lo - _INTERVAL_TOL <= side_acc <= hi + _INTERVAL_TOL and obj_acc > best_obj:
-                best_obj = obj_acc
-                best_choice = chosen.tolist()
-            return
-        remaining = q - row
-        uncovered = total - int(bin(covered).count("1"))
-        if uncovered < remaining or uncovered > remaining * max_size:
-            return
-        ub = obj_acc
-        smin = side_acc
-        smax = side_acc
-        for rr in range(row, q):
-            cand = [m for m in range(n_sub)
-                    if finite[rr, m] and not (subset_masks[m] & covered)]
-            if not cand:
-                return
-            vals = obj[rr, cand]
-            svals = side[rr, cand]
-            ub += vals.max()
-            smin += svals.min()
-            smax += svals.max()
-        if best_choice is not None and ub <= best_obj:
-            return
-        if smin > hi + _INTERVAL_TOL or smax < lo - _INTERVAL_TOL:
-            return
-        for m in range(n_sub):
-            if not finite[row, m] or (subset_masks[m] & covered):
-                continue
-            if row == q - 1 and (covered | subset_masks[m]) != mask_of_full:
-                continue
-            chosen[row] = m
-            dfs(row + 1, covered | subset_masks[m], obj_acc + obj[row, m],
-                side_acc + side[row, m])
-
-    dfs(0, 0, 0.0, 0.0)
-    if best_choice is None:
-        return None
-    rows = np.arange(q)
-    choice = np.asarray(best_choice, dtype=np.int64)
-    return choice, float(obj[rows, choice].sum()), float(side[rows, choice].sum())
-
-
 def combine_unequal(
     d: PanelDataset,
     h: Hypothesis,
@@ -601,7 +603,8 @@ def combine_unequal(
     partitioned across the groups, every cluster used exactly once.  Candidate
     subsets of the larger side are enumerated, Psi is precomputed per
     (singleton, subset) group, and the same interval-partitioned programs are
-    solved with the partition constraint enforced inside the branch and bound.
+    solved in one ``band_winners`` pass whose rows pick disjoint subsets
+    covering the larger side.  Ties break as in ``combine_k1``.
 
     Returns ``(grouping, estimate)``.
     """
@@ -636,27 +639,20 @@ def combine_unequal(
 
     obj, side = _branch_coeffs(psi, delta)
     plan = IntervalPlan.build(psi, delta, A=A)
-    log_eps = np.log(plan.eps)
     big_index = {j: b for b, j in enumerate(sorted(big))}
     subset_masks = [sum(1 << big_index[j] for j in m) for m in subsets]
-    full_mask = (1 << len(big)) - 1
-    max_size = len(big) - qbar + 1
+    choice, feasible = band_winners(obj, side, subset_masks, (1 << len(big)) - 1,
+                                    np.log(plan.eps))
 
     best_choice = None
     best_power = -np.inf
     rows = np.arange(qbar)
-    for a in range(1, plan.A + 1):
-        result = _solve_partition_assignment(
-            obj, side, subset_masks, full_mask, log_eps[a - 1], log_eps[a], max_size,
-        )
-        if result is None:
-            continue
-        choice, _, _ = result
-        power = (float(np.prod(psi.values[rows, choice]))
-                 + float(np.prod(psi.comp[rows, choice])))
+    for band in choice[feasible]:
+        power = (float(np.prod(psi.values[rows, band]))
+                 + float(np.prod(psi.comp[rows, band])))
         if power > best_power:
             best_power = power
-            best_choice = choice
+            best_choice = band
     if best_choice is None:
         raise RuntimeError("every subinterval program was infeasible; lower eps0")
 

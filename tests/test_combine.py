@@ -10,6 +10,7 @@ import pytest
 from crscombine import (
     BoundError,
     Grouping,
+    IdentificationError,
     Hypothesis,
     IntervalPlan,
     LimitParams,
@@ -26,7 +27,16 @@ from crscombine import (
     psi_from_scales,
     solve_interval_bilp,
 )
-from crscombine.combine import _branch_coeffs, _k1_power_of_perm, _perm_of_grouping
+from crscombine.combine import (
+    _INTERVAL_TOL as TOL,
+    _branch_coeffs,
+    _k1_power_of_perm,
+    _perm_of_grouping,
+    _solve_assignment_bb,
+    band_winners,
+)
+from crscombine.estimation import psi_matrix
+from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
 def random_psi(rng, qbar, delta=None):
@@ -51,6 +61,21 @@ def brute_force_interval(psi, interval, delta):
             if best is None or o > best[0]:
                 best = (o, p)
     return best
+
+
+def assert_bands_match_bb(psi, delta, A):
+    """combine_k1's bands against one _solve_assignment_bb call per band."""
+    obj, side = _branch_coeffs(psi, delta)
+    log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
+    choice, feasible = band_winners(obj, side, [1 << c for c in range(psi.qbar)],
+                                    (1 << psi.qbar) - 1, log_eps)
+    _, _, diag = combine_k1(psi, delta, A=A)
+    for a in range(1, A + 1):
+        result = _solve_assignment_bb(obj, side, log_eps[a - 1], log_eps[a])
+        assert feasible[a - 1] == (result is not None) == diag[a - 1]["feasible"]
+        if result is not None:
+            np.testing.assert_array_equal(choice[a - 1], result[0])
+            assert diag[a - 1]["power"] == _k1_power_of_perm(psi, result[0])[0]
 
 
 class TestSolveIntervalBilp:
@@ -153,17 +178,56 @@ class TestCombineK1:
                                             method="k1")
             assert abs(e1.value - e2.value) < 1e-12
 
-    def test_bb_path_agrees_with_enumeration_path(self, monkeypatch):
-        import crscombine.combine as combine_mod
-
+    def test_bb_path_agrees_with_enumeration_path(self):
+        # band by band, the one-pass enumeration returns the branch and bound's
+        # optimum of that interval program, ties and infeasibility included
         rng = np.random.default_rng(7)
-        psi, delta = random_psi(rng, 5)
-        g_fast, e_fast, d_fast = combine_k1(psi, delta, A=60)
-        monkeypatch.setattr(combine_mod, "ENUMERATION_MAX_QBAR", 0)
-        g_slow, e_slow, d_slow = combine_k1(psi, delta, A=60)
-        assert g_fast == g_slow
-        assert e_fast.value == e_slow.value
-        assert [r["feasible"] for r in d_fast] == [r["feasible"] for r in d_slow]
+        for trial in range(24):
+            qbar = 2 + trial % 6
+            psi, delta = random_psi(rng, qbar, delta=(-1.0 if trial % 2 else 1.0)
+                                    * float(rng.uniform(0.3, 2.0)))
+            if trial % 3 == 0:
+                xi = psi.xi.copy()
+                xi[rng.integers(0, qbar), rng.integers(0, qbar)] = np.nan
+                psi = psi_from_scales(xi, psi.sigma, delta)
+            A = (1, 10, 60, 200)[trial % 4] if qbar < 7 else 10
+            assert_bands_match_bb(psi, delta, A)
+        # every pairing ties: each band keeps the first leaf, across chunks too
+        flat = psi_from_scales(np.full((7, 7), 0.5), np.full((7, 7), 1.0), -1.0)
+        assert_bands_match_bb(flat, -1.0, 200)
+
+    def test_bb_path_agrees_on_dgp_qbar8(self):
+        d = gen_dgp(DgpSpec("dgp2", h=4, q=16), seed=1)
+        delta = -2.0 * math.sqrt(d.n)
+        psi = psi_matrix(d, dgp_hypothesis(0.05, delta=delta), model="ar1")
+        assert psi.qbar == 8
+        assert_bands_match_bb(psi, delta, 40)
+
+    def test_side_sums_within_tolerance_of_a_break_point_join_both_bands(self):
+        rng = np.random.default_rng(22)
+        psi, delta = random_psi(rng, 4)
+        obj, side = _branch_coeffs(psi, delta)
+        perms = np.array(list(itertools.permutations(range(4))))
+        rows = np.arange(4)
+        k = int(np.argmax(obj[rows, perms].sum(axis=1)))
+        s_k = float(side[rows, perms[k]].sum())
+        log_eps = s_k + np.array([-1.0, -0.5 * TOL, 0.5 * TOL, 1.0])
+        choice, feasible = band_winners(obj, side, [1 << c for c in range(4)], 15, log_eps)
+        assert feasible.all()
+        for a in range(1, 4):
+            np.testing.assert_array_equal(choice[a - 1], perms[k])
+            cols, _, _ = _solve_assignment_bb(obj, side, log_eps[a - 1], log_eps[a])
+            np.testing.assert_array_equal(choice[a - 1], cols)
+
+    def test_relabelling_leaves_power_unchanged(self):
+        rng = np.random.default_rng(21)
+        for qbar in range(3, 9):
+            psi, delta = random_psi(rng, qbar)
+            rows, cols = rng.permutation(qbar), rng.permutation(qbar)
+            moved = psi_from_scales(psi.xi[rows][:, cols], psi.sigma[rows][:, cols], delta)
+            _, est, _ = combine_k1(psi, delta)
+            _, est_moved, _ = combine_k1(moved, delta)
+            assert est_moved.value == pytest.approx(est.value, rel=1e-12, abs=0.0)
 
     def test_homogeneous_psi_power_invariant(self):
         psi = psi_from_scales(np.full((4, 4), 0.5), np.full((4, 4), 1.5), -2.0)
@@ -257,13 +321,13 @@ class TestCombineHeuristic:
         assert r1[2] == r2[2]
 
 
-def make_unequal_panel(seed=0, effects=None):
-    """Controls {1, 2}, treated {3, 4, 5}; cluster-level treatment dummy."""
+def make_unequal_panel(seed=0, effects=None, controls=(1, 2), treated=(3, 4, 5)):
+    """Controls {1, 2}, treated {3, 4, 5} by default; cluster-level treatment dummy."""
     rng = np.random.default_rng(seed)
     cluster, time, y, x = [], [], [], []
     scale = effects or {1: 0.5, 2: 1.0, 3: 2.0, 4: 0.7, 5: 1.4}
-    for j in (1, 2, 3, 4, 5):
-        d = 1.0 if j >= 3 else 0.0
+    for j in sorted(controls + treated):
+        d = 1.0 if j in treated else 0.0
         for t in range(1, 13):
             cluster.append(j)
             time.append(t)
@@ -271,8 +335,74 @@ def make_unequal_panel(seed=0, effects=None):
             x.append([1.0, d])
     return PanelDataset(
         cluster=np.array(cluster), time=np.array(time), y=np.array(y),
-        x=np.array(x), x_names=("const", "d"), controls={1, 2}, treated={3, 4, 5},
+        x=np.array(x), x_names=("const", "d"), controls=set(controls), treated=set(treated),
     )
+
+
+def partition_bb_reference(obj, side, subset_masks, full_mask, lo, hi, max_size):
+    """The per-interval branch and bound combine_unequal ran before band_winners.
+
+    Kept verbatim as the reference for the one-pass enumeration in unequal mode:
+    branch and bound over rows choosing disjoint subsets covering the big side.
+
+    Same bounding as the square assignment, plus coverage pruning: the
+    uncovered count must be splittable among the remaining rows with each
+    getting between 1 and max_size elements, and the last row must take
+    exactly the uncovered set.
+    """
+    q, n_sub = obj.shape
+    best_choice: list[int] | None = None
+    best_obj = -np.inf
+    chosen = np.empty(q, dtype=np.int64)
+    mask_of_full = full_mask
+    total = int(bin(full_mask).count("1"))
+
+    finite = np.isfinite(obj) & np.isfinite(side)
+
+    def dfs(row: int, covered: int, obj_acc: float, side_acc: float) -> None:
+        nonlocal best_choice, best_obj
+        if row == q:
+            if covered == mask_of_full and \
+               lo - TOL <= side_acc <= hi + TOL and obj_acc > best_obj:
+                best_obj = obj_acc
+                best_choice = chosen.tolist()
+            return
+        remaining = q - row
+        uncovered = total - int(bin(covered).count("1"))
+        if uncovered < remaining or uncovered > remaining * max_size:
+            return
+        ub = obj_acc
+        smin = side_acc
+        smax = side_acc
+        for rr in range(row, q):
+            cand = [m for m in range(n_sub)
+                    if finite[rr, m] and not (subset_masks[m] & covered)]
+            if not cand:
+                return
+            vals = obj[rr, cand]
+            svals = side[rr, cand]
+            ub += vals.max()
+            smin += svals.min()
+            smax += svals.max()
+        if best_choice is not None and ub <= best_obj:
+            return
+        if smin > hi + TOL or smax < lo - TOL:
+            return
+        for m in range(n_sub):
+            if not finite[row, m] or (subset_masks[m] & covered):
+                continue
+            if row == q - 1 and (covered | subset_masks[m]) != mask_of_full:
+                continue
+            chosen[row] = m
+            dfs(row + 1, covered | subset_masks[m], obj_acc + obj[row, m],
+                side_acc + side[row, m])
+
+    dfs(0, 0, 0.0, 0.0)
+    if best_choice is None:
+        return None
+    rows = np.arange(q)
+    choice = np.asarray(best_choice, dtype=np.int64)
+    return choice, float(obj[rows, choice].sum()), float(side[rows, choice].sum())
 
 
 class TestCombineUnequal:
@@ -325,6 +455,49 @@ class TestCombineUnequal:
         used = [c for ctrl, _ in g.groups for c in ctrl]
         assert sorted(used) == [3, 4, 5]
 
+    def test_bands_match_partition_branch_and_bound(self):
+        rng = np.random.default_rng(14)
+        for trial in range(12):
+            qbar = 2 + trial % 2
+            n_big = qbar + 1 + trial % 3
+            subsets = enumerate_side_subsets(tuple(range(n_big)), qbar)
+            masks = [sum(1 << j for j in m) for m in subsets]
+            xi = rng.uniform(0.2, 0.9, size=(qbar, len(subsets)))
+            sigma = rng.uniform(0.5, 2.0, size=(qbar, len(subsets)))
+            if trial % 4 == 0:
+                xi[rng.integers(0, qbar), rng.integers(0, len(subsets))] = np.nan
+            delta = -1.3 if trial % 2 else 0.8
+            psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
+                                  treated_ids=tuple(range(len(subsets))))
+            obj, side = _branch_coeffs(psi, delta)
+            A = (10, 60, 200)[trial % 3]
+            log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
+            full = (1 << n_big) - 1
+            choice, feasible = band_winners(obj, side, masks, full, log_eps)
+            for a in range(1, A + 1):
+                result = partition_bb_reference(obj, side, masks, full, log_eps[a - 1],
+                                                log_eps[a], n_big - qbar + 1)
+                assert feasible[a - 1] == (result is not None)
+                if result is not None:
+                    np.testing.assert_array_equal(choice[a - 1], result[0])
+
+    def test_relabelling_leaves_power_unchanged(self):
+        effects = {1: 0.5, 2: 1.0, 3: 2.0, 4: 0.7, 5: 1.4, 6: 0.9, 7: 1.8, 8: 1.1}
+        h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-5.0)
+        rng = np.random.default_rng(15)
+        for seed, delta in ((5, -5.0), (6, 4.0)):
+            d = make_unequal_panel(seed=seed, effects=effects, controls=(1, 2, 3),
+                                   treated=(4, 5, 6, 7, 8))
+            _, est = combine_unequal(d, h, model="iid", delta=delta)
+            relabel = dict(zip((1, 2, 3), rng.permutation([1, 2, 3]).tolist()))
+            relabel.update(zip((4, 5, 6, 7, 8), rng.permutation([4, 5, 6, 7, 8]).tolist()))
+            moved = PanelDataset(
+                cluster=np.array([relabel[int(j)] for j in d.cluster]), time=d.time,
+                y=d.y, x=d.x, x_names=d.x_names, controls=d.controls, treated=d.treated,
+            )
+            _, est_moved = combine_unequal(moved, h, model="iid", delta=delta)
+            assert est_moved.value == pytest.approx(est.value, rel=1e-12, abs=0.0)
+
     def test_subset_guard(self):
         d = make_unequal_panel(seed=4)
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
@@ -359,3 +532,21 @@ class TestCombineExhaustiveData:
         psi = psi_from_scales(xi, sigma, -1.0)
         with pytest.raises(BoundError):
             combine_exhaustive_psi(psi, -1.0, 0.05)
+
+
+def unidentified_column_psi():
+    rng = np.random.default_rng(16)
+    xi = rng.uniform(0.2, 0.9, size=(4, 4))
+    xi[:, 2] = np.nan
+    return psi_from_scales(xi, rng.uniform(0.5, 2.0, size=(4, 4)), -1.0)
+
+
+@pytest.mark.parametrize("search", [
+    lambda psi: combine_k1(psi, -1.0),
+    lambda psi: combine_heuristic_psi(psi, -1.0, alpha=1.0 / 8),
+    lambda psi: combine_exhaustive_psi(psi, -1.0, alpha=1.0 / 8, method="k1"),
+    lambda psi: combine_exhaustive_psi(psi, -1.0, alpha=0.5, method="mc", reps=1_000),
+], ids=["k1", "heuristic", "exhaustive_k1", "exhaustive_mc"])
+def test_no_identified_pairing_is_an_identification_error(search):
+    with pytest.raises(IdentificationError, match="no identified pairing exists"):
+        search(unidentified_column_psi())
