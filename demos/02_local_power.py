@@ -3,8 +3,11 @@
 With q groups the limiting scores are independent normals Z_g + xi_g * delta.
 When the rejection budget K = floor(alpha * 2^(q-1)) equals 1, the power has
 the closed form pi_L + pi_R, a pair of one-sided-power products that cross at
-delta = 0 with common value 2^-q.  For q <= 4 an exact ordering enumeration
-is available, and Monte Carlo covers every case.
+delta = 0 with common value 2^-q.  Monte Carlo covers every case.  For q <= 4
+``power_exact`` gives the same Monte Carlo count under its 'exact_enum' label:
+the ordering enumeration it once ran summed to exactly that count on the same
+draws.  Below it runs on other draws than ``power_mc`` (seed 1 against 2), so
+the two lines differ by sampling error.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ for delta in np.linspace(-2, 2, 9):
     print(f"{delta:6.1f} {left:10.5f} {right:10.5f} {est.value:10.5f}")
 print("pi_L falls, pi_R rises; both equal 1/32 at delta = 0.\n")
 
-# Cross-method agreement at q = 4 with budget K = 2 (alpha = 0.25)
+# Two independent Monte Carlo estimates at q = 4 with budget K = 2 (alpha = 0.25)
 lp4 = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
 exact = power_exact(lp4, 1.0, alpha=0.25, term_reps=200_000, seed=1)
 mc = power_mc(lp4, 1.0, alpha=0.25, reps=200_000, seed=2)

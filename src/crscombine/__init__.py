@@ -63,7 +63,6 @@ from .estimation import (
     score_stat,
 )
 from .power import (
-    EnumerationPlan,
     PowerEstimate,
     power_exact,
     power_from_limit,

@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
 )
 from .estimation import LimitParams, psi_matrix
-from .power import power_from_limit
+from .power import power_scorer
 from .simulate import DgpSpec, calibrate, rejection_curve
 from .regression import RegressionSpec
 
@@ -327,10 +327,10 @@ def _cmd_power(args, cfg: RunConfig) -> int:
                                    spec, args.model)
     else:
         raise SchemaError("supply --xi and --sigma, or --data")
+    score = power_scorer(lp.q, args.alpha, args.power_method, args.reps, cfg.seed)
     rows = []
     for delta in args.deltas:
-        est = power_from_limit(lp, float(delta), args.alpha,
-                               method=args.power_method, reps=args.reps, seed=cfg.seed)
+        est = score(lp, float(delta))
         rows.append({"delta": delta, "value": est.value,
                      "se": "" if est.mc_se is None else est.mc_se,
                      "method": est.method})

@@ -43,7 +43,7 @@ from .estimation import (
     psi_from_scales,
     psi_matrix,
 )
-from .power import PowerEstimate, SignFlipKernel, power_from_limit
+from .power import PowerEstimate, power_scorer
 from .regression import RegressionSpec
 
 EXHAUSTIVE_MAX_QBAR = 8      # hard guard for the exhaustive oracle
@@ -391,11 +391,8 @@ def _power_scorer(psi: PsiMatrix, delta: float, alpha: float, method: str,
     Monte Carlo candidates share one kernel, so the common random numbers are
     drawn once and every estimate equals ``power_mc`` at (seed, reps).
     """
-    if method == "mc":
-        kernel = SignFlipKernel(psi.qbar, alpha, reps=reps, seed=seed)
-        return lambda cols: kernel.estimate(limit_params_for_perm(psi, cols), delta)
-    return lambda cols: power_from_limit(limit_params_for_perm(psi, cols), delta, alpha,
-                                         method=method, reps=reps, seed=seed)
+    score = power_scorer(psi.qbar, alpha, method, reps, seed)
+    return lambda cols: score(limit_params_for_perm(psi, cols), delta)
 
 
 def _perm_of_grouping(psi: PsiMatrix, g: Grouping) -> np.ndarray:

@@ -64,6 +64,9 @@ class LimitParams:
         object.__setattr__(self, "sigma", sigma)
         if xi.shape != sigma.shape or xi.ndim != 1:
             raise ValueError("xi and sigma must be 1-d arrays of equal length")
+        for name, v in (("xi", xi), ("sigma", sigma)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"all {name} must be finite")
         if np.any(xi <= 0.0) or np.any(xi > 1.0):
             raise ValueError("all xi must lie in (0, 1]")
         if np.any(sigma <= 0.0):

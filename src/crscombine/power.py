@@ -9,25 +9,25 @@ evaluators are provided:
   the observed statistic strictly exceeds every other randomization value.
   Then pi = pi_L + pi_R with pi_L = prod_g Phi(-xi_g delta / sigma_g) and
   pi_R the product of the complements (the one-sided-test powers).
-- ``power_exact``: for q <= 4, enumerates every ordering pattern that leaves
-  the observed statistic among the top K values, writing each pattern as an
-  intersection of half-space events in the partial sums of the scores; each
-  joint probability is evaluated by Monte Carlo on one shared set of draws,
-  so the patterns partition the rejection event exactly in-sample.
 - ``power_mc``: simulates the limit experiment directly for any (q, K).
   ``SignFlipKernel`` is its engine: it draws the common random numbers once
   and scores any number of (xi, sigma) on them, which is how the grouping
   searches compare candidates.
+- ``power_exact``: for q <= 4, the kernel's rejection count under the label
+  'exact_enum'.  The ordering enumeration the name once ran summed disjoint
+  half-space terms on one shared set of draws to exactly that count; the
+  name, its label and its q <= 4 guard are kept.
 
+``power_scorer`` resolves a method once and returns one evaluator for many
+(xi, sigma, delta) at a fixed q; the Monte Carlo methods share one kernel.
 Normal cdf values come from scipy's erfc-based ``ndtr`` (absolute error below
 1e-15), so independent implementations agree to ~1e-12.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -40,7 +40,7 @@ from .regression import RegressionSpec
 
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
 
-EXACT_MAX_Q = 4  # enumeration cost guard: L <= 7, |sign patterns| = 2^L <= 128
+EXACT_MAX_Q = 4  # the 'exact' label's guard, kept from the old ordering enumeration
 
 
 @dataclass(frozen=True)
@@ -60,42 +60,6 @@ class PowerEstimate:
             raise ValueError("closed-form estimates must carry (pi_left, pi_right)")
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """Bookkeeping for the exact ordering enumeration at q <= 4.
-
-    ``subsets(k)`` yields the index sets H of the k-1 sign vectors allowed to
-    beat the observed statistic; ``sign_patterns()`` yields the 2^L half-space
-    orientation patterns.
-    """
-
-    q: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.q > EXACT_MAX_Q:
-            raise BoundError(
-                f"exact enumeration supports q <= {EXACT_MAX_Q} (got q={self.q}); "
-                f"use the Monte Carlo evaluator instead"
-            )
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-
-    @property
-    def L(self) -> int:
-        return (1 << (self.q - 1)) - 1
-
-    @property
-    def K(self) -> int:
-        return k_budget(1 << (self.q - 1), self.alpha)
-
-    def subsets(self, k: int):
-        return itertools.combinations(range(self.L), k - 1)
-
-    def sign_patterns(self):
-        return itertools.product((1, 2), repeat=self.L)
-
-
 def power_k1(lp: LimitParams, delta: float, alpha: float | None = None) -> PowerEstimate:
     """Closed-form local power when the rejection budget is K = 1.
 
@@ -103,6 +67,8 @@ def power_k1(lp: LimitParams, delta: float, alpha: float | None = None) -> Power
     budgets need the exact or Monte Carlo evaluators.
     """
     if alpha is not None:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
         k = k_budget(1 << (lp.q - 1), alpha)
         if k != 1:
             raise ValueError(
@@ -127,15 +93,6 @@ def _normal_blocks(q: int, reps: int, seed):
         yield rng.standard_normal((min(MC_BLOCK, reps - start), q))
 
 
-def _draw_scores(lp: LimitParams, delta: float, reps: int, seed) -> np.ndarray:
-    """Blocked draws of Z + xi*delta; block seeding is scheduling-independent."""
-    out = np.empty((reps, lp.q))
-    shift = lp.xi * delta
-    for b, z in enumerate(_normal_blocks(lp.q, reps, seed)):
-        out[b * MC_BLOCK:b * MC_BLOCK + z.shape[0]] = z * lp.sigma + shift
-    return out
-
-
 class SignFlipKernel:
     """Monte Carlo power of the sign-change test on common random numbers.
 
@@ -153,6 +110,8 @@ class SignFlipKernel:
     def __init__(self, q: int, alpha: float, reps: int = 100_000, seed: int = 0):
         if reps < 1000:
             raise ValueError("reps must be at least 1000")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
         s = sign_changes(q)
         self.q = q
         self.reps = reps
@@ -197,10 +156,10 @@ def power_mc(
 
     Draws are seeded in fixed-size blocks so the estimate depends only on
     (seed, reps).  When K = 1 the all-negative / all-positive score events are
-    tallied as the (pi_left, pi_right) components.  To score many (xi, sigma)
-    on the same draws, build one ``SignFlipKernel`` and call its ``estimate``.
+    tallied as the (pi_left, pi_right) components.  To score many (xi, sigma,
+    delta) on the same draws, build one ``power_scorer`` and call it.
     """
-    return SignFlipKernel(lp.q, alpha, reps=reps, seed=seed).estimate(lp, delta)
+    return power_scorer(lp.q, alpha, "mc", reps, seed)(lp, delta)
 
 
 def power_exact(
@@ -210,53 +169,48 @@ def power_exact(
     term_reps: int = 200_000,
     seed: int = 0,
 ) -> PowerEstimate:
-    """Exact ordering enumeration of the local power for q <= 4.
+    """Local power for q <= 4: the sign-flip kernel's rejection count at
+    (seed, term_reps), labelled 'exact_enum' and without components.
 
-    The rejection event splits over (rank k, beating set H, orientation
-    pattern m) into disjoint intersections of half-space events in the
-    same-sign / flipped-sign partial sums of the scores.  Each term's
-    probability is evaluated on one shared set of ``term_reps`` draws, so the
-    terms stay exactly disjoint in-sample and their sum equals the direct
-    frequency of the union.
+    The ordering enumeration this name once ran split the rejection event
+    into disjoint half-space intersections on one shared set of draws, so its
+    terms summed to exactly this count (``tests/test_power.py`` keeps it as
+    the reference).  The name, the label and the q <= 4 guard (``BoundError``)
+    are kept; as for the kernel, ``term_reps`` must be at least 1000.
     """
-    plan = EnumerationPlan(q=lp.q, alpha=alpha)
-    L, K = plan.L, plan.K
-    if K == 0:
-        return PowerEstimate(value=0.0, method="exact_enum", mc_reps=term_reps, mc_se=0.0)
-    s = sign_changes(lp.q)
-    gbar = s.nonidentity  # (L, q)
-    w = _draw_scores(lp, delta, term_reps, seed)
-    if L == 0:
-        # q = 1: reject only when the budget covers the whole set, impossible here
-        total = 0
-    else:
-        same = (gbar == 1).astype(np.float64)
-        diff = (gbar == -1).astype(np.float64)
-        v_same = w @ same.T  # (reps, L)
-        v_diff = w @ diff.T
-        pos_s, neg_s = v_same > 0.0, v_same < 0.0
-        pos_d, neg_d = v_diff > 0.0, v_diff < 0.0
-        total = 0
-        for k in range(1, K + 1):
-            for subset in plan.subsets(k):
-                in_h = np.zeros(L, dtype=bool)
-                in_h[list(subset)] = True
-                for m in plan.sign_patterns():
-                    event = np.ones(term_reps, dtype=bool)
-                    for ell in range(L):
-                        if in_h[ell]:
-                            cond = (pos_s[:, ell] & neg_d[:, ell]) if m[ell] == 1 else (
-                                neg_s[:, ell] & pos_d[:, ell])
-                        else:
-                            cond = (pos_s[:, ell] & pos_d[:, ell]) if m[ell] == 1 else (
-                                neg_s[:, ell] & neg_d[:, ell])
-                        event &= cond
-                        if not event.any():
-                            break
-                    total += int(np.count_nonzero(event))
-    p = total / term_reps
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / term_reps)
-    return PowerEstimate(value=p, method="exact_enum", mc_reps=term_reps, mc_se=se)
+    return power_scorer(lp.q, alpha, "exact", term_reps, seed)(lp, delta)
+
+
+def power_scorer(q: int, alpha: float, method: str = "auto", reps: int = 100_000,
+                 seed: int = 0):
+    """``score(lp, delta) -> PowerEstimate`` for limit experiments with q groups.
+
+    ``method`` is one of 'auto', 'k1', 'exact', 'mc'.  'auto' picks the closed
+    form when the rejection budget is 1, 'exact' when q <= 4, and 'mc'
+    otherwise.  'exact' and 'mc' build one ``SignFlipKernel`` and score every
+    call on its draws, so each estimate equals ``power_mc`` at (seed, reps).
+    """
+    if method == "auto":
+        if k_budget(1 << (q - 1), alpha) == 1:
+            method = "k1"
+        elif q <= EXACT_MAX_Q:
+            method = "exact"
+        else:
+            method = "mc"
+    if method == "k1":
+        return lambda lp, delta: power_k1(lp, delta, alpha)
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown power method {method!r}")
+    if method == "exact" and q > EXACT_MAX_Q:
+        raise BoundError(
+            f"exact enumeration supports q <= {EXACT_MAX_Q} (got q={q}); "
+            f"use the Monte Carlo evaluator instead"
+        )
+    kernel = SignFlipKernel(q, alpha, reps=reps, seed=seed)
+    if method == "mc":
+        return kernel.estimate
+    return lambda lp, delta: replace(kernel.estimate(lp, delta), method="exact_enum",
+                                     components=None)
 
 
 def power_of_grouping(
@@ -272,8 +226,8 @@ def power_of_grouping(
     """Plug-in local power of a grouping: estimate (xi, sigma), then evaluate.
 
     ``method`` is one of 'auto', 'k1', 'exact', 'mc'.  'auto' picks the closed
-    form when the rejection budget is 1, the exact enumeration when q <= 4,
-    and Monte Carlo otherwise.
+    form when the rejection budget is 1, 'exact' when q <= 4, and Monte Carlo
+    otherwise (see ``power_scorer``).
     """
     spec = spec or RegressionSpec(outcome=d.y_name)
     lp, _ = group_limit_params(d, g, h, spec, model)
@@ -289,17 +243,4 @@ def power_from_limit(
     seed: int = 0,
 ) -> PowerEstimate:
     """Dispatch a (xi, sigma) limit experiment to the right evaluator."""
-    if method == "auto":
-        if k_budget(1 << (lp.q - 1), alpha) == 1:
-            method = "k1"
-        elif lp.q <= EXACT_MAX_Q:
-            method = "exact"
-        else:
-            method = "mc"
-    if method == "k1":
-        return power_k1(lp, delta, alpha)
-    if method == "exact":
-        return power_exact(lp, delta, alpha, term_reps=reps, seed=seed)
-    if method == "mc":
-        return power_mc(lp, delta, alpha, reps=reps, seed=seed)
-    raise ValueError(f"unknown power method {method!r}")
+    return power_scorer(lp.q, alpha, method, reps, seed)(lp, delta)

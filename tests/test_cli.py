@@ -148,6 +148,29 @@ class TestPowerCommand:
     def test_missing_inputs_is_data_error(self, tmp_path):
         assert dispatch(["power", "--deltas", "0", "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("method", ["auto", "exact", "mc"])
+    def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, capsys, method):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--xi", "0.5,0.5,0.5,0.5", "--sigma", "1,2,0.5,1.5",
+            "--alpha", "1", "--deltas", "0.7", "--power-method", method,
+            "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1,nan,0.5,1.5,1,1", "1,inf,0.5,1.5,1,1"])
+    def test_non_finite_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--xi", "0.4,0.4,0.4,0.4,0.4,0.4", "--sigma", sigma,
+            "--alpha", "0.2", "--deltas", "1", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "all sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_curve_csv(self, tmp_path):

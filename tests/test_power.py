@@ -1,4 +1,13 @@
-"""Local asymptotic power: closed form, exact enumeration, Monte Carlo."""
+"""Local asymptotic power: closed form, exact enumeration, Monte Carlo.
+
+``EnumerationPlan``, ``_draw_scores`` and ``reference_power_exact`` are the
+ordering enumeration ``power_exact`` ran before it became the sign-flip
+kernel's count, kept verbatim as the reference it must still equal.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,15 +15,119 @@ from scipy.special import ndtr
 
 from crscombine import (
     BoundError,
-    EnumerationPlan,
     Grouping,
     LimitParams,
+    PowerEstimate,
     power_exact,
+    power_from_limit,
     power_k1,
     power_mc,
     power_of_grouping,
 )
+from crscombine.crstest import k_budget, sign_changes
+from crscombine.power import EXACT_MAX_Q, MC_BLOCK, SignFlipKernel, _normal_blocks, power_scorer
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
+
+
+@dataclass(frozen=True)
+class EnumerationPlan:
+    """Bookkeeping for the exact ordering enumeration at q <= 4.
+
+    ``subsets(k)`` yields the index sets H of the k-1 sign vectors allowed to
+    beat the observed statistic; ``sign_patterns()`` yields the 2^L half-space
+    orientation patterns.
+    """
+
+    q: int
+    alpha: float
+
+    def __post_init__(self):
+        if self.q > EXACT_MAX_Q:
+            raise BoundError(
+                f"exact enumeration supports q <= {EXACT_MAX_Q} (got q={self.q}); "
+                f"use the Monte Carlo evaluator instead"
+            )
+        if self.q < 1:
+            raise ValueError("q must be at least 1")
+
+    @property
+    def L(self) -> int:
+        return (1 << (self.q - 1)) - 1
+
+    @property
+    def K(self) -> int:
+        return k_budget(1 << (self.q - 1), self.alpha)
+
+    def subsets(self, k: int):
+        return itertools.combinations(range(self.L), k - 1)
+
+    def sign_patterns(self):
+        return itertools.product((1, 2), repeat=self.L)
+
+
+def _draw_scores(lp: LimitParams, delta: float, reps: int, seed) -> np.ndarray:
+    """Blocked draws of Z + xi*delta; block seeding is scheduling-independent."""
+    out = np.empty((reps, lp.q))
+    shift = lp.xi * delta
+    for b, z in enumerate(_normal_blocks(lp.q, reps, seed)):
+        out[b * MC_BLOCK:b * MC_BLOCK + z.shape[0]] = z * lp.sigma + shift
+    return out
+
+
+def reference_power_exact(
+    lp: LimitParams,
+    delta: float,
+    alpha: float,
+    term_reps: int = 200_000,
+    seed: int = 0,
+) -> PowerEstimate:
+    """Exact ordering enumeration of the local power for q <= 4.
+
+    The rejection event splits over (rank k, beating set H, orientation
+    pattern m) into disjoint intersections of half-space events in the
+    same-sign / flipped-sign partial sums of the scores.  Each term's
+    probability is evaluated on one shared set of ``term_reps`` draws, so the
+    terms stay exactly disjoint in-sample and their sum equals the direct
+    frequency of the union.
+    """
+    plan = EnumerationPlan(q=lp.q, alpha=alpha)
+    L, K = plan.L, plan.K
+    if K == 0:
+        return PowerEstimate(value=0.0, method="exact_enum", mc_reps=term_reps, mc_se=0.0)
+    s = sign_changes(lp.q)
+    gbar = s.nonidentity  # (L, q)
+    w = _draw_scores(lp, delta, term_reps, seed)
+    if L == 0:
+        # q = 1: reject only when the budget covers the whole set, impossible here
+        total = 0
+    else:
+        same = (gbar == 1).astype(np.float64)
+        diff = (gbar == -1).astype(np.float64)
+        v_same = w @ same.T  # (reps, L)
+        v_diff = w @ diff.T
+        pos_s, neg_s = v_same > 0.0, v_same < 0.0
+        pos_d, neg_d = v_diff > 0.0, v_diff < 0.0
+        total = 0
+        for k in range(1, K + 1):
+            for subset in plan.subsets(k):
+                in_h = np.zeros(L, dtype=bool)
+                in_h[list(subset)] = True
+                for m in plan.sign_patterns():
+                    event = np.ones(term_reps, dtype=bool)
+                    for ell in range(L):
+                        if in_h[ell]:
+                            cond = (pos_s[:, ell] & neg_d[:, ell]) if m[ell] == 1 else (
+                                neg_s[:, ell] & pos_d[:, ell])
+                        else:
+                            cond = (pos_s[:, ell] & pos_d[:, ell]) if m[ell] == 1 else (
+                                neg_s[:, ell] & neg_d[:, ell])
+                        event &= cond
+                        if not event.any():
+                            break
+                    total += int(np.count_nonzero(event))
+    p = total / term_reps
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / term_reps)
+    return PowerEstimate(value=p, method="exact_enum", mc_reps=term_reps, mc_se=se)
 
 
 def unit_params(q, ratio=1.0):
@@ -149,6 +262,80 @@ class TestPowerExact:
         a = power_exact(lp, 0.8, 0.25, term_reps=20_000, seed=11)
         b = power_exact(lp, 0.8, 0.25, term_reps=20_000, seed=11)
         assert a.value == b.value
+
+    def test_reps_floor(self):
+        # the kernel's floor: the enumeration accepted any term_reps
+        with pytest.raises(ValueError, match="at least 1000"):
+            power_exact(unit_params(4), 0.8, 0.25, term_reps=999, seed=11)
+        assert power_exact(unit_params(4), 0.8, 0.25, term_reps=1000, seed=11).mc_reps == 1000
+
+
+def enumeration_instances():
+    """200 seeded instances: every (q, K) at q <= 4, delta 0, small and +-50,
+    one sigma of 1e-6 in every fifth case, reps 1000, 20,000, 32,769 (a short
+    last block) and 100,000 where the reference enumeration is cheap."""
+    rng = np.random.default_rng(808)
+    i = 0
+    for q in range(1, 5):
+        n_u = 1 << (q - 1)
+        for k in range(n_u):
+            cheap = q < 4 or k <= 2
+            for kind in ("zero", "small", "plus", "minus"):
+                for reps in (1000, 20_000, 32_769, 100_000) if cheap else (1000, 1000):
+                    delta = {"zero": 0.0, "small": float(rng.normal(scale=0.5)),
+                             "plus": 50.0, "minus": -50.0}[kind]
+                    sigma = rng.uniform(0.3, 3.0, q)
+                    if i % 5 == 0:
+                        sigma[rng.integers(q)] = 1e-6
+                    lp = LimitParams(xi=rng.uniform(0.1, 1.0, q), sigma=sigma)
+                    yield lp, delta, (k + 0.5) / n_u, reps, 1_000 + i
+                    i += 1
+
+
+def test_power_exact_equals_reference_enumeration():
+    n = 0
+    for lp, delta, alpha, reps, seed in enumeration_instances():
+        want = reference_power_exact(lp, delta, alpha, term_reps=reps, seed=seed)
+        got = power_exact(lp, delta, alpha, term_reps=reps, seed=seed)
+        for field in ("value", "mc_se", "mc_reps", "method", "components"):
+            assert getattr(got, field) == getattr(want, field), (field, lp, delta, alpha, reps)
+        n += 1
+    assert n >= 200
+
+
+@pytest.mark.parametrize("q, alpha, method", [
+    (4, 0.14, "auto"), (4, 0.14, "k1"), (4, 0.25, "auto"), (4, 0.25, "exact"),
+    (4, 0.25, "mc"), (3, 0.5, "exact"), (6, 0.1, "auto"), (6, 0.1, "mc"),
+])
+def test_one_scorer_delta_grid_matches_power_from_limit(q, alpha, method):
+    rng = np.random.default_rng(q * 100 + int(alpha * 100))
+    lp = LimitParams(xi=rng.uniform(0.1, 1.0, q), sigma=rng.uniform(0.3, 3.0, q))
+    score = power_scorer(q, alpha, method, reps=5000, seed=9)
+    for delta in (-50.0, -1.5, 0.0, 0.4, 2.0, 50.0):
+        assert score(lp, delta) == power_from_limit(lp, delta, alpha, method=method,
+                                                    reps=5000, seed=9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+def test_alpha_outside_unit_interval_is_rejected(alpha):
+    lp = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
+    for call in (lambda: power_k1(lp, 0.7, alpha=alpha),
+                 lambda: power_mc(lp, 0.7, alpha, reps=1000),
+                 lambda: power_exact(lp, 0.7, alpha, term_reps=1000),
+                 lambda: power_from_limit(lp, 0.7, alpha, reps=1000),
+                 lambda: SignFlipKernel(4, alpha, reps=1000)):
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            call()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("xi", np.nan), ("sigma", np.nan), ("sigma", np.inf),
+])
+def test_limit_params_reject_non_finite_values(field, bad):
+    values = {"xi": np.full(3, 0.5), "sigma": np.ones(3)}
+    values[field][1] = bad
+    with pytest.raises(ValueError, match=f"all {field} must be finite"):
+        LimitParams(**values)
 
 
 def test_exact_and_mc_agree_on_twenty_random_instances():
