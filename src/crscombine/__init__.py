@@ -58,6 +58,7 @@ from .estimation import (
     group_limit_params,
     ols_within_group,
     pairwise_group_stats,
+    pairwise_moment_stats,
     psi_from_scales,
     psi_matrix,
     score_stat,

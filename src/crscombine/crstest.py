@@ -150,14 +150,13 @@ def test_from_scores(scores: np.ndarray, alpha: float) -> TestOutcome:
     scores = np.asarray(scores, dtype=np.float64)
     s = sign_changes(scores.shape[0])
     values = randomization_stats(scores, s)
-    cv = critical_value(values, alpha)
-    statistic = float(values[0])
+    k = s.k_budget(alpha)
     return TestOutcome(
-        statistic=statistic,
+        statistic=float(values[0]),
         randomization_values=values,
-        critical_value=cv,
-        reject=bool(statistic > cv),
-        k_budget=s.k_budget(alpha),
+        critical_value=critical_value(values, alpha),
+        reject=bool(rejects(values, min(k, s.n_unique - 1))),
+        k_budget=k,
         q=s.q,
         alpha=alpha,
         scores=scores,

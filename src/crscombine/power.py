@@ -190,6 +190,8 @@ def power_scorer(q: int, alpha: float, method: str = "auto", reps: int = 100_000
     otherwise.  'exact' and 'mc' build one ``SignFlipKernel`` and score every
     call on its draws, so each estimate equals ``power_mc`` at (seed, reps).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if method == "auto":
         if k_budget(1 << (q - 1), alpha) == 1:
             method = "k1"

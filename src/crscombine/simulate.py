@@ -21,19 +21,18 @@ give 0, j = 7 gives 1, and so on.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .combine import _perm_of_grouping, combine_heuristic_psi, combine_k1
+from .combine import _perm_of_grouping, _perm_table, combine_heuristic_psi, combine_k1
 from .crstest import k_budget, rejects, sign_changes
 from .data import Grouping, Hypothesis, PanelDataset
 from .estimation import (
     ols_within_group,
-    pairwise_group_stats,
+    pairwise_moment_stats,
     psi_from_scales,
     score_stat,
 )
@@ -238,7 +237,7 @@ def rejection_curve(
     kb = k_budget(1 << (qbar - 1), alpha)
     perms = None
     if policy == "all_omegas":
-        perms = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
+        perms = _perm_table(qbar)
 
     points: list[CurvePoint] = []
     omega_rates = [] if policy == "all_omegas" else None
@@ -267,7 +266,7 @@ def rejection_curve(
                 n_rejected += tester.reject(scores)
             elif policy == "crs_data":
                 delta = delta_mag if b >= 0 else -delta_mag
-                ctrl_ids, trt_ids, score, xi, sigma = pairwise_group_stats(d, h0, reg, model)
+                ctrl_ids, trt_ids, score, xi, sigma = pairwise_moment_stats(d, h0, reg, model)
                 psi = psi_from_scales(xi, sigma, delta, ctrl_ids, trt_ids)
                 if kb <= 1:
                     g_star, _, _ = combine_k1(psi, delta, A=A)
@@ -279,7 +278,7 @@ def rejection_curve(
                 cols = _perm_of_grouping(psi, g_star)
                 n_rejected += tester.reject(score[rows_idx, cols])
             else:  # all_omegas
-                ctrl_ids, trt_ids, score, _, _ = pairwise_group_stats(
+                ctrl_ids, trt_ids, score, _, _ = pairwise_moment_stats(
                     d, h0, reg, model=None
                 )
                 score_rows = score[rows_idx[None, :], perms]

@@ -160,6 +160,16 @@ class TestPowerCommand:
         assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_alpha_on_auto_path_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--xi", "0.5,0.5,0.5,0.5", "--sigma", "1,2,0.5,1.5",
+            "--alpha", "nan", "--deltas", "0.7", "--out", str(out),
+        ])
+        assert code == 1
+        assert "alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["1,nan,0.5,1.5,1,1", "1,inf,0.5,1.5,1,1"])
     def test_non_finite_sigma_is_data_error(self, tmp_path, capsys, sigma):
         out = tmp_path / "p.csv"

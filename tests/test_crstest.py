@@ -203,10 +203,56 @@ class TestDecision:
         assert o1.statistic == o2.statistic
         assert o1.critical_value == o2.critical_value
 
+    def test_reject_field_equals_statistic_above_critical_value(self):
+        rng = np.random.default_rng(9)
+        vectors = [rng.standard_normal(int(rng.integers(1, 9))) for _ in range(300)]
+        vectors += [rng.integers(-2, 3, size=int(rng.integers(1, 9))).astype(float)
+                    for _ in range(300)]  # ties among the randomization values
+        vectors += [np.full(q, v) for q in range(1, 9) for v in (0.0, 1.0, -2.5)]
+        for scores in vectors:
+            for alpha in (0.01, 0.05, 0.1, 0.25, 0.5, 0.9):
+                out = decide_from_scores(scores, alpha)
+                assert out.reject == (out.statistic > out.critical_value), (scores, alpha)
+
     def test_to_record_fields(self):
         out = decide_from_scores(np.array([1.0, -2.0, 0.5]), 0.25)
         rec = out.to_record()
         assert set(rec) == {"statistic", "cv", "reject", "K", "q", "alpha"}
+
+
+# integer scores on a quarter grid: every sign-change sum is exact in floating
+# point, so the invariances below hold bit for bit, exact ties included
+_grid_scores = st.lists(st.integers(-40, 40), min_size=1, max_size=8).map(
+    lambda v: np.array(v, dtype=np.float64) / 4.0)
+_levels = st.floats(0.01, 0.99)
+
+
+class TestInvariances:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_grid_scores, alpha=_levels, data=st.data())
+    def test_group_permutation(self, scores, alpha, data):
+        order = data.draw(st.permutations(range(scores.size)))
+        base = decide_from_scores(scores, alpha)
+        permuted = decide_from_scores(scores[list(order)], alpha)
+        assert permuted.reject == base.reject
+        assert permuted.statistic == base.statistic
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_grid_scores, alpha=_levels)
+    def test_global_sign_flip(self, scores, alpha):
+        base = decide_from_scores(scores, alpha)
+        flipped = decide_from_scores(-scores, alpha)
+        assert flipped.reject == base.reject
+        assert flipped.statistic == base.statistic
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_grid_scores, alpha=_levels,
+           c=st.one_of(st.integers(1, 1000), st.integers(-30, 30).map(lambda k: 2.0**k)))
+    def test_common_positive_scale(self, scores, alpha, c):
+        base = decide_from_scores(scores, alpha)
+        scaled = decide_from_scores(scores * c, alpha)
+        assert scaled.reject == base.reject
+        assert scaled.statistic == pytest.approx(c * base.statistic, rel=1e-12, abs=0.0)
 
 
 def _partial_sums(scores, g, h):

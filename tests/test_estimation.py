@@ -1,6 +1,8 @@
 """Group OLS, score statistics, and working-model scale estimates."""
 
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,17 @@ from crscombine import (
     IdentificationError,
     PanelDataset,
     RegressionSpec,
+    SchemaError,
     estimate_sigma,
     estimate_xi,
     ols_within_group,
+    pairwise_group_stats,
+    pairwise_moment_stats,
     psi_from_scales,
     psi_matrix,
     score_stat,
 )
-from crscombine.estimation import GroupFit
+from crscombine.estimation import SIGMA_FLOOR, GroupFit
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
@@ -247,3 +252,194 @@ class TestPsiMatrix:
         psi = psi_matrix(bad, h, RegressionSpec(), model="iid", allow_unidentified=True)
         assert np.isnan(psi.values[0, 0])
         assert np.isfinite(psi.values[1, 1])
+
+
+def _subpanel(d, rows, x=None, y=None):
+    """The given rows of a panel, in the given order."""
+    return PanelDataset(
+        cluster=d.cluster[rows], time=d.time[rows],
+        y=d.y[rows] if y is None else y, x=d.x[rows] if x is None else x,
+        x_names=d.x_names, controls=d.controls, treated=d.treated,
+    )
+
+
+def _agreement_panels():
+    """300 seeded panels: dgp1-3 x h 1-4 x five betas, then row-shuffled and
+    unbalanced copies of some of them."""
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        spec = DgpSpec(variant=("dgp1", "dgp2", "dgp3")[i % 3], h=1 + (i // 3) % 4,
+                       beta=(-2.0, -1.0, 0.0, 1.0, 2.0)[(i // 12) % 5])
+        d = gen_dgp(spec, seed=5000 + i)
+        if i % 10 == 7:
+            d = _subpanel(d, rng.permutation(d.n))
+        elif i % 10 == 3:
+            d = _subpanel(d, np.sort(rng.choice(d.n, size=d.n - 50, replace=False)))
+        yield i, d
+
+
+def _assert_same_stats(fast, ref, rtol=1e-9):
+    assert fast[:2] == ref[:2]
+    np.testing.assert_array_equal(fast[3], ref[3])  # xi exactly, NaN where unidentified
+    for k in (2, 4):
+        np.testing.assert_array_equal(np.isnan(fast[k]), np.isnan(ref[k]))
+        np.testing.assert_allclose(fast[k], ref[k], rtol=rtol, atol=0.0)
+
+
+def _panel_with_residuals(u, seed=1):
+    """Clusters 1, 2 control and 3, 4 treated, one row of ``u`` each; y = 1.7 x + u
+    with x orthogonal to u in every cluster, so u is every pair's OLS residual."""
+    v = np.random.default_rng(seed).standard_normal(u.shape)
+    x = v - ((v * u).sum(1) / (u * u).sum(1))[:, None] * u
+    return PanelDataset(
+        cluster=np.repeat([1, 2, 3, 4], u.shape[1]), time=np.tile(np.arange(1, u.shape[1] + 1), 4),
+        y=(1.7 * x + u).ravel(), x=x.reshape(-1, 1), x_names=("x",),
+        controls={1, 2}, treated={3, 4},
+    )
+
+
+def _floored_panels():
+    """Panels whose every pair variance the reference floors at SIGMA_FLOOR."""
+    # an exact fit with round numbers
+    hand = make_cluster_treatment_panel(noise=0.0)
+    h_hand = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.25)
+    # y = X b on the dgp3 covariates: residuals are rounding noise, and the
+    # RSS as a quadratic form is mostly cancellation error
+    d = gen_dgp(DgpSpec(variant="dgp3", h=2), seed=4)
+    exact = _subpanel(d, np.arange(d.n), y=d.x @ np.random.default_rng(0).uniform(-3, 3, 6))
+    # residuals u_t = s * 0.6^t: the AR(1) fit is exact, so its innovation
+    # sum is cancellation error
+    geometric = _panel_with_residuals(
+        np.random.default_rng(1).uniform(0.5, 2.0, 4)[:, None] * 0.6 ** np.arange(10))
+    # a well-posed panel on a scale where every variance is below SIGMA_FLOOR^2
+    tiny = _subpanel(d, np.arange(d.n), x=d.x * 1e-7, y=d.y * 1e-23)
+    return {
+        "hand": (hand, h_hand),
+        "dgp": (exact, dgp_hypothesis(0.05)),
+        "geometric": (geometric, Hypothesis(c=[1.0], lam=0.0, alpha=0.25)),
+        "tiny": (tiny, dgp_hypothesis(0.05)),
+    }
+
+
+class TestPairwiseMomentStats:
+    """The per-cluster-moment path against the per-pair lstsq reference."""
+
+    def test_agrees_with_reference_on_300_panels(self):
+        h = dgp_hypothesis(0.05)
+        for i, d in _agreement_panels():
+            model = ("ar1", "iid", None)[i % 3] if i % 5 else "ar1"
+            _assert_same_stats(pairwise_moment_stats(d, h, model=model),
+                               pairwise_group_stats(d, h, model=model))
+
+    def test_nonzero_lambda_and_other_contrast(self):
+        d = gen_dgp(DgpSpec(variant="dgp3", h=2, beta=1.0), seed=77)
+        c = np.array([0.0, 0.5, 1.0, -0.25, 0.0, 0.0])
+        h = Hypothesis(c=c, lam=0.3, alpha=0.05)
+        for model in ("ar1", "iid"):
+            _assert_same_stats(pairwise_moment_stats(d, h, model=model),
+                               pairwise_group_stats(d, h, model=model))
+
+    def _rank_deficient_panel(self):
+        d = make_cluster_treatment_panel(noise=0.3, seed=5)
+        x = d.x.copy()
+        x[d.rows_of({3}), 1] = 0.0  # every pair with cluster 3 has d == 0
+        return _subpanel(d, np.arange(d.n), x=x)
+
+    @pytest.mark.parametrize("model", ["ar1", "iid", None])
+    def test_rank_deficient_pairs_decided_as_reference(self, model):
+        d = self._rank_deficient_panel()
+        h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.25)
+        fast = pairwise_moment_stats(d, h, model=model, allow_unidentified=True)
+        ref = pairwise_group_stats(d, h, model=model, allow_unidentified=True)
+        _assert_same_stats(fast, ref)
+        assert np.isnan(fast[2][:, 0]).all() and np.isfinite(fast[2][:, 1]).all()
+        for stats in (pairwise_moment_stats, pairwise_group_stats):
+            with pytest.raises(IdentificationError, match=r"control 1, treated 3"):
+                stats(d, h, model=model)
+
+    @pytest.mark.parametrize("scale, identified", [(1e-6, True), (1e-11, False)])
+    def test_near_collinear_pairs_take_the_reference_path(self, scale, identified):
+        # x3 = x2 + scale * noise in clusters 1, 7 and 8: the Grams of pairs
+        # (7, 1) and (8, 1) are ill conditioned; lstsq still identifies them at 1e-6
+        d = gen_dgp(DgpSpec(variant="dgp2", h=3), seed=31)
+        rng = np.random.default_rng(3)
+        x = d.x.copy()
+        rows = d.rows_of({1, 7, 8})
+        x[rows, 5] = x[rows, 4] + scale * rng.standard_normal(rows.size)
+        d = _subpanel(d, np.arange(d.n), x=x)
+        h = dgp_hypothesis(0.05)
+        fast = pairwise_moment_stats(d, h, allow_unidentified=True)
+        ref = pairwise_group_stats(d, h, allow_unidentified=True)
+        _assert_same_stats(fast, ref)
+        for k in (2, 3, 4):  # the ill-conditioned pairs get the reference's own numbers
+            np.testing.assert_array_equal(fast[k][:2, 0], ref[k][:2, 0])
+        assert np.isfinite(fast[2][:2, 0]).all() == identified
+        assert np.isfinite(fast[2][2:]).all() and np.isfinite(fast[2][:, 1:]).all()
+        if not identified:
+            for stats in (pairwise_moment_stats, pairwise_group_stats):
+                with pytest.raises(IdentificationError, match=r"control 7, treated 1"):
+                    stats(d, h)
+
+    @pytest.mark.parametrize("panel, model", [
+        ("hand", "ar1"), ("hand", "iid"), ("dgp", "ar1"), ("dgp", "iid"),
+        ("geometric", "ar1"), ("tiny", "ar1"), ("tiny", "iid"),
+    ])
+    def test_degenerate_variance_floors_sigma_with_the_reference_warning(self, panel, model):
+        d, h = _floored_panels()[panel]
+        with pytest.warns(RuntimeWarning, match="flooring") as fast_warnings:
+            fast = pairwise_moment_stats(d, h, model=model)
+        with pytest.warns(RuntimeWarning, match="flooring") as ref_warnings:
+            ref = pairwise_group_stats(d, h, model=model)
+        assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in ref_warnings]
+        np.testing.assert_array_equal(fast[4], np.full(ref[4].shape, SIGMA_FLOOR))
+        _assert_same_stats(fast, ref)
+
+    def test_vanishing_ar1_denominator_takes_the_reference_path(self):
+        # residuals vanish except each cluster's last one, so the AR(1)
+        # denominator is rounding noise; the pair gets the reference's numbers
+        u = np.zeros((4, 10))
+        u[:, -1] = np.random.default_rng(1).uniform(0.5, 2.0, 4)
+        d = _panel_with_residuals(u)
+        h = Hypothesis(c=[1.0], lam=0.0, alpha=0.25)
+        out = []
+        for stats in (pairwise_moment_stats, pairwise_group_stats):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out.append((stats(d, h), [str(w.message) for w in caught]))
+        (fast, fast_warnings), (ref, ref_warnings) = out
+        assert fast_warnings == ref_warnings
+        for k in (2, 3, 4):
+            np.testing.assert_array_equal(fast[k], ref[k])
+
+    def test_no_warning_on_well_posed_panel(self):
+        d = gen_dgp(DgpSpec(variant="dgp1", h=4), seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairwise_moment_stats(d, dgp_hypothesis(0.05))
+
+    @pytest.mark.parametrize("formula, model", [
+        ("y ~ d + x1 + x2 + x3 + fe(cluster) + fe(time)", "ar1"),
+        ("y ~ d + x1 + fe(cluster)", "iid"),
+        ("y ~ const + i_post + d + x1 + x2 + x3", "hac"),
+    ])
+    def test_fixed_effects_and_hac_return_the_reference_output(self, formula, model):
+        d = gen_dgp(DgpSpec(variant="dgp2", h=2, beta=1.0), seed=12)
+        spec = RegressionSpec.parse(formula)
+        cov = spec.resolve_covariates(d)
+        h = Hypothesis(c=np.eye(len(cov))[cov.index("d")], lam=0.0, alpha=0.05)
+        fast = pairwise_moment_stats(d, h, spec, model)
+        ref = pairwise_group_stats(d, h, spec, model)
+        assert fast[:2] == ref[:2]
+        for k in (2, 3, 4):
+            np.testing.assert_array_equal(fast[k], ref[k])
+
+    def test_reference_errors_pass_through(self):
+        d = make_cluster_treatment_panel(n_per=1, noise=0.5)  # pairs of two rows
+        h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.25)
+        for stats in (pairwise_moment_stats, pairwise_group_stats):
+            with pytest.raises(ValueError, match="3 observations"):
+                stats(d, h, model="ar1")
+            with pytest.raises(ValueError, match="unknown working model"):
+                stats(d, h, model="nope")
+            with pytest.raises(SchemaError, match="c has length"):
+                stats(d, Hypothesis(c=[1.0], lam=0.0, alpha=0.25), model="iid")

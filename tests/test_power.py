@@ -328,6 +328,15 @@ def test_alpha_outside_unit_interval_is_rejected(alpha):
             call()
 
 
+@pytest.mark.parametrize("method", ["auto", "k1", "exact", "mc"])
+def test_nan_alpha_is_rejected_before_the_budget(method):
+    # 'auto' resolves its method through the rejection budget, which cannot
+    # floor a NaN; the named error must come first on every method
+    lp = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        power_from_limit(lp, 0.7, float("nan"), method=method, reps=1000)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("xi", np.nan), ("sigma", np.nan), ("sigma", np.inf),
 ])

@@ -1,5 +1,6 @@
 """DGP generators, rejection-rate curves, and the calibrated exercise."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,10 +12,18 @@ from crscombine import (
     Grouping,
     RegressionSpec,
     calibrate,
+    combine_k1,
     gen_calibrated,
     gen_dgp,
+    pairwise_group_stats,
+    pairwise_moment_stats,
+    psi_from_scales,
     rejection_curve,
+    simulate,
 )
+from crscombine import test_from_scores as decide_from_scores
+from crscombine.combine import _perm_of_grouping
+from crscombine.crstest import k_budget, rejects, sign_changes
 
 CANONICAL_PAIRING = Grouping.from_pairs(
     [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)]
@@ -158,6 +167,66 @@ class TestRejectionCurve:
         for i, gap in inversions:
             assert -gap <= 2 * max(ses[i], ses[i + 1])
         assert rates[-1] > rates[0]
+
+
+def _record_pair_stats(monkeypatch):
+    """Make rejection_curve's pair fits also run the lstsq reference; returns
+    the list of (fast, reference) results, one per replication."""
+    calls = []
+
+    def both(d, h, reg, model="ar1"):
+        fast = pairwise_moment_stats(d, h, reg, model)
+        calls.append((fast, pairwise_group_stats(d, h, reg, model)))
+        return fast
+
+    monkeypatch.setattr(simulate, "pairwise_moment_stats", both)
+    return calls
+
+
+class TestFastPairFitsInSimulation:
+    """The moment-based pair fits leave every simulated decision unchanged."""
+
+    @pytest.mark.parametrize("variant, h, betas", [
+        ("dgp2", 4, (-2.0, 0.0, 2.0)), ("dgp3", 3, (-1.0, 1.0)),
+    ])
+    def test_crs_data_groupings_and_decisions_match_reference(self, monkeypatch,
+                                                              variant, h, betas):
+        spec, alpha, reps = DgpSpec(variant=variant, h=h), 0.05, 200
+        calls = _record_pair_stats(monkeypatch)
+        curve = rejection_curve(spec, betas, "crs_data", reps=reps, alpha=alpha, seed=71)
+        assert len(calls) == reps * len(betas)
+        rows = np.arange(spec.q // 2)
+        for i, b in enumerate(betas):
+            delta = math.copysign(2.0 * math.sqrt(spec.q * spec.T), 1.0 if b >= 0 else -1.0)
+            rejected = 0
+            for fast, ref in calls[i * reps:(i + 1) * reps]:
+                decided = []
+                for ctrl, trt, score, xi, sigma in (fast, ref):
+                    psi = psi_from_scales(xi, sigma, delta, ctrl, trt)
+                    grouping = combine_k1(psi, delta)[0]
+                    cols = _perm_of_grouping(psi, grouping)
+                    decided.append((grouping, decide_from_scores(score[rows, cols], alpha).reject))
+                assert decided[0] == decided[1]
+                rejected += decided[1][1]
+            assert curve.points[i].reject_rate == rejected / reps
+
+    def test_all_omegas_rates_match_reference(self, monkeypatch):
+        spec, alpha, reps = DgpSpec(variant="dgp1", h=3), 0.05, 150
+        calls = _record_pair_stats(monkeypatch)
+        curve = rejection_curve(spec, [1.5], "all_omegas", reps=reps, alpha=alpha, seed=72)
+        qbar = spec.q // 2
+        perms = np.array(list(itertools.permutations(range(qbar))))
+        signs = sign_changes(qbar)
+        k = min(k_budget(signs.n_unique, alpha), signs.n_unique - 1)
+        counts = np.zeros(perms.shape[0], dtype=np.int64)
+        for fast, ref in calls:
+            decisions = [
+                rejects(np.abs(score[np.arange(qbar), perms] @ signs.unique.T) / qbar, k)
+                for score in (fast[2], ref[2])
+            ]
+            np.testing.assert_array_equal(decisions[0], decisions[1])
+            counts += decisions[1]
+        np.testing.assert_array_equal(curve.omega_rates, (counts / reps)[None, :])
 
 
 def make_true_params(q=8, T=500, seed=5, rho_lo=0.75, rho_hi=0.9):
