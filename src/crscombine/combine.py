@@ -19,7 +19,10 @@ For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
 (common-random-number) power estimate.  The common random numbers are drawn
 once per search: every Monte Carlo candidate, in the 2-opt climb and in the
-exhaustive oracle, is scored on one ``SignFlipKernel``.
+exhaustive oracle, is scored on one ``SignFlipKernel`` as an integer rejection
+count.  The searches compare counts, validate the (xi, sigma) cells they may
+score once, and build a ``PowerEstimate`` only for the start, each accepted
+swap and the oracle's winner.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .estimation import (
     psi_from_scales,
     psi_matrix,
 )
-from .power import PowerEstimate, power_scorer
+from .power import PowerEstimate, power_tally
 from .regression import RegressionSpec
 
 EXHAUSTIVE_MAX_QBAR = 8      # hard guard for the exhaustive oracle
@@ -384,15 +387,20 @@ def limit_params_for_perm(psi: PsiMatrix, cols: np.ndarray) -> LimitParams:
     return LimitParams(xi=psi.xi[rows, cols], sigma=psi.sigma[rows, cols])
 
 
-def _power_scorer(psi: PsiMatrix, delta: float, alpha: float, method: str,
-                  reps: int, seed: int):
-    """The power of a pairing ``cols`` under ``method``.
+def _pairing_tally(psi: PsiMatrix, delta: float, alpha: float, method: str,
+                   reps: int, seed: int):
+    """``power_tally`` over pairings ``cols`` of a Psi matrix.
 
-    Monte Carlo candidates share one kernel, so the common random numbers are
-    drawn once and every estimate equals ``power_mc`` at (seed, reps).
+    ``tally(cols)`` gathers the pairing's sigma and xi * delta columns and
+    neither validates them nor builds any object: a search checks the cells
+    it may score once, with ``LimitParams``.  Monte Carlo candidates share one
+    kernel, so the common random numbers are drawn once and every estimate
+    equals ``power_mc`` at (seed, reps).
     """
-    score = power_scorer(psi.qbar, alpha, method, reps, seed)
-    return lambda cols: score(limit_params_for_perm(psi, cols), delta)
+    tally, estimate = power_tally(psi.qbar, alpha, method, reps, seed)
+    rows = np.arange(psi.qbar)
+    shift = psi.xi * delta
+    return lambda cols: tally(psi.sigma[rows, cols, None], shift[rows, cols, None]), estimate
 
 
 def _perm_of_grouping(psi: PsiMatrix, g: Grouping) -> np.ndarray:
@@ -418,6 +426,10 @@ def combine_exhaustive_psi(
 
     The oracle: computationally heavy (q-bar! pairings) but exact up to the
     power evaluator.  Ties break to the lexicographically smallest pairing.
+    With a Monte Carlo evaluator every identified pairing is scored as a
+    rejection count on one kernel, after the cells those pairings use are
+    validated once (``LimitParams``'s errors); only the winner's
+    ``PowerEstimate`` is built.
     """
     qbar = psi.qbar
     if qbar > EXHAUSTIVE_MAX_QBAR:
@@ -439,18 +451,19 @@ def combine_exhaustive_psi(
         value, pi_l, pi_r = _k1_power_of_perm(psi, cols)
         est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
         return psi.grouping_for(cols), est
-    evaluate = _power_scorer(psi, delta, alpha, method, reps, seed)
-    best_cols = None
-    best_est: PowerEstimate | None = None
-    for cols in perms:
-        if np.isnan(psi.values[rows, cols]).any():
-            continue
-        est = evaluate(cols)
-        if best_est is None or est.value > best_est.value:
-            best_cols, best_est = cols, est
-    if best_est is None:
+    tally, estimate = _pairing_tally(psi, delta, alpha, method, reps, seed)
+    perms = perms[~np.isnan(psi.values[rows, perms]).any(axis=1)]
+    if perms.shape[0] == 0:
         raise IdentificationError("no identified pairing exists")
-    return psi.grouping_for(best_cols), best_est
+    cells = np.zeros(psi.values.shape, dtype=bool)
+    cells[rows, perms] = True
+    LimitParams(xi=psi.xi[cells], sigma=psi.sigma[cells])  # every cell scored, once
+    best_cols = best = None
+    for cols in perms:
+        t = tally(cols)
+        if best is None or t[0] > best[0]:
+            best_cols, best = cols, t
+    return psi.grouping_for(best_cols), estimate(best)
 
 
 def combine_exhaustive(
@@ -512,39 +525,47 @@ def combine_heuristic_psi(
     Every candidate pairing is scored on the same draws (common random
     numbers), so accepted swaps strictly increase the recorded power and the
     run is deterministic.  With the Monte Carlo evaluator the draws are made
-    once per call and every candidate is scored on that one kernel; each
-    estimate equals ``power_mc`` at (seed, reps).  Returns ``(grouping,
-    estimate, trace)``; the trace records the initial power and each accepted
-    swap.
+    once per call and every candidate is scored on that one kernel as an
+    integer rejection count; each estimate equals ``power_mc`` at (seed,
+    reps).  The start and every usable cell a swap can reach are validated
+    once, before the climb, with ``LimitParams``'s errors, and a
+    ``PowerEstimate`` is built only for the start and each accepted swap.
+    Returns ``(grouping, estimate, trace)``; the trace records the initial
+    power and each accepted swap.
     """
     if power_method == "auto":
         power_method = "k1" if k_budget(1 << (psi.qbar - 1), alpha) == 1 else "mc"
-    evaluate = _power_scorer(psi, delta, alpha, power_method, reps, seed)
-
+    tally, estimate = _pairing_tally(psi, delta, alpha, power_method, reps, seed)
     if delta == 0.0:
         cols = np.arange(psi.qbar)
     else:
         initial_grouping, _, _ = combine_k1(psi, delta, A=A)
         cols = _perm_of_grouping(psi, initial_grouping)
-    current = evaluate(cols)
+    # validate the start (at delta = 0 it may hold an excluded pair) and every
+    # usable cell a swap can reach, once
+    rows = np.arange(psi.qbar)
+    cells = ~np.isnan(psi.values)
+    cells[rows, cols] = True
+    LimitParams(xi=psi.xi[cells], sigma=psi.sigma[cells])
+    best = tally(cols)
+    current = estimate(best)
     trace: list[dict] = [{"swap": None, "power": current.value}]
     improved = True
     while improved:
         improved = False
         best_pair = None
-        best_est = current
         for i, j in itertools.combinations(range(psi.qbar), 2):
             cand = cols.copy()
             cand[i], cand[j] = cand[j], cand[i]
-            if np.isnan(psi.values[np.arange(psi.qbar), cand]).any():
+            if np.isnan(psi.values[rows, cand]).any():
                 continue
-            est = evaluate(cand)
-            if est.value > best_est.value:
-                best_pair, best_est = (i, j), est
+            t = tally(cand)
+            if t[0] > best[0]:
+                best_pair, best = (i, j), t
         if best_pair is not None:
             i, j = best_pair
             cols[i], cols[j] = cols[j], cols[i]
-            current = best_est
+            current = estimate(best)
             trace.append({"swap": (i, j), "power": current.value})
             improved = True
     return psi.grouping_for(cols), current, trace

@@ -103,9 +103,18 @@ def rejects(values: np.ndarray, k: int, axis: int = -1):
     reach it.  This is exactly ``T > np.partition(values, n_u - k - 1)[n_u -
     k - 1]``, ties included, and a NaN counts as a value above every other in
     both.  Returns a bool, or a bool array over the other axes.
+
+    The values below T are counted in the narrowest unsigned integer that
+    holds n_u (uint8 up to n_u = 255), which sums the comparison several
+    times faster than the default int64; an ``axis`` that is already first
+    is not moved.
     """
-    values = np.moveaxis(np.asarray(values), axis, 0)
-    return (values[1:] < values[0]).sum(axis=0) >= values.shape[0] - k
+    values = np.asarray(values)
+    if axis not in (0, -values.ndim):
+        values = np.moveaxis(values, axis, 0)
+    n_u = values.shape[0]
+    below = (values[1:] < values[0]).view(np.uint8)
+    return below.sum(axis=0, dtype=np.min_scalar_type(n_u)) >= n_u - k
 
 
 def critical_value(values: np.ndarray, alpha: float) -> float:

@@ -198,6 +198,15 @@ def _segment_indices(segments: np.ndarray) -> list[np.ndarray]:
 
 
 def _ar1_longrun_variance(residuals: np.ndarray, groups: list[np.ndarray]) -> float:
+    """nu^2 / (1 - rho)^2 from the within-cluster AR(1) fit of the residuals.
+
+    The denominator of rho = num / den is the sum of squared lagged residuals
+    (every residual but each cluster's last).  When it is at most machine
+    epsilon times the sum of all squared residuals, the lagged residuals are
+    below sqrt(eps) ~ 1.5e-8 of the residual norm, where the rounding error of
+    the fit can dominate them and rho is noise; the fit is then degenerate and
+    0 is returned, which ``estimate_sigma`` floors with its warning.
+    """
     num = 0.0
     den = 0.0
     for idx in groups:
@@ -205,7 +214,7 @@ def _ar1_longrun_variance(residuals: np.ndarray, groups: list[np.ndarray]) -> fl
         if u.size >= 2:
             num += float(u[1:] @ u[:-1])
             den += float(u[:-1] @ u[:-1])
-    if den == 0.0:
+    if den <= np.finfo(np.float64).eps * float(residuals @ residuals):
         return 0.0
     rho = num / den
     rho = float(np.clip(rho, -1.0 + 1e-6, 1.0 - 1e-6))

@@ -20,6 +20,9 @@ evaluators are provided:
 
 ``power_scorer`` resolves a method once and returns one evaluator for many
 (xi, sigma, delta) at a fixed q; the Monte Carlo methods share one kernel.
+``power_tally`` splits it for the grouping searches: an object-free score per
+candidate (the kernel's integer rejection count) and a ``PowerEstimate`` only
+for the candidates a search keeps.
 Normal cdf values come from scipy's erfc-based ``ndtr`` (absolute error below
 1e-15), so independent implementations agree to ~1e-12.
 """
@@ -67,22 +70,31 @@ def power_k1(lp: LimitParams, delta: float, alpha: float | None = None) -> Power
     budgets need the exact or Monte Carlo evaluators.
     """
     if alpha is not None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        k = k_budget(1 << (lp.q - 1), alpha)
-        if k != 1:
-            raise ValueError(
-                f"alpha={alpha} gives rejection budget K={k} != 1 at q={lp.q}; "
-                f"use power_exact or power_mc"
-            )
-    z = lp.xi * delta / lp.sigma
+        _check_k1_budget(lp.q, alpha)
+    return _k1_estimate(_k1_terms(lp.xi * delta / lp.sigma))
+
+
+def _check_k1_budget(q: int, alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    k = k_budget(1 << (q - 1), alpha)
+    if k != 1:
+        raise ValueError(
+            f"alpha={alpha} gives rejection budget K={k} != 1 at q={q}; "
+            f"use power_exact or power_mc"
+        )
+
+
+def _k1_terms(z: np.ndarray) -> tuple[float, float, float]:
+    """(value, pi_left, pi_right) of the K = 1 power at z = xi * delta / sigma."""
     pi_left = float(np.prod(ndtr(-z)))
     pi_right = float(np.prod(ndtr(z)))
-    return PowerEstimate(
-        value=pi_left + pi_right,
-        method="closed_k1",
-        components=(pi_left, pi_right),
-    )
+    return pi_left + pi_right, pi_left, pi_right
+
+
+def _k1_estimate(terms: tuple[float, float, float]) -> PowerEstimate:
+    value, pi_left, pi_right = terms
+    return PowerEstimate(value=value, method="closed_k1", components=(pi_left, pi_right))
 
 
 def _normal_blocks(q: int, reps: int, seed):
@@ -97,7 +109,7 @@ class SignFlipKernel:
     """Monte Carlo power of the sign-change test on common random numbers.
 
     The limit experiment's standard normal draws, the sign matrix and the
-    rejection budget are made once; ``estimate`` then scores any (xi, sigma,
+    rejection budget are made once; ``counts`` then scores any (sigma, xi *
     delta) on those same draws, so estimates of different groupings differ
     only through the groupings.  Each block is scored as
     |(Z * sigma + xi * delta) @ signs| / q and tested with ``crstest.rejects``.
@@ -105,6 +117,11 @@ class SignFlipKernel:
     so the comparisons run along contiguous rows; the values equal the row
     layout's bit for bit (``tests/test_kernel.py`` pins this).  The kernel
     holds all reps x q draws.
+
+    ``counts`` returns integers and validates nothing, so a search can compare
+    its candidates by rejection count (value = count / reps exactly, since
+    reps < 2^53) and build a ``PowerEstimate`` (``estimate_of``) only for the
+    candidates it keeps; ``estimate`` does both for one ``LimitParams``.
     """
 
     def __init__(self, q: int, alpha: float, reps: int = 100_000, seed: int = 0):
@@ -122,14 +139,11 @@ class SignFlipKernel:
         self._w = np.empty((q, n))
         self._values = np.empty((s.n_unique, n))
 
-    def estimate(self, lp: LimitParams, delta: float) -> PowerEstimate:
-        """The rejection rate of the test at (xi, sigma, delta) on the kernel's
-        draws; at K = 1 the all-negative / all-positive score events are
-        tallied as the (pi_left, pi_right) components."""
-        if lp.q != self.q:
-            raise ValueError(f"kernel is for q={self.q} groups, got q={lp.q}")
-        sigma = lp.sigma[:, None]
-        shift = (lp.xi * delta)[:, None]
+    def counts(self, sigma: np.ndarray, shift: np.ndarray) -> tuple[int, int, int]:
+        """``(rejections, left, right)`` over the kernel's draws at one (sigma,
+        xi * delta), each given as a (q, 1) column.  At K = 1 ``left`` and
+        ``right`` count the all-negative / all-positive score events; otherwise
+        they are 0.  The caller validates the parameters."""
         rejections = left = right = 0
         for z in self._z:
             n = z.shape[1]
@@ -142,11 +156,25 @@ class SignFlipKernel:
             if self.k == 1:
                 left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
                 right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))
+        return rejections, left, right
+
+    def estimate_of(self, counts: tuple[int, int, int]) -> PowerEstimate:
+        """The ``PowerEstimate`` of a ``counts`` result, with the (pi_left,
+        pi_right) components at K = 1."""
+        rejections, left, right = counts
         p = rejections / self.reps
         se = math.sqrt(max(p * (1.0 - p), 0.0) / self.reps)
         components = (left / self.reps, right / self.reps) if self.k == 1 else None
         return PowerEstimate(value=p, method="monte_carlo", mc_reps=self.reps, mc_se=se,
                              components=components)
+
+    def estimate(self, lp: LimitParams, delta: float) -> PowerEstimate:
+        """The rejection rate of the test at (xi, sigma, delta) on the kernel's
+        draws; at K = 1 the all-negative / all-positive score events are
+        tallied as the (pi_left, pi_right) components."""
+        if lp.q != self.q:
+            raise ValueError(f"kernel is for q={self.q} groups, got q={lp.q}")
+        return self.estimate_of(self.counts(lp.sigma[:, None], (lp.xi * delta)[:, None]))
 
 
 def power_mc(
@@ -190,29 +218,61 @@ def power_scorer(q: int, alpha: float, method: str = "auto", reps: int = 100_000
     otherwise.  'exact' and 'mc' build one ``SignFlipKernel`` and score every
     call on its draws, so each estimate equals ``power_mc`` at (seed, reps).
     """
+    method = _resolve_method(q, alpha, method)
+    if method == "k1":
+        return lambda lp, delta: power_k1(lp, delta, alpha)
+    kernel = _kernel(q, alpha, method, reps, seed)
+    if method == "mc":
+        return kernel.estimate
+    return lambda lp, delta: _as_exact(kernel.estimate(lp, delta))
+
+
+def power_tally(q: int, alpha: float, method: str = "auto", reps: int = 100_000,
+                seed: int = 0):
+    """``(tally, estimate)``: ``power_scorer`` split for searches over many
+    candidates with q groups.
+
+    ``tally(sigma, shift)`` scores one candidate from its sigma and xi * delta,
+    given as (q, 1) columns, without validating them or building any object.
+    It returns a tuple whose first entry orders candidates as their power
+    does: the kernel's integer ``(rejections, left, right)`` for 'mc' and
+    'exact', ``(value, pi_left, pi_right)`` for 'k1'.  ``estimate(t)`` builds
+    the ``PowerEstimate`` that ``power_scorer`` returns for that candidate.
+    The caller validates the parameters as ``LimitParams`` does.
+    """
+    method = _resolve_method(q, alpha, method)
+    if method == "k1":
+        _check_k1_budget(q, alpha)
+        return lambda sigma, shift: _k1_terms(shift / sigma), _k1_estimate
+    kernel = _kernel(q, alpha, method, reps, seed)
+    if method == "mc":
+        return kernel.counts, kernel.estimate_of
+    return kernel.counts, lambda t: _as_exact(kernel.estimate_of(t))
+
+
+def _resolve_method(q: int, alpha: float, method: str) -> str:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if method == "auto":
         if k_budget(1 << (q - 1), alpha) == 1:
-            method = "k1"
-        elif q <= EXACT_MAX_Q:
-            method = "exact"
-        else:
-            method = "mc"
-    if method == "k1":
-        return lambda lp, delta: power_k1(lp, delta, alpha)
-    if method not in ("exact", "mc"):
+            return "k1"
+        return "exact" if q <= EXACT_MAX_Q else "mc"
+    if method not in ("k1", "exact", "mc"):
         raise ValueError(f"unknown power method {method!r}")
+    return method
+
+
+def _kernel(q: int, alpha: float, method: str, reps: int, seed: int) -> SignFlipKernel:
     if method == "exact" and q > EXACT_MAX_Q:
         raise BoundError(
             f"exact enumeration supports q <= {EXACT_MAX_Q} (got q={q}); "
             f"use the Monte Carlo evaluator instead"
         )
-    kernel = SignFlipKernel(q, alpha, reps=reps, seed=seed)
-    if method == "mc":
-        return kernel.estimate
-    return lambda lp, delta: replace(kernel.estimate(lp, delta), method="exact_enum",
-                                     components=None)
+    return SignFlipKernel(q, alpha, reps=reps, seed=seed)
+
+
+def _as_exact(est: PowerEstimate) -> PowerEstimate:
+    return replace(est, method="exact_enum", components=None)
 
 
 def power_of_grouping(

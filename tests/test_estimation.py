@@ -396,7 +396,8 @@ class TestPairwiseMomentStats:
 
     def test_vanishing_ar1_denominator_takes_the_reference_path(self):
         # residuals vanish except each cluster's last one, so the AR(1)
-        # denominator is rounding noise; the pair gets the reference's numbers
+        # denominator is rounding noise; the pair gets the reference's numbers,
+        # and the reference treats the fit as degenerate and floors every pair
         u = np.zeros((4, 10))
         u[:, -1] = np.random.default_rng(1).uniform(0.5, 2.0, 4)
         d = _panel_with_residuals(u)
@@ -410,6 +411,8 @@ class TestPairwiseMomentStats:
         assert fast_warnings == ref_warnings
         for k in (2, 3, 4):
             np.testing.assert_array_equal(fast[k], ref[k])
+        np.testing.assert_array_equal(ref[4], np.full((2, 2), SIGMA_FLOOR))
+        assert len(ref_warnings) == 4 and all("flooring sigma" in w for w in ref_warnings)
 
     def test_no_warning_on_well_posed_panel(self):
         d = gen_dgp(DgpSpec(variant="dgp1", h=4), seed=8)

@@ -107,17 +107,19 @@ def random_psi(rng, qbar, delta, n_excluded=0):
     return psi_from_scales(xi, sigma, delta)
 
 
-def budget_cases():
-    """(q, alpha) for every q in 2..8 and every reachable budget K in 0..3."""
-    for q in range(2, 9):
+def budget_cases(qs=range(2, 9)):
+    """(q, alpha) for every q in ``qs`` and every reachable budget K in 0..3."""
+    for q in qs:
         n_u = 1 << (q - 1)
         for K in range(4):
             if K <= n_u - 1:
                 yield q, (K + 0.5) / n_u
 
 
-@pytest.mark.parametrize("reps", [1000, 5000, 40_000])
-@pytest.mark.parametrize("q,alpha", list(budget_cases()))
+# q = 9 and 10 (n_u = 256 and 512) take the wider rejection count of crstest.rejects
+@pytest.mark.parametrize("q,alpha,reps", [
+    (q, alpha, reps) for q, alpha in budget_cases() for reps in (1000, 5000, 40_000)
+] + [(q, alpha, reps) for q, alpha in budget_cases(range(9, 11)) for reps in (1000, 5000)])
 def test_power_mc_matches_reference_bit_for_bit(q, alpha, reps):
     rng = np.random.default_rng(q * 1000 + int(alpha * 1e4) + reps)
     lp = LimitParams(xi=rng.uniform(0.1, 1.0, q), sigma=rng.uniform(0.3, 3.0, q))
@@ -154,17 +156,22 @@ def test_kernel_guards():
         kernel.estimate(LimitParams(xi=np.full(3, 0.5), sigma=np.ones(3)), 1.0)
 
 
-@pytest.mark.parametrize("qbar,alpha,n_excluded", [
-    (4, 0.25, 0), (4, 0.25, 3), (5, 0.2, 0), (5, 0.2, 6), (6, 0.1, 0), (6, 0.1, 8),
-])
-def test_heuristic_matches_per_candidate_reference(qbar, alpha, n_excluded):
+# (5, 0.09375) has budget K = 1, where the kernel also counts the components
+@pytest.mark.parametrize("qbar,alpha,n_excluded,reps", [
+    pytest.param(*case, 2000, id="-".join(map(str, case))) for case in [
+        (4, 0.25, 0), (4, 0.25, 3), (5, 0.2, 0), (5, 0.2, 6), (6, 0.1, 0), (6, 0.1, 8),
+        (5, 0.09375, 0),
+    ]
+] + [pytest.param(4, 0.25, 0, MC_BLOCK + 1, id="4-0.25-0-two-blocks")])
+def test_heuristic_matches_per_candidate_reference(qbar, alpha, n_excluded, reps):
     rng = np.random.default_rng(100 * qbar + n_excluded)
     for i in range(4):
         delta = (1.0 if i % 2 == 0 else -1.0) * float(rng.uniform(0.3, 2.0))
         psi = random_psi(rng, qbar, delta, n_excluded)
         seed = int(rng.integers(2**31))
-        got = combine_heuristic_psi(psi, delta, alpha, reps=2000, seed=seed)
-        assert got == reference_heuristic(psi, delta, alpha, 2000, seed)
+        got = combine_heuristic_psi(psi, delta, alpha, power_method="mc", reps=reps,
+                                    seed=seed)
+        assert got == reference_heuristic(psi, delta, alpha, reps, seed)
 
 
 def test_heuristic_matches_reference_on_design_draws():
