@@ -8,12 +8,11 @@ side-constrained 0/1 assignment program per subinterval, and keep the feasible
 solution with the best power.  With a fine enough partition this recovers the
 exact optimum.
 
-``band_winners`` solves all A programs exactly in one enumeration of the
-assignments, for paired (``combine_k1``) and unequal counts
-(``combine_unequal``).  A single program (``solve_interval_bilp``,
-``combine_loglinear``) goes to the depth-first branch and bound
-``_solve_assignment_bb``, which agrees with it band by band.  No external
-MILP solver is involved.
+``band_winners`` is the one assignment solver: it solves all A programs
+exactly in one enumeration of the assignments, for paired (``combine_k1``) and
+unequal counts (``combine_unequal``).  A single program is the same pass with
+one band: ``solve_interval_bilp`` on its interval, ``combine_loglinear`` with
+no side constraint.  No external MILP solver is involved.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
@@ -27,7 +26,6 @@ swap and the oracle's winner.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -36,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crstest import k_budget
-from .data import Grouping, Hypothesis, PanelDataset
+from .data import Grouping, Hypothesis, PanelDataset, _perm_table
 from .errors import BoundError, IdentificationError
 from .estimation import (
     LimitParams,
@@ -46,10 +44,12 @@ from .estimation import (
     psi_from_scales,
     psi_matrix,
 )
-from .power import PowerEstimate, power_tally
+from .power import PowerEstimate, _k1_estimate, power_tally
 from .regression import RegressionSpec
 
-EXHAUSTIVE_MAX_QBAR = 8      # hard guard for the exhaustive oracle
+# the exhaustive oracle's guard: its Monte Carlo evaluator scores all q-bar!
+# pairings on the kernel, so 8! = 40,320 candidates already take minutes
+EXHAUSTIVE_MAX_QBAR = 8
 UNEQUAL_MAX_SUBSETS = 10_000
 EPS0_FLOOR = 1e-300          # keeps log(eps0) finite in double precision
 _INTERVAL_TOL = 1e-9         # absolute slack on log-scale interval membership
@@ -113,7 +113,6 @@ class AssignmentSolution:
     grouping: Grouping
     objective: float
     side_sum: float
-    feasible: bool = True
 
 
 def _branch_coeffs(psi: PsiMatrix, delta: float):
@@ -132,71 +131,19 @@ def _branch_coeffs(psi: PsiMatrix, delta: float):
     return (log_psi, log_comp) if delta < 0 else (log_comp, log_psi)
 
 
-def _solve_assignment_bb(obj: np.ndarray, side: np.ndarray, lo: float, hi: float):
-    """Exact DFS branch and bound for the side-constrained assignment program.
-
-    Maximizes sum obj[i, cols[i]] over permutations ``cols`` subject to
-    lo <= sum side[i, cols[i]] <= hi.  Cells with obj or side = -inf are
-    excluded.  Pruning: (i) partial objective plus per-remaining-row column
-    maxima cannot beat the incumbent; (ii) the side sum plus min/max attainable
-    remainder cannot reach the interval.  Exploration is lexicographic, so the
-    first incumbent among ties is the lexicographically smallest assignment.
-
-    Returns (cols, objective, side_sum) or None if infeasible.
-    """
-    q = obj.shape[0]
-    usable = np.isfinite(obj) & np.isfinite(side)
-    best_cols: list[int] | None = None
-    best_obj = -np.inf
-    cols_used = np.zeros(q, dtype=bool)
-    chosen = np.empty(q, dtype=np.int64)
-
-    def dfs(row: int, obj_acc: float, side_acc: float) -> None:
-        nonlocal best_cols, best_obj
-        if row == q:
-            if lo - _INTERVAL_TOL <= side_acc <= hi + _INTERVAL_TOL and obj_acc > best_obj:
-                best_obj = obj_acc
-                best_cols = chosen.tolist()
-            return
-        ub = obj_acc
-        smin = side_acc
-        smax = side_acc
-        for rr in range(row, q):
-            avail = usable[rr] & ~cols_used
-            if not avail.any():
-                return
-            ub += obj[rr, avail].max()
-            s = side[rr, avail]
-            smin += s.min()
-            smax += s.max()
-        if best_cols is not None and ub <= best_obj:
-            return
-        if smin > hi + _INTERVAL_TOL or smax < lo - _INTERVAL_TOL:
-            return
-        for c in range(q):
-            if cols_used[c] or not usable[row, c]:
-                continue
-            cols_used[c] = True
-            chosen[row] = c
-            dfs(row + 1, obj_acc + obj[row, c], side_acc + side[row, c])
-            cols_used[c] = False
-
-    dfs(0, 0.0, 0.0)
-    if best_cols is None:
-        return None
-    cols = np.asarray(best_cols, dtype=np.int64)
-    rows = np.arange(q)
-    return cols, float(obj[rows, cols].sum()), float(side[rows, cols].sum())
+def _paired(qbar: int) -> tuple[list[int], int]:
+    """``band_winners``' column sets in paired mode: one treated cluster each."""
+    return [1 << c for c in range(qbar)], (1 << qbar) - 1
 
 
-def _solution_from_cols(psi: PsiMatrix, cols: np.ndarray, objective: float,
-                        side_sum: float) -> AssignmentSolution:
-    q = psi.qbar
-    z = np.zeros((q, q), dtype=np.int64)
-    z[np.arange(q), cols] = 1
-    return AssignmentSolution(
-        z=z, grouping=psi.grouping_for(cols), objective=objective, side_sum=side_sum
-    )
+def _solution(psi: PsiMatrix, cols: np.ndarray, obj: np.ndarray,
+              side: np.ndarray) -> AssignmentSolution:
+    rows = np.arange(psi.qbar)
+    z = np.zeros((psi.qbar, psi.qbar), dtype=np.int64)
+    z[rows, cols] = 1
+    return AssignmentSolution(z=z, grouping=psi.grouping_for(cols),
+                              objective=float(obj[rows, cols].sum()),
+                              side_sum=float(side[rows, cols].sum()))
 
 
 def solve_interval_bilp(
@@ -205,8 +152,13 @@ def solve_interval_bilp(
     """One side-constrained 0/1 assignment program on a raw-scale interval.
 
     Maximizes the branch objective over perfect assignments whose
-    complementary log-sum lies in [log lo, log hi].  Returns None when no
-    assignment is feasible.
+    complementary log-sum lies in [log lo, log hi]; ties go to the
+    lexicographically smallest assignment.  Returns None when no assignment
+    is feasible, including when every one uses an excluded pair.
+
+    It is ``band_winners`` with one band, so it enumerates all q-bar!
+    pairings however narrow the interval: on one core about 0.5 ms at
+    q-bar = 6, 12-24 ms at 8, 0.12-0.23 s at 9 and 1.3-2 s at 10.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi):
@@ -214,25 +166,25 @@ def solve_interval_bilp(
     if lo <= 0.0 or not math.isfinite(math.log(lo)) or not math.isfinite(math.log(hi)):
         raise ValueError("interval bounds must have finite logarithms")
     obj, side = _branch_coeffs(psi, delta)
-    result = _solve_assignment_bb(obj, side, math.log(lo), math.log(hi))
-    if result is None:
+    try:
+        choice, feasible = band_winners(obj, side, *_paired(psi.qbar),
+                                        np.array([math.log(lo), math.log(hi)]))
+    except IdentificationError:
         return None
-    cols, objective, side_sum = result
-    return _solution_from_cols(psi, cols, objective, side_sum)
+    return _solution(psi, choice[0], obj, side) if feasible[0] else None
 
 
-def _k1_power_of_perm(psi: PsiMatrix, cols: np.ndarray) -> tuple[float, float, float]:
+def _k1_power_of_perm(psi: PsiMatrix, cols: np.ndarray):
+    """K = 1 power of the pairings ``cols`` (shape (..., q-bar)) as arrays
+    ``(power, pi_left, pi_right)`` of shape (...)."""
     rows = np.arange(psi.qbar)
-    pi_left = float(np.prod(psi.values[rows, cols]))
-    pi_right = float(np.prod(psi.comp[rows, cols]))
+    pi_left = np.prod(psi.values[rows, cols], axis=-1)
+    pi_right = np.prod(psi.comp[rows, cols], axis=-1)
     return pi_left + pi_right, pi_left, pi_right
 
 
-@functools.lru_cache(maxsize=8)
-def _perm_table(qbar: int) -> np.ndarray:
-    table = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
-    table.setflags(write=False)
-    return table
+def _closed_k1(psi: PsiMatrix, cols: np.ndarray) -> PowerEstimate:
+    return _k1_estimate(tuple(float(t) for t in _k1_power_of_perm(psi, cols)))
 
 
 def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
@@ -245,10 +197,10 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     dropped once its uncovered clusters cannot be split among the remaining
     rows (1 to popcount(full) - q + 1 each).  Expansion is breadth first in
     chunks taken depth first, so leaves arrive in lexicographic order, and
-    sums run left to right from 0.0, as in ``_solve_assignment_bb``.  Band a
-    holds the leaves with log eps[a-1] - tol <= side <= log eps[a] + tol and
-    keeps the largest obj, the lexicographically first on ties: band by band
-    the answer of ``_solve_assignment_bb``.
+    sums run left to right from 0.0.  Band a holds the leaves with
+    log eps[a-1] - tol <= side <= log eps[a] + tol and keeps the largest obj,
+    the lexicographically first on ties: band by band the answer of a
+    depth-first branch and bound over the same program.
 
     Returns ``(choice, feasible)``, one row per band.  Raises
     IdentificationError when no leaf exists at all.
@@ -314,6 +266,22 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     return best.astype(np.int64), best_obj > -np.inf
 
 
+def _best_band(psi: PsiMatrix, delta: float, plan: IntervalPlan, masks, full: int):
+    """Solve every interval program of ``plan``; return the winner of best
+    K = 1 power (the first band on ties), and per band its feasibility and
+    its winner's power (-inf when infeasible)."""
+    obj, side = _branch_coeffs(psi, delta)
+    choice, feasible = band_winners(obj, side, masks, full, np.log(plan.eps))
+    if not feasible.any():
+        raise RuntimeError(
+            "every subinterval program was infeasible; lower eps0 (the default "
+            "covers all assignments, so this indicates a custom eps0 that is too large)"
+        )
+    power = np.full(plan.A, -np.inf)
+    power[feasible] = _k1_power_of_perm(psi, choice[feasible])[0]
+    return choice[np.argmax(power)], feasible, power
+
+
 def combine_k1(
     psi: PsiMatrix,
     delta: float,
@@ -339,7 +307,6 @@ def combine_k1(
     delta = 0 makes the objective flat (every Psi is one half); the
     lexicographically smallest pairing is returned with a warning.
     """
-    qbar = psi.qbar
     if delta == 0.0:
         warnings.warn(
             "delta = 0 makes every pairing equally powerful; returning the "
@@ -347,38 +314,17 @@ def combine_k1(
             UserWarning,
             stacklevel=2,
         )
-        cols = np.arange(qbar)
-        value, pi_l, pi_r = _k1_power_of_perm(psi, cols)
-        est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
-        return psi.grouping_for(cols), est, []
+        cols = np.arange(psi.qbar)
+        return psi.grouping_for(cols), _closed_k1(psi, cols), []
 
     plan = IntervalPlan.build(psi, delta, A=A, spacing=spacing, eps0=eps0)
-    obj, side = _branch_coeffs(psi, delta)
-    choice, feasible = band_winners(obj, side, [1 << c for c in range(qbar)],
-                                    (1 << qbar) - 1, np.log(plan.eps))
-
-    best_cols: np.ndarray | None = None
-    best_power = -np.inf
-    diagnostics: list[dict] = []
-    for a in range(1, plan.A + 1):
-        rec = {"a": a, "lo": float(plan.eps[a - 1]), "hi": float(plan.eps[a]),
-               "feasible": bool(feasible[a - 1]), "power": -np.inf}
-        if rec["feasible"]:
-            cols = choice[a - 1]
-            rec["power"], _, _ = _k1_power_of_perm(psi, cols)
-            if rec["power"] > best_power:
-                best_power = rec["power"]
-                best_cols = cols
-        diagnostics.append(rec)
-
-    if best_cols is None:
-        raise RuntimeError(
-            "every subinterval program was infeasible; lower eps0 (the default "
-            "covers all assignments, so this indicates a custom eps0 that is too large)"
-        )
-    value, pi_l, pi_r = _k1_power_of_perm(psi, best_cols)
-    est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
-    return psi.grouping_for(best_cols), est, diagnostics
+    cols, feasible, power = _best_band(psi, delta, plan, *_paired(psi.qbar))
+    diagnostics = [
+        {"a": a, "lo": lo, "hi": hi, "feasible": f, "power": p}
+        for a, lo, hi, f, p in zip(range(1, plan.A + 1), plan.eps[:-1].tolist(),
+                                   plan.eps[1:].tolist(), feasible.tolist(), power.tolist())
+    ]
+    return psi.grouping_for(cols), _closed_k1(psi, cols), diagnostics
 
 
 def limit_params_for_perm(psi: PsiMatrix, cols: np.ndarray) -> LimitParams:
@@ -438,23 +384,16 @@ def combine_exhaustive_psi(
         )
     if method == "auto":
         method = "k1" if k_budget(1 << (qbar - 1), alpha) == 1 else "mc"
-    perms = _perm_table(qbar)
+    if method != "k1":
+        tally, estimate = _pairing_tally(psi, delta, alpha, method, reps, seed)
     rows = np.arange(qbar)
-    if method == "k1":
-        power = (np.prod(psi.values[rows, perms], axis=1)
-                 + np.prod(psi.comp[rows, perms], axis=1))
-        power = np.where(np.isnan(power), -np.inf, power)
-        winner = int(np.argmax(power))
-        if power[winner] == -np.inf:
-            raise IdentificationError("no identified pairing exists")
-        cols = perms[winner]
-        value, pi_l, pi_r = _k1_power_of_perm(psi, cols)
-        est = PowerEstimate(value=value, method="closed_k1", components=(pi_l, pi_r))
-        return psi.grouping_for(cols), est
-    tally, estimate = _pairing_tally(psi, delta, alpha, method, reps, seed)
+    perms = _perm_table(qbar)
     perms = perms[~np.isnan(psi.values[rows, perms]).any(axis=1)]
     if perms.shape[0] == 0:
         raise IdentificationError("no identified pairing exists")
+    if method == "k1":
+        cols = perms[np.argmax(_k1_power_of_perm(psi, perms)[0])]
+        return psi.grouping_for(cols), _closed_k1(psi, cols)
     cells = np.zeros(psi.values.shape, dtype=bool)
     cells[rows, perms] = True
     LimitParams(xi=psi.xi[cells], sigma=psi.sigma[cells])  # every cell scored, once
@@ -492,6 +431,11 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     A plain assignment problem without the side constraint.  It weights the
     two power terms equally and is kept for comparison only: it can perform
     worse than picking a pairing at random.
+
+    It is ``band_winners`` with one band and a zero side term: one q-bar!
+    pass, on one core about 0.7 ms at q-bar = 6, 17-24 ms at 8, 0.18-0.22 s
+    at 9 and 1.7-1.8 s at 10.  Raises IdentificationError when every pairing
+    uses an excluded pair.
     """
     warnings.warn(
         "the log-linear objective weights both power terms equally and can "
@@ -500,15 +444,10 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
         UserWarning,
         stacklevel=2,
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        obj = np.log(psi.values) + np.log(psi.comp)
-    obj = np.where(np.isnan(obj), -np.inf, obj)
+    obj = np.add(*_branch_coeffs(psi, -1.0))  # log Psi + log(1 - Psi), either order
     zeros = np.zeros_like(obj)
-    result = _solve_assignment_bb(obj, zeros, -1.0, 1.0)
-    if result is None:
-        raise IdentificationError("no identified pairing exists")
-    cols, objective, _ = result
-    return _solution_from_cols(psi, cols, objective, 0.0)
+    choice, _ = band_winners(obj, zeros, *_paired(psi.qbar), np.array([-1.0, 1.0]))
+    return _solution(psi, choice[0], obj, zeros)
 
 
 def combine_heuristic_psi(
@@ -655,33 +594,15 @@ def combine_unequal(
     psi = psi_from_scales(xi, sigma, delta,
                           control_ids=small, treated_ids=tuple(range(n_sub)))
 
-    obj, side = _branch_coeffs(psi, delta)
-    plan = IntervalPlan.build(psi, delta, A=A)
     big_index = {j: b for b, j in enumerate(sorted(big))}
     subset_masks = [sum(1 << big_index[j] for j in m) for m in subsets]
-    choice, feasible = band_winners(obj, side, subset_masks, (1 << len(big)) - 1,
-                                    np.log(plan.eps))
-
-    best_choice = None
-    best_power = -np.inf
-    rows = np.arange(qbar)
-    for band in choice[feasible]:
-        power = (float(np.prod(psi.values[rows, band]))
-                 + float(np.prod(psi.comp[rows, band])))
-        if power > best_power:
-            best_power = power
-            best_choice = band
-    if best_choice is None:
-        raise RuntimeError("every subinterval program was infeasible; lower eps0")
-
-    pi_l = float(np.prod(psi.values[rows, best_choice]))
-    pi_r = float(np.prod(psi.comp[rows, best_choice]))
-    est = PowerEstimate(value=pi_l + pi_r, method="closed_k1", components=(pi_l, pi_r))
+    best_choice, _, _ = _best_band(psi, delta, IntervalPlan.build(psi, delta, A=A),
+                                   subset_masks, (1 << len(big)) - 1)
     groups = []
     for i, j in enumerate(small):
         m = subsets[int(best_choice[i])]
         groups.append((m, frozenset({j})) if flip else (frozenset({j}), m))
-    return Grouping(tuple(groups)), est
+    return Grouping(tuple(groups)), _closed_k1(psi, best_choice)
 
 
 def default_delta(d: PanelDataset, positive: bool = True) -> float:

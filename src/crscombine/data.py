@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BoundError, ParseError, PartitionError, SchemaError
 
-MAX_PAIRING_SIZE = 9  # enumerate_pairings refuses q-bar above this (q-bar! blowup)
+MAX_PAIRING_SIZE = 9  # largest q-bar whose pairing table is built: 9! rows, 26 MB
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -263,6 +263,19 @@ def validate_grouping(g: Grouping, d: PanelDataset) -> list[str]:
     return violations
 
 
+@lru_cache(maxsize=8)
+def _perm_table(qbar: int) -> np.ndarray:
+    """The q-bar! permutations of range(q-bar), one read-only row each, in
+    lexicographic order.  Raises BoundError above ``MAX_PAIRING_SIZE``."""
+    if qbar > MAX_PAIRING_SIZE:
+        raise BoundError(
+            f"refusing to enumerate {qbar}! pairings; bound is q-bar <= {MAX_PAIRING_SIZE}"
+        )
+    table = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def enumerate_pairings(controls: Iterable[int], treated: Iterable[int]) -> list[Grouping]:
     """All ways of pairing each control cluster with one treated cluster.
 
@@ -276,14 +289,10 @@ def enumerate_pairings(controls: Iterable[int], treated: Iterable[int]) -> list[
             f"paired mode needs equally many controls and treated clusters "
             f"(got {len(ctrl)} vs {len(trt)}); use the unequal-count path instead"
         )
-    qbar = len(ctrl)
-    if qbar == 0:
+    if not ctrl:
         raise PartitionError("no clusters to pair")
-    if qbar > MAX_PAIRING_SIZE:
-        raise BoundError(
-            f"refusing to enumerate {qbar}! pairings; bound is q-bar <= {MAX_PAIRING_SIZE}"
-        )
-    return [Grouping.from_pairs(zip(ctrl, perm)) for perm in itertools.permutations(trt)]
+    return [Grouping.from_pairs(zip(ctrl, (trt[c] for c in perm)))
+            for perm in _perm_table(len(ctrl)).tolist()]
 
 
 def _parse_int(cell: str, row_idx: int, col: str) -> int:

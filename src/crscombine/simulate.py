@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import _perm_of_grouping, _perm_table, combine_heuristic_psi, combine_k1
+from .combine import _perm_of_grouping, combine_heuristic_psi, combine_k1
 from .crstest import k_budget, rejects, sign_changes
-from .data import Grouping, Hypothesis, PanelDataset
+from .data import Grouping, Hypothesis, PanelDataset, _perm_table
 from .estimation import (
     ols_within_group,
     pairwise_moment_stats,
@@ -221,7 +221,8 @@ def rejection_curve(
                    2-opt heuristic otherwise).
     ``crs_random`` pick one of the q-bar! pairings uniformly in each draw.
     ``all_omegas`` test every pairing; the result carries the per-pairing
-                   rejection matrix and min/max envelope.
+                   rejection matrix and min/max envelope.  Raises BoundError
+                   above q-bar = ``data.MAX_PAIRING_SIZE`` (9).
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")

@@ -28,23 +28,116 @@ from crscombine import (
     solve_interval_bilp,
 )
 from crscombine.combine import (
+    _INTERVAL_TOL,
     _INTERVAL_TOL as TOL,
     _branch_coeffs,
     _k1_power_of_perm,
     _perm_of_grouping,
-    _solve_assignment_bb,
     band_winners,
 )
 from crscombine.estimation import psi_matrix
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
-def random_psi(rng, qbar, delta=None):
+# The exact solver of single programs before solve_interval_bilp and
+# combine_loglinear became band_winners calls, kept verbatim as the reference
+# band_winners is checked against band by band.
+def _solve_assignment_bb(obj: np.ndarray, side: np.ndarray, lo: float, hi: float):
+    """Exact DFS branch and bound for the side-constrained assignment program.
+
+    Maximizes sum obj[i, cols[i]] over permutations ``cols`` subject to
+    lo <= sum side[i, cols[i]] <= hi.  Cells with obj or side = -inf are
+    excluded.  Pruning: (i) partial objective plus per-remaining-row column
+    maxima cannot beat the incumbent; (ii) the side sum plus min/max attainable
+    remainder cannot reach the interval.  Exploration is lexicographic, so the
+    first incumbent among ties is the lexicographically smallest assignment.
+
+    Returns (cols, objective, side_sum) or None if infeasible.
+    """
+    q = obj.shape[0]
+    usable = np.isfinite(obj) & np.isfinite(side)
+    best_cols: list[int] | None = None
+    best_obj = -np.inf
+    cols_used = np.zeros(q, dtype=bool)
+    chosen = np.empty(q, dtype=np.int64)
+
+    def dfs(row: int, obj_acc: float, side_acc: float) -> None:
+        nonlocal best_cols, best_obj
+        if row == q:
+            if lo - _INTERVAL_TOL <= side_acc <= hi + _INTERVAL_TOL and obj_acc > best_obj:
+                best_obj = obj_acc
+                best_cols = chosen.tolist()
+            return
+        ub = obj_acc
+        smin = side_acc
+        smax = side_acc
+        for rr in range(row, q):
+            avail = usable[rr] & ~cols_used
+            if not avail.any():
+                return
+            ub += obj[rr, avail].max()
+            s = side[rr, avail]
+            smin += s.min()
+            smax += s.max()
+        if best_cols is not None and ub <= best_obj:
+            return
+        if smin > hi + _INTERVAL_TOL or smax < lo - _INTERVAL_TOL:
+            return
+        for c in range(q):
+            if cols_used[c] or not usable[row, c]:
+                continue
+            cols_used[c] = True
+            chosen[row] = c
+            dfs(row + 1, obj_acc + obj[row, c], side_acc + side[row, c])
+            cols_used[c] = False
+
+    dfs(0, 0.0, 0.0)
+    if best_cols is None:
+        return None
+    cols = np.asarray(best_cols, dtype=np.int64)
+    rows = np.arange(q)
+    return cols, float(obj[rows, cols].sum()), float(side[rows, cols].sum())
+
+
+def random_psi(rng, qbar, delta=None, n_excluded=0):
     if delta is None:
         delta = float(rng.uniform(0.3, 2.0)) * (1 if rng.random() < 0.5 else -1)
     xi = rng.uniform(0.2, 0.9, size=(qbar, qbar))
     sigma = rng.uniform(0.5, 2.0, size=(qbar, qbar))
+    for _ in range(n_excluded):
+        xi[rng.integers(0, qbar), rng.integers(0, qbar)] = np.nan
     return psi_from_scales(xi, sigma, delta), delta
+
+
+def solution_cols(sol):
+    return np.nonzero(sol.z)[1]
+
+
+def assert_interval_matches_bb(psi, interval, delta):
+    """solve_interval_bilp against _solve_assignment_bb: the same columns,
+    objective and side sum, to the bit, or None from both."""
+    sol = solve_interval_bilp(psi, interval, delta)
+    obj, side = _branch_coeffs(psi, delta)
+    ref = _solve_assignment_bb(obj, side, math.log(interval[0]), math.log(interval[1]))
+    assert (sol is None) == (ref is None)
+    if ref is not None:
+        np.testing.assert_array_equal(solution_cols(sol), ref[0])
+        assert (sol.objective, sol.side_sum) == ref[1:]
+    return sol
+
+
+def loglinear_matching_bb(psi):
+    """combine_loglinear, checked against _solve_assignment_bb on its objective."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = combine_loglinear(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obj = np.log(psi.values) + np.log(psi.comp)
+    obj = np.where(np.isnan(obj), -np.inf, obj)
+    cols, objective, _ = _solve_assignment_bb(obj, np.zeros_like(obj), -1.0, 1.0)
+    np.testing.assert_array_equal(solution_cols(sol), cols)
+    assert (sol.objective, sol.side_sum) == (objective, 0.0)
+    return sol
 
 
 def brute_force_interval(psi, interval, delta):
@@ -92,18 +185,24 @@ class TestSolveIntervalBilp:
             assert sol.objective == pytest.approx(oracle[0], abs=1e-9)
 
     def test_matches_brute_force_on_random_subintervals(self):
+        # q-bar 2 to 7, both signs of delta, some pairs excluded; the answer is
+        # also the reference branch and bound's, to the bit
         rng = np.random.default_rng(1)
-        for _ in range(40):
-            qbar = int(rng.integers(2, 7))
-            psi, delta = random_psi(rng, qbar)
+        for trial in range(48):
+            qbar = 2 + trial % 6
+            psi, delta = random_psi(rng, qbar, delta=(-1.0 if trial // 6 % 2 else 1.0)
+                                    * float(rng.uniform(0.3, 2.0)), n_excluded=trial // 12)
             _, side = _branch_coeffs(psi, delta)
             sums = [side[np.arange(qbar), list(p)].sum()
                     for p in itertools.permutations(range(qbar))]
+            sums = [x for x in sums if np.isfinite(x)]
+            if not sums:
+                continue
             a, b = sorted(rng.uniform(min(sums) - 0.3, max(sums) + 0.3, size=2))
             if not a < b:
                 continue
             interval = (math.exp(a), math.exp(b))
-            sol = solve_interval_bilp(psi, interval, delta)
+            sol = assert_interval_matches_bb(psi, interval, delta)
             oracle = brute_force_interval(psi, interval, delta)
             if oracle is None:
                 assert sol is None
@@ -117,6 +216,8 @@ class TestSolveIntervalBilp:
         # far below any attainable side sum
         sol = solve_interval_bilp(psi, (1e-250, 1e-240), delta)
         assert sol is None
+        # every pairing uses an excluded pair
+        assert solve_interval_bilp(unidentified_column_psi(), (1e-250, 1.0), -1.0) is None
 
     def test_assignment_constraints_hold(self):
         rng = np.random.default_rng(3)
@@ -133,6 +234,14 @@ class TestSolveIntervalBilp:
         eps0 = float(np.min(psi.comp)) ** 3
         sol = solve_interval_bilp(psi, (eps0, 0.5**3), -1.0)
         assert sol.grouping == Grouping.from_pairs([(1, 4), (2, 5), (3, 6)])
+        for qbar in range(2, 8):
+            for delta in (-1.0, 1.0):
+                flat = psi_from_scales(np.full((qbar, qbar), 0.5),
+                                       np.full((qbar, qbar), 1.0), delta)
+                side_vals = flat.comp if delta < 0 else flat.values
+                eps0 = float(np.min(side_vals)) ** qbar
+                sol = assert_interval_matches_bb(flat, (eps0, 0.5**qbar), delta)
+                np.testing.assert_array_equal(solution_cols(sol), np.arange(qbar))
 
 
 class TestIntervalPlan:
@@ -258,19 +367,25 @@ class TestCombineLoglinear:
         with pytest.warns(UserWarning):
             sol = combine_loglinear(psi)
         assert sol.objective == pytest.approx(3 * math.log(0.25))
+        for qbar in range(2, 8):
+            flat = psi_from_scales(np.ones((qbar, qbar)) * 0.4, np.ones((qbar, qbar)), 1.0)
+            sol = loglinear_matching_bb(flat)
+            np.testing.assert_array_equal(solution_cols(sol), np.arange(qbar))
 
     def test_matches_loglinear_oracle(self):
+        # q-bar 2 to 7, both signs of delta, some pairs excluded; the answer is
+        # also the reference branch and bound's, to the bit
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            psi, delta = random_psi(rng, 3)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sol = combine_loglinear(psi)
+        for trial in range(24):
+            qbar = 2 + trial % 6
+            psi, delta = random_psi(rng, qbar, delta=(-1.0 if trial // 6 % 2 else 1.0)
+                                    * float(rng.uniform(0.3, 2.0)), n_excluded=trial // 12)
+            sol = loglinear_matching_bb(psi)
             coeff = np.log(psi.values) + np.log(psi.comp)
-            best = max(
-                float(coeff[np.arange(3), list(p)].sum())
-                for p in itertools.permutations(range(3))
-            )
+            best = np.nanmax([
+                float(coeff[np.arange(qbar), list(p)].sum())
+                for p in itertools.permutations(range(qbar))
+            ])
             assert sol.objective == pytest.approx(best, abs=1e-9)
 
     def test_separating_instance_where_loglinear_loses(self):
@@ -546,7 +661,9 @@ def unidentified_column_psi():
     lambda psi: combine_heuristic_psi(psi, -1.0, alpha=1.0 / 8),
     lambda psi: combine_exhaustive_psi(psi, -1.0, alpha=1.0 / 8, method="k1"),
     lambda psi: combine_exhaustive_psi(psi, -1.0, alpha=0.5, method="mc", reps=1_000),
-], ids=["k1", "heuristic", "exhaustive_k1", "exhaustive_mc"])
+    combine_loglinear,
+], ids=["k1", "heuristic", "exhaustive_k1", "exhaustive_mc", "loglinear"])
+@pytest.mark.filterwarnings("ignore:the log-linear objective")
 def test_no_identified_pairing_is_an_identification_error(search):
     with pytest.raises(IdentificationError, match="no identified pairing exists"):
         search(unidentified_column_psi())

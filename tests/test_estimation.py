@@ -307,6 +307,10 @@ def _floored_panels():
     # RSS as a quadratic form is mostly cancellation error
     d = gen_dgp(DgpSpec(variant="dgp3", h=2), seed=4)
     exact = _subpanel(d, np.arange(d.n), y=d.x @ np.random.default_rng(0).uniform(-3, 3, 6))
+    # the same on nonnegative covariates with b > 0: v'|z_t| is then the
+    # residual itself, so only the |v|'|Z|'|Z||v| bound sees the cancellation
+    x = np.abs(d.x)
+    positive = _subpanel(d, np.arange(d.n), x=x, y=x @ np.random.default_rng(2).uniform(0.5, 3, 6))
     # residuals u_t = s * 0.6^t: the AR(1) fit is exact, so its innovation
     # sum is cancellation error
     geometric = _panel_with_residuals(
@@ -316,6 +320,7 @@ def _floored_panels():
     return {
         "hand": (hand, h_hand),
         "dgp": (exact, dgp_hypothesis(0.05)),
+        "positive": (positive, dgp_hypothesis(0.05)),
         "geometric": (geometric, Hypothesis(c=[1.0], lam=0.0, alpha=0.25)),
         "tiny": (tiny, dgp_hypothesis(0.05)),
     }
@@ -382,6 +387,7 @@ class TestPairwiseMomentStats:
 
     @pytest.mark.parametrize("panel, model", [
         ("hand", "ar1"), ("hand", "iid"), ("dgp", "ar1"), ("dgp", "iid"),
+        ("positive", "ar1"), ("positive", "iid"),
         ("geometric", "ar1"), ("tiny", "ar1"), ("tiny", "iid"),
     ])
     def test_degenerate_variance_floors_sigma_with_the_reference_warning(self, panel, model):

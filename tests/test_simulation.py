@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crscombine import (
+    BoundError,
     CalibrationParams,
     DgpSpec,
     Grouping,
@@ -124,6 +125,11 @@ class TestRejectionCurve:
                                 grouping=CANONICAL_PAIRING)
         rate = fixed.points[0].reject_rate
         assert lo[0] - 1e-12 <= rate <= hi[0] + 1e-12
+
+    def test_all_omegas_refuses_a_pairing_table_above_qbar_9(self):
+        with pytest.raises(BoundError, match=r"10! pairings; bound is q-bar <= 9"):
+            rejection_curve(DgpSpec(variant="dgp2", h=4, q=20), [3.0], "all_omegas",
+                            reps=100, alpha=0.05, seed=12)
 
     def test_crs_data_deterministic(self):
         spec = DgpSpec(variant="dgp2", h=4)
