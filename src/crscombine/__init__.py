@@ -54,8 +54,8 @@ from .estimation import (
     LimitParams,
     PsiMatrix,
     estimate_sigma,
-    estimate_xi,
     group_limit_params,
+    group_stats,
     ols_within_group,
     pairwise_group_stats,
     pairwise_moment_stats,

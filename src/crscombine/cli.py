@@ -323,8 +323,8 @@ def _cmd_power(args, cfg: RunConfig) -> int:
         h = Hypothesis(c=np.array(_float_list(args.c)), lam=args.lam, alpha=args.alpha)
         from .estimation import group_limit_params
 
-        lp, _ = group_limit_params(d, Grouping.from_literal(args.grouping), h,
-                                   spec, args.model)
+        lp = group_limit_params(d, Grouping.from_literal(args.grouping), h,
+                                spec, args.model)
     else:
         raise SchemaError("supply --xi and --sigma, or --data")
     score = power_scorer(lp.q, args.alpha, args.power_method, args.reps, cfg.seed)

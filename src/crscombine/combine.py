@@ -39,8 +39,7 @@ from .errors import BoundError, IdentificationError
 from .estimation import (
     LimitParams,
     PsiMatrix,
-    estimate_sigma,
-    ols_within_group,
+    group_stats,
     psi_from_scales,
     psi_matrix,
 )
@@ -327,12 +326,6 @@ def combine_k1(
     return psi.grouping_for(cols), _closed_k1(psi, cols), diagnostics
 
 
-def limit_params_for_perm(psi: PsiMatrix, cols: np.ndarray) -> LimitParams:
-    """Per-group (xi, sigma) induced by pairing row i with column cols[i]."""
-    rows = np.arange(psi.qbar)
-    return LimitParams(xi=psi.xi[rows, cols], sigma=psi.sigma[rows, cols])
-
-
 def _pairing_tally(psi: PsiMatrix, delta: float, alpha: float, method: str,
                    reps: int, seed: int):
     """``power_tally`` over pairings ``cols`` of a Psi matrix.
@@ -583,16 +576,10 @@ def combine_unequal(
             f"{len(subsets)} candidate subsets exceed the guard of {UNEQUAL_MAX_SUBSETS}"
         )
 
-    n_sub = len(subsets)
-    xi = np.full((qbar, n_sub), np.nan)
-    sigma = np.full((qbar, n_sub), np.nan)
-    for i, j in enumerate(small):
-        for m_idx, m in enumerate(subsets):
-            fit = ols_within_group(d, {j} | m, spec)
-            xi[i, m_idx] = np.sqrt(fit.n_g / d.n)
-            sigma[i, m_idx] = estimate_sigma(fit, model, h.c)
-    psi = psi_from_scales(xi, sigma, delta,
-                          control_ids=small, treated_ids=tuple(range(n_sub)))
+    _, xi, sigma = group_stats(d, ({j} | m for j in small for m in subsets), h, spec, model)
+    shape = (qbar, len(subsets))
+    psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta,
+                          control_ids=small, treated_ids=tuple(range(len(subsets))))
 
     big_index = {j: b for b, j in enumerate(sorted(big))}
     subset_masks = [sum(1 << big_index[j] for j in m) for m in subsets]

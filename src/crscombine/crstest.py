@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Grouping, Hypothesis, PanelDataset, validate_grouping
 from .errors import BoundError, GroupingError
-from .estimation import ols_within_group, score_stat
+from .estimation import group_stats
 from .regression import RegressionSpec
 
 MAX_Q = 24  # memory guard: 2^(q-1) sign vectors are materialized
@@ -185,7 +185,5 @@ def run_test(
     violations = validate_grouping(g, d)
     if violations:
         raise GroupingError("; ".join(violations))
-    scores = np.array(
-        [score_stat(ols_within_group(d, g.members(i), spec), h) for i in range(g.q)]
-    )
+    scores = group_stats(d, (g.members(i) for i in range(g.q)), h, spec, model=None)[0]
     return test_from_scores(scores, h.alpha)

@@ -6,15 +6,19 @@ under a researcher-chosen working model (iid, Bartlett-kernel HAC, or a
 residual AR(1) fit).  The working model only ranks candidate groupings by
 power; the randomization test itself never uses these variance estimates.
 
+``group_stats`` is the one per-group fit: one ``lstsq`` fit per member set,
+then its score, its size ratio xi = sqrt(n_g / n) and, under a working model,
+its scale sigma.  The test, the plug-in power of a grouping, the unequal-count
+search and the simulation policies that fix their groups all read it.
+
 Two functions fit every candidate {control, treated} pair.
-``pairwise_group_stats`` is the reference: one ``lstsq`` fit and one
-residual-based scale estimate per pair.  ``pairwise_moment_stats`` returns the
-same arrays from per-cluster sufficient statistics, because a pair's pooled
-normal equations are the sum of its two clusters' ones.  Its scores and
-scales agree with the reference to 1e-9 relative or better, and every pair it
-cannot reproduce that closely is handed to the reference path.  The Monte Carlo loop
-uses the fast one; the CLI keeps the reference so its output files stay the
-same to the byte.
+``pairwise_group_stats`` is the reference: ``group_stats`` on each pair.
+``pairwise_moment_stats`` returns the same arrays from per-cluster sufficient
+statistics, because a pair's pooled normal equations are the sum of its two
+clusters' ones.  Its scores and scales agree with the reference to 1e-9
+relative or better, and every pair it cannot reproduce that closely is handed
+to the reference path.  The Monte Carlo loop uses the fast one; the CLI keeps
+the reference so its output files stay the same to the byte.
 """
 
 from __future__ import annotations
@@ -183,12 +187,6 @@ def score_stat(fit: GroupFit, h: Hypothesis) -> float:
     return float(np.sqrt(fit.n_g) * (h.c @ fit.beta_hat - h.lam))
 
 
-def estimate_xi(d: PanelDataset, g: Grouping) -> np.ndarray:
-    """Relative group sizes sqrt(n_group / n), in canonical group order."""
-    sizes = np.array([d.rows_of(g.members(i)).size for i in range(g.q)], dtype=np.float64)
-    return np.sqrt(sizes / d.n)
-
-
 def _segment_indices(segments: np.ndarray) -> list[np.ndarray]:
     """Per-cluster row indices in load order (time order within a cluster).
 
@@ -301,15 +299,40 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None
     return float(np.sqrt(var))
 
 
+def group_stats(
+    d: PanelDataset,
+    groups: Iterable[Iterable[int]],
+    h: Hypothesis,
+    spec: RegressionSpec | None = None,
+    model: str | None = "ar1",
+) -> np.ndarray:
+    """(score, xi, sigma) of each member set, from one pooled fit per set.
+
+    Returns a ``(3, len(groups))`` array: the score sqrt(n_g) * (c'beta_hat -
+    lambda), the size ratio xi = sqrt(n_g / n) and the working-model scale
+    sigma, which stays NaN when ``model`` is None.  A rank-deficient set raises
+    ``IdentificationError``; a ``c`` that does not match the covariates raises
+    ``SchemaError``.
+    """
+    spec = spec or RegressionSpec(outcome=d.y_name)
+    groups = list(groups)
+    stats = np.full((3, len(groups)), np.nan)
+    for i, members in enumerate(groups):
+        fit = ols_within_group(d, members, spec)
+        stats[0, i] = score_stat(fit, h)
+        stats[1, i] = np.sqrt(fit.n_g / d.n)
+        if model is not None:
+            stats[2, i] = estimate_sigma(fit, model, h.c)
+    return stats
+
+
 def group_limit_params(
     d: PanelDataset, g: Grouping, h: Hypothesis, spec: RegressionSpec, model: str = "ar1"
-) -> tuple[LimitParams, list[GroupFit]]:
+) -> LimitParams:
     """Fit every group of a grouping and estimate its (xi, sigma)."""
-    fits = [ols_within_group(d, g.members(i), spec) for i in range(g.q)]
-    xi = estimate_xi(d, g)
-    sigma = np.array([estimate_sigma(fit, model, h.c) for fit in fits])
+    _, xi, sigma = group_stats(d, (g.members(i) for i in range(g.q)), h, spec, model)
     labels = tuple("+".join(str(j) for j in sorted(g.members(i))) for i in range(g.q))
-    return LimitParams(xi=xi, sigma=sigma, labels=labels), fits
+    return LimitParams(xi=xi, sigma=sigma, labels=labels)
 
 
 def pairwise_group_stats(
@@ -330,34 +353,27 @@ def pairwise_group_stats(
     spec = spec or RegressionSpec(outcome=d.y_name)
     control_ids = tuple(sorted(d.controls))
     treated_ids = tuple(sorted(d.treated))
-    nc, nt = len(control_ids), len(treated_ids)
-    score = np.full((nc, nt), np.nan)
-    xi = np.full((nc, nt), np.nan)
-    sigma = np.full((nc, nt), np.nan)
+    stats = np.full((3, len(control_ids), len(treated_ids)), np.nan)
     for a, j in enumerate(control_ids):
         for b, r in enumerate(treated_ids):
-            stats = _pair_stats(d, h, spec, model, allow_unidentified, j, r)
-            if stats is not None:
-                score[a, b], xi[a, b], sigma[a, b] = stats
+            pair = _pair_stats(d, h, spec, model, allow_unidentified, j, r)
+            if pair is not None:
+                stats[:, a, b] = pair
+    score, xi, sigma = stats
     return control_ids, treated_ids, score, xi, sigma
 
 
 def _pair_stats(d, h, spec, model, allow_unidentified, j, r):
-    """(score, xi, sigma) of one candidate pair from its lstsq fit.
-
-    Returns None for an unidentified pair when ``allow_unidentified``.
-    """
+    """``group_stats`` of one candidate pair, or None for an unidentified pair
+    when ``allow_unidentified``."""
     try:
-        fit = ols_within_group(d, {j, r}, spec)
+        return group_stats(d, [{j, r}], h, spec, model)[:, 0]
     except IdentificationError:
         if allow_unidentified:
             return None
         raise IdentificationError(
             f"candidate pair (control {j}, treated {r}) is not identified"
         ) from None
-    score = score_stat(fit, h)
-    sigma = np.nan if model is None else estimate_sigma(fit, model, h.c)
-    return score, np.sqrt(fit.n_g / d.n), sigma
 
 
 def _cluster_moments(cluster: np.ndarray, z: np.ndarray):

@@ -292,7 +292,7 @@ def power_of_grouping(
     otherwise (see ``power_scorer``).
     """
     spec = spec or RegressionSpec(outcome=d.y_name)
-    lp, _ = group_limit_params(d, g, h, spec, model)
+    lp = group_limit_params(d, g, h, spec, model)
     return power_from_limit(lp, h.delta, h.alpha, method=method, reps=reps, seed=seed)
 
 

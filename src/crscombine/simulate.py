@@ -29,13 +29,9 @@ import numpy as np
 
 from .combine import _perm_of_grouping, combine_heuristic_psi, combine_k1
 from .crstest import k_budget, rejects, sign_changes
-from .data import Grouping, Hypothesis, PanelDataset, _perm_table
-from .estimation import (
-    ols_within_group,
-    pairwise_moment_stats,
-    psi_from_scales,
-    score_stat,
-)
+from .data import Grouping, Hypothesis, PanelDataset, _perm_table, validate_grouping
+from .errors import GroupingError
+from .estimation import group_stats, ols_within_group, pairwise_moment_stats, psi_from_scales
 from .regression import RegressionSpec
 
 DGP_X_NAMES = ("const", "i_post", "d", "x1", "x2", "x3")
@@ -181,22 +177,6 @@ def _derived_int_seed(seed: int, r: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, r, stream)).generate_state(1)[0])
 
 
-class _PairTester:
-    """Shared machinery for testing many pairings of one draw cheaply."""
-
-    def __init__(self, qbar: int, alpha: float):
-        self.qbar = qbar
-        s = sign_changes(qbar)
-        self.signs_t = s.unique.astype(np.float64).T  # (qbar, 2^(qbar-1))
-        self.k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
-
-    def reject(self, scores: np.ndarray) -> bool:
-        return bool(rejects(np.abs(scores @ self.signs_t) / self.qbar, self.k))
-
-    def reject_many(self, score_rows: np.ndarray) -> np.ndarray:
-        return rejects(np.abs(score_rows @ self.signs_t) / self.qbar, self.k)
-
-
 def rejection_curve(
     spec: DgpSpec,
     beta_grid: Sequence[float],
@@ -214,7 +194,10 @@ def rejection_curve(
 
     Policies
     --------
-    ``fixed``      test with the supplied grouping in every draw.
+    ``fixed``      test with the supplied grouping in every draw.  Any valid
+                   grouping of the design's clusters works, whatever its
+                   number of groups; it is checked once with
+                   ``validate_grouping``, and GroupingError names its faults.
     ``crs_data``   pick the grouping by the data-driven power criterion with
                    drift +2*sqrt(qT) for beta >= 0 and -2*sqrt(qT) otherwise
                    (interval programs when the rejection budget is 1, the
@@ -223,6 +206,10 @@ def rejection_curve(
     ``all_omegas`` test every pairing; the result carries the per-pairing
                    rejection matrix and min/max envelope.  Raises BoundError
                    above q-bar = ``data.MAX_PAIRING_SIZE`` (9).
+
+    Every policy turns a draw into the scores of its groups (one row per
+    pairing for ``all_omegas``), and one sign-change decision, sized by the
+    number of groups scored, tests them.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -232,39 +219,39 @@ def rejection_curve(
         raise ValueError("the fixed policy needs a grouping")
     reg = reg or RegressionSpec()
     qbar = spec.q // 2
-    tester = _PairTester(qbar, alpha)
+    q = qbar
+    if policy == "fixed":
+        # every draw has the same clusters on the same sides, so one draw checks them
+        violations = validate_grouping(grouping, gen_dgp(spec, _rep_seed(seed, 0)))
+        if violations:
+            raise GroupingError("; ".join(violations))
+        q = grouping.q
+    s = sign_changes(q)
+    signs_t = s.unique.astype(np.float64).T  # (q, 2^(q-1))
+    k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
     h0 = dgp_hypothesis(alpha)
     delta_mag = 2.0 * math.sqrt(spec.q * spec.T)
     kb = k_budget(1 << (qbar - 1), alpha)
-    perms = None
-    if policy == "all_omegas":
-        perms = _perm_table(qbar)
+    perms = _perm_table(qbar) if policy == "all_omegas" else None
 
     points: list[CurvePoint] = []
     omega_rates = [] if policy == "all_omegas" else None
     rows_idx = np.arange(qbar)
     for b in beta_grid:
         draw_spec = replace(spec, beta=float(b))
-        n_rejected = 0
-        omega_counts = np.zeros(0 if perms is None else perms.shape[0], dtype=np.int64)
+        counts = np.zeros(1 if perms is None else perms.shape[0], dtype=np.int64)
         for r in range(reps):
             d = gen_dgp(draw_spec, _rep_seed(seed, r))
             if policy == "fixed":
-                scores = np.array([
-                    score_stat(ols_within_group(d, grouping.members(i), reg), h0)
-                    for i in range(grouping.q)
-                ])
-                n_rejected += tester.reject(scores)
+                groups = (grouping.members(i) for i in range(q))
+                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
             elif policy == "crs_random":
                 rng = np.random.default_rng(np.random.SeedSequence((seed, r, 1)))
                 cols = rng.permutation(qbar)
                 ctrl = sorted(d.controls)
                 trt = sorted(d.treated)
-                scores = np.array([
-                    score_stat(ols_within_group(d, {ctrl[i], trt[cols[i]]}, reg), h0)
-                    for i in range(qbar)
-                ])
-                n_rejected += tester.reject(scores)
+                groups = ({ctrl[i], trt[cols[i]]} for i in range(qbar))
+                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
             elif policy == "crs_data":
                 delta = delta_mag if b >= 0 else -delta_mag
                 ctrl_ids, trt_ids, score, xi, sigma = pairwise_moment_stats(d, h0, reg, model)
@@ -276,20 +263,15 @@ def rejection_curve(
                         psi, delta, alpha, reps=heuristic_reps,
                         seed=_derived_int_seed(seed, r, 2), A=A,
                     )
-                cols = _perm_of_grouping(psi, g_star)
-                n_rejected += tester.reject(score[rows_idx, cols])
+                score_rows = score[rows_idx, _perm_of_grouping(psi, g_star)]
             else:  # all_omegas
-                ctrl_ids, trt_ids, score, _, _ = pairwise_moment_stats(
-                    d, h0, reg, model=None
-                )
+                score = pairwise_moment_stats(d, h0, reg, model=None)[2]
                 score_rows = score[rows_idx[None, :], perms]
-                omega_counts += tester.reject_many(score_rows)
-        if policy == "all_omegas":
-            rates = omega_counts / reps
+            counts += rejects(np.abs(score_rows @ signs_t) / q, k)
+        rates = counts / reps
+        if omega_rates is not None:
             omega_rates.append(rates)
-            rate = float(rates.mean())
-        else:
-            rate = n_rejected / reps
+        rate = float(rates.mean())
         se = math.sqrt(max(rate * (1.0 - rate), 0.0) / reps)
         points.append(CurvePoint(beta=float(b), policy=policy, reps=reps,
                                  reject_rate=rate, se=se))

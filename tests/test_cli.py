@@ -145,6 +145,17 @@ class TestPowerCommand:
         row = strip_header(out)[1].split(",")
         assert float(row[1]) == pytest.approx(0.25)
 
+    def test_data_mode_c_shorter_than_the_covariates_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--grouping", "1:4,2:5,3:6", "--c", "1", "--model", "iid",
+            "--deltas", "0", "--alpha", "0.26", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert "c has length 1 but the fit reports 2 coefficients" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_inputs_is_data_error(self, tmp_path):
         assert dispatch(["power", "--deltas", "0", "--seed", "1"]) == 1
 

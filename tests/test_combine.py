@@ -17,6 +17,7 @@ from crscombine import (
     PanelDataset,
     PsiMatrix,
     RegressionSpec,
+    SchemaError,
     combine_exhaustive,
     combine_exhaustive_psi,
     combine_heuristic_psi,
@@ -24,6 +25,7 @@ from crscombine import (
     combine_loglinear,
     combine_unequal,
     enumerate_side_subsets,
+    group_limit_params,
     psi_from_scales,
     solve_interval_bilp,
 )
@@ -612,6 +614,18 @@ class TestCombineUnequal:
             )
             _, est_moved = combine_unequal(moved, h, model="iid", delta=delta)
             assert est_moved.value == pytest.approx(est.value, rel=1e-12, abs=0.0)
+
+    def test_c_shorter_than_the_covariates_is_a_schema_error(self):
+        # two covariates (const, d); a one-entry c is not padded with zeros
+        h = Hypothesis(c=[1.0], lam=0.0, alpha=0.5, delta=-5.0)
+        with pytest.raises(SchemaError, match="c has length 1 but the fit reports 2 coefficients"):
+            combine_unequal(make_unequal_panel(), h, model="iid", delta=-5.0)
+
+    def test_group_limit_params_rejects_the_same_c(self):
+        h = Hypothesis(c=[1.0], lam=0.0, alpha=0.5, delta=-5.0)
+        g = Grouping.from_literal("1:3,2:{4,5}")
+        with pytest.raises(SchemaError, match="c has length 1 but the fit reports 2 coefficients"):
+            group_limit_params(make_unequal_panel(), g, h, RegressionSpec(), "iid")
 
     def test_subset_guard(self):
         d = make_unequal_panel(seed=4)

@@ -14,7 +14,7 @@ from crscombine import (
     RegressionSpec,
     SchemaError,
     estimate_sigma,
-    estimate_xi,
+    group_stats,
     ols_within_group,
     pairwise_group_stats,
     pairwise_moment_stats,
@@ -81,7 +81,7 @@ class TestOlsWithinGroup:
         f2 = ols_within_group(doubled, {1, 3}, spec)
         np.testing.assert_allclose(f2.beta_hat, f1.beta_hat, atol=1e-10)
         g = Grouping.from_pairs([(1, 3), (2, 4)])
-        np.testing.assert_allclose(estimate_xi(doubled, g), estimate_xi(d, g))
+        np.testing.assert_allclose(group_xi(doubled, g), group_xi(d, g))
 
     def test_two_way_fixed_effects_formula(self):
         d = gen_dgp(DgpSpec(variant="dgp1", h=1), seed=9)
@@ -120,23 +120,30 @@ class TestScoreStat:
         assert slope == pytest.approx(-7.0)
 
 
+def group_xi(d, g, c=(0.0, 1.0)):
+    """The xi row of ``group_stats`` over a grouping's groups, in canonical order."""
+    h = Hypothesis(c=np.array(c), lam=0.0, alpha=0.05)
+    return group_stats(d, (g.members(i) for i in range(g.q)), h, model=None)[1]
+
+
 class TestEstimateXi:
     def test_quarter_group(self):
         d = make_cluster_treatment_panel(n_per=4)  # n = 16, pairs of 8
         g = Grouping.from_pairs([(1, 3), (2, 4)])
-        np.testing.assert_allclose(estimate_xi(d, g), [np.sqrt(0.5), np.sqrt(0.5)])
+        np.testing.assert_allclose(group_xi(d, g), [np.sqrt(0.5), np.sqrt(0.5)])
 
     def test_equal_groups_symmetry(self):
         d = gen_dgp(DgpSpec(variant="dgp1", h=1), seed=2)
         g = Grouping.from_pairs([(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)])
-        np.testing.assert_allclose(estimate_xi(d, g), np.full(6, 1 / np.sqrt(6)))
+        c = dgp_hypothesis(0.05).c  # the design has six covariates
+        np.testing.assert_allclose(group_xi(d, g, c), np.full(6, 1 / np.sqrt(6)))
         # two 20-row clusters per group out of 240 rows
-        np.testing.assert_allclose(estimate_xi(d, g)[0], np.sqrt(40 / 240))
+        np.testing.assert_allclose(group_xi(d, g, c)[0], np.sqrt(40 / 240))
 
     def test_squared_ratios_sum_to_one_for_partitions(self):
         d = make_cluster_treatment_panel(n_per=5)
         g = Grouping.from_pairs([(1, 4), (2, 3)])
-        assert np.sum(estimate_xi(d, g) ** 2) == pytest.approx(1.0)
+        assert np.sum(group_xi(d, g) ** 2) == pytest.approx(1.0)
 
 
 def _direct_fit(design, residuals, segments=None):

@@ -19,7 +19,6 @@ from crscombine.combine import (
     combine_exhaustive_psi,
     combine_heuristic_psi,
     combine_k1,
-    limit_params_for_perm,
 )
 from crscombine.crstest import k_budget, sign_changes
 from crscombine.estimation import pairwise_group_stats, psi_from_scales
@@ -49,6 +48,12 @@ def reference_power_mc(lp, delta, alpha, reps, seed):
     components = (left / reps, right / reps) if k == 1 else None
     return PowerEstimate(value=p, method="monte_carlo", mc_reps=reps, mc_se=se,
                          components=components)
+
+
+def limit_params_for_perm(psi, cols):
+    """Per-group (xi, sigma) induced by pairing row i with column cols[i]."""
+    rows = np.arange(psi.qbar)
+    return LimitParams(xi=psi.xi[rows, cols], sigma=psi.sigma[rows, cols])
 
 
 def reference_heuristic(psi, delta, alpha, reps, seed, A=200):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,20 +12,24 @@ from crscombine import (
     CalibrationParams,
     DgpSpec,
     Grouping,
+    GroupingError,
     RegressionSpec,
     calibrate,
     combine_k1,
+    dgp_hypothesis,
     gen_calibrated,
     gen_dgp,
     pairwise_group_stats,
     pairwise_moment_stats,
     psi_from_scales,
     rejection_curve,
+    run_test,
     simulate,
 )
 from crscombine import test_from_scores as decide_from_scores
 from crscombine.combine import _perm_of_grouping
 from crscombine.crstest import k_budget, rejects, sign_changes
+from crscombine.simulate import _rep_seed
 
 CANONICAL_PAIRING = Grouping.from_pairs(
     [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)]
@@ -173,6 +178,59 @@ class TestRejectionCurve:
         for i, gap in inversions:
             assert -gap <= 2 * max(ses[i], ses[i + 1])
         assert rates[-1] > rates[0]
+
+
+def _recount(spec, beta, alpha, seed, reps, grouping_of):
+    """Rejections of ``run_test`` over rejection_curve's draws at one beta;
+    ``grouping_of(r, d)`` gives replication r's grouping."""
+    h0 = dgp_hypothesis(alpha)
+    rejected = 0
+    for r in range(reps):
+        d = gen_dgp(replace(spec, beta=beta), _rep_seed(seed, r))
+        rejected += run_test(d, grouping_of(r, d), h0, RegressionSpec()).reject
+    return rejected
+
+
+def _random_pairing(seed):
+    """The crs_random policy's pairing of replication r: sorted controls paired
+    with the treated clusters in the order of its own permutation stream."""
+    def grouping_of(r, d):
+        cols = np.random.default_rng(np.random.SeedSequence((seed, r, 1))).permutation(
+            len(d.treated))
+        ctrl, trt = sorted(d.controls), sorted(d.treated)
+        return Grouping.from_pairs((ctrl[i], trt[c]) for i, c in enumerate(cols))
+    return grouping_of
+
+
+class TestPoliciesMatchRunTest:
+    """Replication by replication, the fixed-group policies decide as run_test."""
+
+    @pytest.mark.parametrize("policy, grouping, alpha, betas", [
+        ("fixed", CANONICAL_PAIRING, 0.05, (0.0, 1.5)),
+        ("fixed", Grouping.from_literal("{7,8}:{1,2},{9,10}:{3,4},{11,12}:{5,6}"), 0.25,
+         (0.0, 1.5)),
+        ("crs_random", None, 0.05, (0.0, 1.5)),
+    ])
+    def test_rejection_count_equals_recount(self, policy, grouping, alpha, betas):
+        # rejection_curve refuses fewer than 100 replications
+        spec, seed, reps = DgpSpec(variant="dgp2", h=3), 81, 100
+        curve = rejection_curve(spec, betas, policy, reps=reps, alpha=alpha, seed=seed,
+                                grouping=grouping)
+        grouping_of = (lambda r, d: grouping) if policy == "fixed" else _random_pairing(seed)
+        counts = [_recount(spec, b, alpha, seed, reps, grouping_of) for b in betas]
+        assert [pt.reject_rate for pt in curve.points] == [n / reps for n in counts]
+        assert counts[-1] > counts[0]
+
+    def test_fixed_grouping_missing_clusters_is_a_grouping_error(self):
+        with pytest.raises(GroupingError, match="cluster 4 unassigned"):
+            rejection_curve(DgpSpec(), [0.0], "fixed", reps=100, alpha=0.05, seed=0,
+                            grouping=Grouping.from_literal("7:1,8:2,9:3"))
+
+    def test_fixed_grouping_mixing_sides_is_a_grouping_error(self):
+        mixed = Grouping.from_literal("1:7,8:2,9:3,10:4,11:5,12:6")
+        with pytest.raises(GroupingError, match="not a control cluster"):
+            rejection_curve(DgpSpec(), [0.0], "fixed", reps=100, alpha=0.05, seed=0,
+                            grouping=mixed)
 
 
 def _record_pair_stats(monkeypatch):
