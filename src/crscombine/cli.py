@@ -39,7 +39,7 @@ from .errors import (
     PartitionError,
     SchemaError,
 )
-from .estimation import LimitParams, psi_matrix
+from .estimation import LimitParams, group_limit_params, psi_matrix
 from .power import power_scorer
 from .simulate import DgpSpec, calibrate, rejection_curve
 from .regression import RegressionSpec
@@ -143,8 +143,8 @@ def _regression_spec(args, d) -> RegressionSpec:
     return RegressionSpec(outcome=d.y_name)
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="CSV panel file")
+def _add_data_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--data", required=required, help="CSV panel file")
     p.add_argument("--controls", help="comma list of control cluster ids")
     p.add_argument("--treated", help="comma list of treated cluster ids")
     p.add_argument("--infer-treated", metavar="COL",
@@ -205,16 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--xi", default=None, help="comma list of group size ratios")
     p.add_argument("--sigma", default=None, help="comma list of group scales")
-    p.add_argument("--data", default=None, help="CSV panel (alternative to --xi/--sigma)")
-    p.add_argument("--controls", default=None)
-    p.add_argument("--treated", default=None)
-    p.add_argument("--cluster-col", default=None)
-    p.add_argument("--time-col", default=None)
-    p.add_argument("--y-col", default=None)
-    p.add_argument("--x-cols", default=None)
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--formula", default=None)
-    p.add_argument("--infer-treated", default=None)
+    _add_data_flags(p, required=False)  # --data: the alternative to --xi/--sigma
     p.add_argument("--grouping", default=None, help="grouping literal when using --data")
     p.add_argument("--c", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
@@ -321,8 +312,6 @@ def _cmd_power(args, cfg: RunConfig) -> int:
         d = _load_dataset(args)
         spec = _regression_spec(args, d)
         h = Hypothesis(c=np.array(_float_list(args.c)), lam=args.lam, alpha=args.alpha)
-        from .estimation import group_limit_params
-
         lp = group_limit_params(d, Grouping.from_literal(args.grouping), h,
                                 spec, args.model)
     else:

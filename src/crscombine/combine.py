@@ -9,10 +9,11 @@ solution with the best power.  With a fine enough partition this recovers the
 exact optimum.
 
 ``band_winners`` is the one assignment solver: it solves all A programs
-exactly in one enumeration of the assignments, for paired (``combine_k1``) and
-unequal counts (``combine_unequal``).  A single program is the same pass with
-one band: ``solve_interval_bilp`` on its interval, ``combine_loglinear`` with
-no side constraint.  No external MILP solver is involved.
+exactly in one pass over the cached table of at most 10! assignments (q-bar
+<= 10 in paired mode), for paired (``combine_k1``) and unequal counts
+(``combine_unequal``).  A single program is the same pass with one band:
+``solve_interval_bilp`` on its interval, ``combine_loglinear`` with no side
+constraint.  No external MILP solver is involved.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crstest import k_budget
-from .data import Grouping, Hypothesis, PanelDataset, _perm_table
+from .data import Grouping, Hypothesis, PanelDataset, _assignment_table, _paired, _perm_table
 from .errors import BoundError, IdentificationError
 from .estimation import (
     LimitParams,
@@ -52,7 +53,7 @@ EXHAUSTIVE_MAX_QBAR = 8
 UNEQUAL_MAX_SUBSETS = 10_000
 EPS0_FLOOR = 1e-300          # keeps log(eps0) finite in double precision
 _INTERVAL_TOL = 1e-9         # absolute slack on log-scale interval membership
-_CHUNK_CELLS = 1 << 13       # (parent, column) cells per expansion step of band_winners
+_BLOCK_ROWS = 1 << 15        # assignment-table rows band_winners scores at a time
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,6 @@ def _branch_coeffs(psi: PsiMatrix, delta: float):
     return (log_psi, log_comp) if delta < 0 else (log_comp, log_psi)
 
 
-def _paired(qbar: int) -> tuple[list[int], int]:
-    """``band_winners``' column sets in paired mode: one treated cluster each."""
-    return [1 << c for c in range(qbar)], (1 << qbar) - 1
-
-
 def _solution(psi: PsiMatrix, cols: np.ndarray, obj: np.ndarray,
               side: np.ndarray) -> AssignmentSolution:
     rows = np.arange(psi.qbar)
@@ -155,9 +151,10 @@ def solve_interval_bilp(
     lexicographically smallest assignment.  Returns None when no assignment
     is feasible, including when every one uses an excluded pair.
 
-    It is ``band_winners`` with one band, so it enumerates all q-bar!
-    pairings however narrow the interval: on one core about 0.5 ms at
-    q-bar = 6, 12-24 ms at 8, 0.12-0.23 s at 9 and 1.3-2 s at 10.
+    It is ``band_winners`` with one band, so it scores all q-bar! pairings
+    however narrow the interval: on one core about 0.3 ms at q-bar = 6, 8-11
+    ms at 8, 40-50 ms at 9 and 0.4-0.5 s at 10 (plus the table's first build,
+    as in ``combine_k1``).  Raises BoundError above q-bar = 10.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi):
@@ -188,78 +185,52 @@ def _closed_k1(psi: PsiMatrix, cols: np.ndarray) -> PowerEstimate:
 
 def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
                  log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every interval program of a plan in one enumeration.
+    """Solve every interval program of a plan in one pass over
+    ``data._assignment_table(masks, full, q)``.
 
-    Row i takes a column m whose cluster set ``masks[m]`` (singletons in
-    paired mode) is disjoint from the earlier rows' sets; a leaf covers
-    ``full``.  Cells where obj or side is -inf are excluded, and a node is
-    dropped once its uncovered clusters cannot be split among the remaining
-    rows (1 to popcount(full) - q + 1 each).  Expansion is breadth first in
-    chunks taken depth first, so leaves arrive in lexicographic order, and
-    sums run left to right from 0.0.  Band a holds the leaves with
+    Assignments that use a cell where obj or side is -inf are dropped; the
+    others are scored in lexicographic order, with sums run left to right
+    from 0.0.  Band a holds the assignments with
     log eps[a-1] - tol <= side <= log eps[a] + tol and keeps the largest obj,
     the lexicographically first on ties: band by band the answer of a
     depth-first branch and bound over the same program.
 
     Returns ``(choice, feasible)``, one row per band.  Raises
-    IdentificationError when no leaf exists at all.
+    IdentificationError when no assignment avoids the excluded cells, and
+    BoundError when the table would exceed ``data.MAX_ASSIGNMENTS`` rows
+    (q-bar > 10 in paired mode).
     """
-    q, n_cols = obj.shape
-    usable = np.isfinite(obj) & np.isfinite(side)
-    masks = np.asarray(masks, dtype=np.int64)
-    sizes = np.array([bin(int(m)).count("1") for m in masks], dtype=np.int64)
-    total = bin(full).count("1")
-    max_size = total - q + 1
+    q = obj.shape[0]
+    table = _assignment_table(tuple(int(m) for m in masks), full, q)
+    # an assignment that uses an excluded cell gets a NaN side sum, which
+    # searchsorted places after every band
+    side = np.where(np.isfinite(obj) & np.isfinite(side), side, np.nan)
     lo = log_eps[:-1] - _INTERVAL_TOL
     hi = log_eps[1:] + _INTERVAL_TOL
     best_obj = np.full(lo.shape[0], -np.inf)
-    best = np.zeros((lo.shape[0], q), dtype=np.min_scalar_type(n_cols - 1))
-    step = max(1, _CHUNK_CELLS // n_cols)
+    best = np.zeros((lo.shape[0], q), dtype=table.dtype)
     n_leaves = 0
-
-    def settle(obj_acc, side_acc, choice):
-        nonlocal n_leaves
-        n_leaves += obj_acc.shape[0]
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        choice = table[start:start + _BLOCK_ROWS]
+        obj_acc = np.zeros(choice.shape[0])
+        side_acc = np.zeros(choice.shape[0])
+        for i in range(q):
+            obj_acc += obj[i, choice[:, i]]
+            side_acc += side[i, choice[:, i]]
+        n_leaves += np.count_nonzero(~np.isnan(side_acc))
         first = np.searchsorted(hi, side_acc, side="left")
         n_in = np.maximum(np.searchsorted(lo, side_acc, side="right") - first, 0)
-        leaf = np.repeat(np.arange(obj_acc.shape[0]), n_in)
-        if leaf.size == 0:
-            return
-        offset = np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
-        band = first[leaf] + offset
+        leaf = np.repeat(np.arange(choice.shape[0]), n_in)
+        band = first[leaf] + np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+        better = obj_acc[leaf] > best_obj[band]  # only these can take their band
+        leaf, band = leaf[better], band[better]
         # lexsort is stable and ``leaf`` ascends: each band's first entry is
         # its largest obj, the lexicographically first leaf on ties
         order = np.lexsort((-obj_acc[leaf], band))
         band, head = np.unique(band[order], return_index=True)
         leaf = leaf[order][head]
-        better = obj_acc[leaf] > best_obj[band]
-        band, leaf = band[better], leaf[better]
         best_obj[band] = obj_acc[leaf]
         best[band] = choice[leaf]
-
-    def descend(row, covered, uncovered, obj_acc, side_acc, choice):
-        remaining = q - row - 1
-        for s in range(0, obj_acc.shape[0], step):
-            part = slice(s, s + step)
-            ok = usable[row] & ((covered[part, None] & masks) == 0)
-            parent, col = np.nonzero(ok)
-            parent += s
-            unc = uncovered[parent] - sizes[col]
-            keep = (unc >= remaining) & (unc <= remaining * max_size)
-            parent, col, unc = parent[keep], col[keep], unc[keep]
-            child_obj = obj_acc[parent] + obj[row, col]
-            child_side = side_acc[parent] + side[row, col]
-            child = np.empty((parent.shape[0], row + 1), dtype=best.dtype)
-            child[:, :row] = choice[parent]
-            child[:, row] = col
-            if remaining == 0:
-                settle(child_obj, child_side, child)
-            else:
-                descend(row + 1, covered[parent] | masks[col], unc,
-                        child_obj, child_side, child)
-
-    descend(0, np.zeros(1, dtype=np.int64), np.array([total]), np.zeros(1),
-            np.zeros(1), np.empty((1, 0), dtype=best.dtype))
     if n_leaves == 0:
         raise IdentificationError("no identified pairing exists")
     return best.astype(np.int64), best_obj > -np.inf
@@ -299,9 +270,10 @@ def combine_k1(
     Returns ``(grouping, estimate, diagnostics)`` where diagnostics holds one
     record per interval with its bounds, feasibility, and achieved power.
 
-    The pass enumerates every pairing, so its cost grows as q-bar!: 1-2 ms
-    at q-bar = 6, 20-30 ms at 8, 0.2-0.3 s at 9 and 2-3 s at 10 on one core.
-    Raises IdentificationError when every pairing uses an excluded pair.
+    The pass scores every pairing: on one core about 0.5 ms at q-bar = 6,
+    11-15 ms at 8, 50 ms at 9 and 0.5-0.6 s at 10 (1.1-1.4 s for a process's
+    first q-bar = 10 call, which builds the table).  Raises BoundError above
+    q-bar = 10, and IdentificationError when every pairing uses an excluded pair.
 
     delta = 0 makes the objective flat (every Psi is one half); the
     lexicographically smallest pairing is returned with a warning.
@@ -425,10 +397,9 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     two power terms equally and is kept for comparison only: it can perform
     worse than picking a pairing at random.
 
-    It is ``band_winners`` with one band and a zero side term: one q-bar!
-    pass, on one core about 0.7 ms at q-bar = 6, 17-24 ms at 8, 0.18-0.22 s
-    at 9 and 1.7-1.8 s at 10.  Raises IdentificationError when every pairing
-    uses an excluded pair.
+    It is ``band_winners`` with one band and a zero side term, at the cost of
+    ``solve_interval_bilp``.  Raises BoundError above q-bar = 10, and
+    IdentificationError when every pairing uses an excluded pair.
     """
     warnings.warn(
         "the log-linear objective weights both power terms equally and can "
@@ -556,7 +527,8 @@ def combine_unequal(
     solved in one ``band_winners`` pass whose rows pick disjoint subsets
     covering the larger side.  Ties break as in ``combine_k1``.
 
-    Returns ``(grouping, estimate)``.
+    Returns ``(grouping, estimate)``.  Raises BoundError, before any fit, on
+    a shape with more than 10! coverings (5 controls against 10 treated).
     """
     spec = spec or RegressionSpec(outcome=d.y_name)
     delta = h.delta if delta is None else delta
@@ -576,15 +548,17 @@ def combine_unequal(
             f"{len(subsets)} candidate subsets exceed the guard of {UNEQUAL_MAX_SUBSETS}"
         )
 
+    big_index = {j: b for b, j in enumerate(sorted(big))}
+    masks = tuple(sum(1 << big_index[j] for j in m) for m in subsets)
+    full = (1 << len(big)) - 1
+    _assignment_table(masks, full, qbar)  # cached for band_winners; raises BoundError
     _, xi, sigma = group_stats(d, ({j} | m for j in small for m in subsets), h, spec, model)
     shape = (qbar, len(subsets))
     psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta,
                           control_ids=small, treated_ids=tuple(range(len(subsets))))
 
-    big_index = {j: b for b, j in enumerate(sorted(big))}
-    subset_masks = [sum(1 << big_index[j] for j in m) for m in subsets]
     best_choice, _, _ = _best_band(psi, delta, IntervalPlan.build(psi, delta, A=A),
-                                   subset_masks, (1 << len(big)) - 1)
+                                   masks, full)
     groups = []
     for i, j in enumerate(small):
         m = subsets[int(best_choice[i])]

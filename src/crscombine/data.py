@@ -11,7 +11,7 @@ within every group.
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import BoundError, ParseError, PartitionError, SchemaError
 
-MAX_PAIRING_SIZE = 9  # largest q-bar whose pairing table is built: 9! rows, 26 MB
+MAX_PAIRING_SIZE = 9  # largest q-bar whose pairing table is built: 9! rows, 3.3 MB
+MAX_ASSIGNMENTS = math.factorial(10)  # largest assignment table: q-bar = 10, 36 MB
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -43,7 +44,7 @@ class PanelDataset:
     cluster : (n,) int array of cluster ids
     time : (n,) int array of unit-or-time ids
     y : (n,) float array, outcome
-    x : (n, d_x) float array, covariates
+    x : (n, k) float array, covariates
     x_names : covariate column names, aligned with ``x`` columns
     controls, treated : disjoint cluster-id sets covering all clusters
     """
@@ -95,10 +96,6 @@ class PanelDataset:
     @property
     def n(self) -> int:
         return int(self.cluster.shape[0])
-
-    @property
-    def d_x(self) -> int:
-        return int(self.x.shape[1])
 
     @cached_property
     def clusters(self) -> tuple[int, ...]:
@@ -170,19 +167,9 @@ class Grouping:
     def q(self) -> int:
         return len(self.groups)
 
-    @property
-    def paired(self) -> bool:
-        return all(len(c) == 1 and len(t) == 1 for c, t in self.groups)
-
     def members(self, i: int) -> frozenset[int]:
         ctrl, trt = self.groups[i]
         return ctrl | trt
-
-    def all_clusters(self) -> frozenset[int]:
-        out: set[int] = set()
-        for ctrl, trt in self.groups:
-            out |= ctrl | trt
-        return frozenset(out)
 
     def sort_key(self):
         return tuple((tuple(sorted(c)), tuple(sorted(t))) for c, t in self.groups)
@@ -264,16 +251,64 @@ def validate_grouping(g: Grouping, d: PanelDataset) -> list[str]:
 
 
 @lru_cache(maxsize=8)
+def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
+    """Every way for q rows to take pairwise disjoint column sets that cover
+    ``full`` (column m's set is the bit mask ``masks[m]``): one read-only row
+    each, in lexicographic order and the narrowest unsigned dtype.
+
+    Built breadth first, a row of the assignment per level.  A partial
+    assignment is dropped once its uncovered clusters cannot be split among
+    the remaining rows (1 to popcount(full) - q + 1 each), and the open
+    columns are found once per covered set.  Raises BoundError, before a level
+    is built, when it would hold more than ``MAX_ASSIGNMENTS`` rows.
+    """
+    bits = np.array(masks, dtype=np.int64)
+    sizes = np.array([bin(m).count("1") for m in masks])
+    total = bin(full).count("1")
+    max_size = total - q + 1
+    covered, uncovered = np.zeros(1, dtype=np.int64), np.array([total])  # distinct covered sets
+    cover_of = np.zeros(1, dtype=np.intp)  # index of each partial assignment's covered set
+    columns: list[np.ndarray] = []
+    for row in range(q):
+        remaining = q - row - 1
+        unc = uncovered[:, None] - sizes
+        ok = ((covered[:, None] & bits) == 0) & (unc >= remaining) & (unc <= remaining * max_size)
+        open_cover, open_col = np.nonzero(ok)
+        n_open = ok.sum(axis=1)
+        counts = n_open[cover_of]
+        if counts.sum() > MAX_ASSIGNMENTS:
+            raise BoundError(f"refusing to enumerate over 10! assignments of {q} rows to "
+                             f"{len(masks)} column sets; bound is {MAX_ASSIGNMENTS} assignments")
+        # the k-th child of a partial assignment takes the k-th open column of
+        # its covered set: entry pair[child] of (open_cover, open_col)
+        pair = np.repeat((np.cumsum(n_open) - n_open)[cover_of] - (np.cumsum(counts) - counts),
+                         counts)
+        pair += np.arange(pair.shape[0])
+        columns = [np.repeat(c, counts) for c in columns]
+        columns.append(open_col.astype(np.min_scalar_type(len(masks) - 1))[pair])
+        covered, head, inverse = np.unique(covered[open_cover] | bits[open_col],
+                                          return_index=True, return_inverse=True)
+        uncovered = (uncovered[open_cover] - sizes[open_col])[head]
+        cover_of = inverse[pair]
+    table = np.stack(columns, axis=1)
+    table.setflags(write=False)
+    return table
+
+
 def _perm_table(qbar: int) -> np.ndarray:
     """The q-bar! permutations of range(q-bar), one read-only row each, in
-    lexicographic order.  Raises BoundError above ``MAX_PAIRING_SIZE``."""
+    lexicographic order: the assignment table on singleton columns.  Raises
+    BoundError above ``MAX_PAIRING_SIZE``."""
     if qbar > MAX_PAIRING_SIZE:
         raise BoundError(
             f"refusing to enumerate {qbar}! pairings; bound is q-bar <= {MAX_PAIRING_SIZE}"
         )
-    table = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
-    table.setflags(write=False)
-    return table
+    return _assignment_table(*_paired(qbar), qbar)
+
+
+def _paired(qbar: int) -> tuple[tuple[int, ...], int]:
+    """The column sets of pairings: one treated cluster each."""
+    return tuple(1 << c for c in range(qbar)), (1 << qbar) - 1
 
 
 def enumerate_pairings(controls: Iterable[int], treated: Iterable[int]) -> list[Grouping]:

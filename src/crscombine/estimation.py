@@ -58,7 +58,6 @@ class GroupFit:
     design: np.ndarray
     coef_full: np.ndarray
     segments: np.ndarray
-    score: float | None = None
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,11 @@ class TestCombineK1:
                 psi = psi_from_scales(xi, psi.sigma, delta)
             A = (1, 10, 60, 200)[trial % 4] if qbar < 7 else 10
             assert_bands_match_bb(psi, delta, A)
-        # every pairing ties: each band keeps the first leaf, across chunks too
-        flat = psi_from_scales(np.full((7, 7), 0.5), np.full((7, 7), 1.0), -1.0)
-        assert_bands_match_bb(flat, -1.0, 200)
+        # every pairing ties: each band keeps the lexicographically first one,
+        # also at q-bar = 8, whose 40,320 rows are scored in two blocks
+        for qbar in (7, 8):
+            flat = psi_from_scales(np.full((qbar, qbar), 0.5), np.full((qbar, qbar), 1.0), -1.0)
+            assert_bands_match_bb(flat, -1.0, 200)
 
     def test_bb_path_agrees_on_dgp_qbar8(self):
         d = gen_dgp(DgpSpec("dgp2", h=4, q=16), seed=1)
@@ -574,20 +576,27 @@ class TestCombineUnequal:
 
     def test_bands_match_partition_branch_and_bound(self):
         rng = np.random.default_rng(14)
-        for trial in range(12):
-            qbar = 2 + trial % 2
-            n_big = qbar + 1 + trial % 3
+        for trial in range(18):
+            qbar = 2 + trial % 3
+            n_big = qbar + 1 + trial // 3 % 3
             subsets = enumerate_side_subsets(tuple(range(n_big)), qbar)
-            masks = [sum(1 << j for j in m) for m in subsets]
             xi = rng.uniform(0.2, 0.9, size=(qbar, len(subsets)))
             sigma = rng.uniform(0.5, 2.0, size=(qbar, len(subsets)))
+            if trial % 5 == 1:
+                # a partitions list that repeats a subset, with the same fits:
+                # the two columns tie, and the first one wins
+                k = int(rng.integers(0, len(subsets)))
+                subsets = subsets + [subsets[k]]
+                xi = np.column_stack([xi, xi[:, k]])
+                sigma = np.column_stack([sigma, sigma[:, k]])
+            masks = [sum(1 << j for j in m) for m in subsets]
             if trial % 4 == 0:
                 xi[rng.integers(0, qbar), rng.integers(0, len(subsets))] = np.nan
             delta = -1.3 if trial % 2 else 0.8
             psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
                                   treated_ids=tuple(range(len(subsets))))
             obj, side = _branch_coeffs(psi, delta)
-            A = (10, 60, 200)[trial % 3]
+            A = 10 if qbar == 4 else (10, 60, 200)[trial % 3]
             log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
             full = (1 << n_big) - 1
             choice, feasible = band_winners(obj, side, masks, full, log_eps)
@@ -627,6 +636,20 @@ class TestCombineUnequal:
         with pytest.raises(SchemaError, match="c has length 1 but the fit reports 2 coefficients"):
             group_limit_params(make_unequal_panel(), g, h, RegressionSpec(), "iid")
 
+    def test_shape_over_the_table_bound_fails_before_any_fit(self, monkeypatch):
+        import crscombine.combine as combine_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("group_stats was called")
+
+        monkeypatch.setattr(combine_mod, "group_stats", no_fit)
+        # 5 controls against 10 treated: 5! * S(10, 5) = 5,103,000 > 10! coverings
+        d = make_unequal_panel(effects={j: 1.0 for j in range(1, 16)},
+                               controls=tuple(range(1, 6)), treated=tuple(range(6, 16)))
+        h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
+        with pytest.raises(BoundError, match="over 10! assignments"):
+            combine_unequal(d, h, model="iid", delta=-1.0)
+
     def test_subset_guard(self):
         d = make_unequal_panel(seed=4)
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
@@ -661,6 +684,18 @@ class TestCombineExhaustiveData:
         psi = psi_from_scales(xi, sigma, -1.0)
         with pytest.raises(BoundError):
             combine_exhaustive_psi(psi, -1.0, 0.05)
+
+
+@pytest.mark.parametrize("search", [
+    lambda psi: combine_k1(psi, -1.0),
+    lambda psi: solve_interval_bilp(psi, (1e-30, 0.5**11), -1.0),
+    combine_loglinear,
+], ids=["k1", "interval", "loglinear"])
+@pytest.mark.filterwarnings("ignore:the log-linear objective")
+def test_pairing_searches_refuse_qbar_above_10(search):
+    psi, _ = random_psi(np.random.default_rng(23), 11, delta=-1.0)
+    with pytest.raises(BoundError, match="over 10! assignments of 11 rows"):
+        search(psi)
 
 
 def unidentified_column_psi():

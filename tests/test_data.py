@@ -1,5 +1,6 @@
 """Panel loading, grouping validation, and pairing enumeration."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from crscombine import (
     validate_grouping,
     write_panel,
 )
+from crscombine.data import _perm_table
 from crscombine.simulate import DgpSpec, gen_dgp
 
 FIXTURE = Path(__file__).parent / "data" / "sixclusters.csv"
@@ -134,6 +136,15 @@ def test_enumerate_pairings_unequal_errors():
 def test_enumerate_pairings_bound():
     with pytest.raises(BoundError, match="9"):
         enumerate_pairings(set(range(10)), set(range(10, 20)))
+
+
+@pytest.mark.parametrize("qbar", range(1, 9))
+def test_pairing_table_is_every_permutation_in_order(qbar):
+    table = _perm_table(qbar)
+    assert table.dtype == np.uint8
+    assert not table.flags.writeable
+    expected = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
+    np.testing.assert_array_equal(table, expected)
 
 
 @pytest.mark.parametrize("qbar", [2, 3, 4])
