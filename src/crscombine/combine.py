@@ -9,11 +9,10 @@ solution with the best power.  With a fine enough partition this recovers the
 exact optimum.
 
 ``band_winners`` is the one assignment solver: it solves all A programs
-exactly in one pass over the cached table of at most 10! assignments (q-bar
-<= 10 in paired mode), for paired (``combine_k1``) and unequal counts
-(``combine_unequal``).  A single program is the same pass with one band:
-``solve_interval_bilp`` on its interval, ``combine_loglinear`` with no side
-constraint.  No external MILP solver is involved.
+exactly in one pass over the cached table of all (at most 10!) assignments,
+for paired (``combine_k1``) and unequal counts (``combine_unequal``).  A single
+program is the same pass with one band: ``solve_interval_bilp`` on its
+interval, ``combine_loglinear`` with no side constraint.  No MILP solver is used.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
@@ -152,9 +151,8 @@ def solve_interval_bilp(
     is feasible, including when every one uses an excluded pair.
 
     It is ``band_winners`` with one band, so it scores all q-bar! pairings
-    however narrow the interval: on one core about 0.3 ms at q-bar = 6, 8-11
-    ms at 8, 40-50 ms at 9 and 0.4-0.5 s at 10 (plus the table's first build,
-    as in ``combine_k1``).  Raises BoundError above q-bar = 10.
+    however narrow the interval, at about the cost of ``combine_k1``'s pass.
+    Raises BoundError above q-bar = 10.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi):
@@ -185,12 +183,11 @@ def _closed_k1(psi: PsiMatrix, cols: np.ndarray) -> PowerEstimate:
 
 def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
                  log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every interval program of a plan in one pass over
-    ``data._assignment_table(masks, full, q)``.
+    """Solve every interval program of a plan in one pass over the
+    assignment table of ``masks`` (``data._assignment_table``).
 
-    Assignments that use a cell where obj or side is -inf are dropped; the
-    others are scored in lexicographic order, with sums run left to right
-    from 0.0.  Band a holds the assignments with
+    Assignments that use a cell where obj or side is -inf are dropped, and
+    sums run left to right from 0.0.  Band a holds the assignments with
     log eps[a-1] - tol <= side <= log eps[a] + tol and keeps the largest obj,
     the lexicographically first on ties: band by band the answer of a
     depth-first branch and bound over the same program.
@@ -212,8 +209,7 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     n_leaves = 0
     for start in range(0, table.shape[0], _BLOCK_ROWS):
         choice = table[start:start + _BLOCK_ROWS]
-        obj_acc = np.zeros(choice.shape[0])
-        side_acc = np.zeros(choice.shape[0])
+        obj_acc, side_acc = np.zeros((2, choice.shape[0]))
         for i in range(q):
             obj_acc += obj[i, choice[:, i]]
             side_acc += side[i, choice[:, i]]
@@ -551,14 +547,14 @@ def combine_unequal(
     big_index = {j: b for b, j in enumerate(sorted(big))}
     masks = tuple(sum(1 << big_index[j] for j in m) for m in subsets)
     full = (1 << len(big)) - 1
-    _assignment_table(masks, full, qbar)  # cached for band_winners; raises BoundError
+    # BoundError before any fit; band_winners finds this table cached (same key)
+    _assignment_table(masks, full, qbar)
     _, xi, sigma = group_stats(d, ({j} | m for j in small for m in subsets), h, spec, model)
     shape = (qbar, len(subsets))
     psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta,
                           control_ids=small, treated_ids=tuple(range(len(subsets))))
 
-    best_choice, _, _ = _best_band(psi, delta, IntervalPlan.build(psi, delta, A=A),
-                                   masks, full)
+    best_choice, _, _ = _best_band(psi, delta, IntervalPlan.build(psi, delta, A=A), masks, full)
     groups = []
     for i, j in enumerate(small):
         m = subsets[int(best_choice[i])]

@@ -23,6 +23,7 @@ from .errors import BoundError, ParseError, PartitionError, SchemaError
 
 MAX_PAIRING_SIZE = 9  # largest q-bar whose pairing table is built: 9! rows, 3.3 MB
 MAX_ASSIGNMENTS = math.factorial(10)  # largest assignment table: q-bar = 10, 36 MB
+_TABLE_CELLS = 1 << 16  # (covered set, column) cells per step of a table level
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -252,33 +253,38 @@ def validate_grouping(g: Grouping, d: PanelDataset) -> list[str]:
 
 @lru_cache(maxsize=8)
 def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
-    """Every way for q rows to take pairwise disjoint column sets that cover
-    ``full`` (column m's set is the bit mask ``masks[m]``): one read-only row
-    each, in lexicographic order and the narrowest unsigned dtype.
+    """Every way for q rows to take pairwise disjoint column sets (column m's
+    is the bit mask ``masks[m]``; a tuple of ints, the cache key) that cover
+    ``full``: read-only rows in lexicographic order, narrowest unsigned dtype.
 
-    Built breadth first, a row of the assignment per level.  A partial
-    assignment is dropped once its uncovered clusters cannot be split among
-    the remaining rows (1 to popcount(full) - q + 1 each), and the open
-    columns are found once per covered set.  Raises BoundError, before a level
-    is built, when it would hold more than ``MAX_ASSIGNMENTS`` rows.
+    Built a row per level; a partial assignment is dropped once its uncovered
+    clusters cannot be split among the remaining rows (1 to popcount(full) -
+    q + 1 each).  Raises BoundError before a level of over ``MAX_ASSIGNMENTS``.
     """
     bits = np.array(masks, dtype=np.int64)
     sizes = np.array([bin(m).count("1") for m in masks])
     total = bin(full).count("1")
     max_size = total - q + 1
+    step = max(1, _TABLE_CELLS // len(masks))
     covered, uncovered = np.zeros(1, dtype=np.int64), np.array([total])  # distinct covered sets
     cover_of = np.zeros(1, dtype=np.intp)  # index of each partial assignment's covered set
     columns: list[np.ndarray] = []
     for row in range(q):
         remaining = q - row - 1
-        unc = uncovered[:, None] - sizes
-        ok = ((covered[:, None] & bits) == 0) & (unc >= remaining) & (unc <= remaining * max_size)
-        open_cover, open_col = np.nonzero(ok)
-        n_open = ok.sum(axis=1)
+        weight = np.bincount(cover_of, minlength=covered.shape[0])
+        n_rows, opens = 0, []
+        for lo in range(0, covered.shape[0], step):
+            unc = uncovered[lo:lo + step, None] - sizes
+            ok = (((covered[lo:lo + step, None] & bits) == 0)
+                  & (unc >= remaining) & (unc <= remaining * max_size))
+            n_rows += int(ok.sum(axis=1) @ weight[lo:lo + step])
+            if n_rows > MAX_ASSIGNMENTS:
+                raise BoundError(f"refusing to enumerate over {MAX_ASSIGNMENTS} assignments "
+                                 f"of {q} rows to {len(masks)} column sets")
+            opens.append(np.argwhere(ok) + [lo, 0])
+        open_cover, open_col = np.concatenate(opens).T
+        n_open = np.bincount(open_cover, minlength=covered.shape[0])
         counts = n_open[cover_of]
-        if counts.sum() > MAX_ASSIGNMENTS:
-            raise BoundError(f"refusing to enumerate over 10! assignments of {q} rows to "
-                             f"{len(masks)} column sets; bound is {MAX_ASSIGNMENTS} assignments")
         # the k-th child of a partial assignment takes the k-th open column of
         # its covered set: entry pair[child] of (open_cover, open_col)
         pair = np.repeat((np.cumsum(n_open) - n_open)[cover_of] - (np.cumsum(counts) - counts),
@@ -296,9 +302,8 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
 
 
 def _perm_table(qbar: int) -> np.ndarray:
-    """The q-bar! permutations of range(q-bar), one read-only row each, in
-    lexicographic order: the assignment table on singleton columns.  Raises
-    BoundError above ``MAX_PAIRING_SIZE``."""
+    """The q-bar! permutations of range(q-bar) in lexicographic order: the
+    assignment table on singletons.  Raises BoundError above ``MAX_PAIRING_SIZE``."""
     if qbar > MAX_PAIRING_SIZE:
         raise BoundError(
             f"refusing to enumerate {qbar}! pairings; bound is q-bar <= {MAX_PAIRING_SIZE}"

@@ -37,6 +37,7 @@ from crscombine.combine import (
     _perm_of_grouping,
     band_winners,
 )
+from crscombine.data import MAX_ASSIGNMENTS
 from crscombine.estimation import psi_matrix
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
@@ -576,15 +577,19 @@ class TestCombineUnequal:
 
     def test_bands_match_partition_branch_and_bound(self):
         rng = np.random.default_rng(14)
-        for trial in range(18):
-            qbar = 2 + trial % 3
-            n_big = qbar + 1 + trial // 3 % 3
+        # q-bar = 2 and 3 at A = 10, 60 and 200
+        cases = [(2 + t % 2, 3 + t % 2 + t % 3, (10, 60, 200)[t % 3], False) for t in range(12)]
+        # q-bar = 4, at A = 10 to bound the reference's cost
+        cases += [(4, n_big, 10, False) for n_big in (5, 6, 7)]
+        # a partitions list that repeats a subset
+        cases += [(2 + t % 2, 3 + t % 2 + t % 3, (10, 60, 200)[t % 3], True) for t in range(6)]
+        for trial, (qbar, n_big, A, repeat) in enumerate(cases):
             subsets = enumerate_side_subsets(tuple(range(n_big)), qbar)
             xi = rng.uniform(0.2, 0.9, size=(qbar, len(subsets)))
             sigma = rng.uniform(0.5, 2.0, size=(qbar, len(subsets)))
-            if trial % 5 == 1:
-                # a partitions list that repeats a subset, with the same fits:
-                # the two columns tie, and the first one wins
+            if repeat:
+                # the repeated column has the same fits: the two tie, and the
+                # first one wins
                 k = int(rng.integers(0, len(subsets)))
                 subsets = subsets + [subsets[k]]
                 xi = np.column_stack([xi, xi[:, k]])
@@ -596,7 +601,6 @@ class TestCombineUnequal:
             psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
                                   treated_ids=tuple(range(len(subsets))))
             obj, side = _branch_coeffs(psi, delta)
-            A = 10 if qbar == 4 else (10, 60, 200)[trial % 3]
             log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
             full = (1 << n_big) - 1
             choice, feasible = band_winners(obj, side, masks, full, log_eps)
@@ -647,7 +651,7 @@ class TestCombineUnequal:
         d = make_unequal_panel(effects={j: 1.0 for j in range(1, 16)},
                                controls=tuple(range(1, 6)), treated=tuple(range(6, 16)))
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
-        with pytest.raises(BoundError, match="over 10! assignments"):
+        with pytest.raises(BoundError, match=f"over {MAX_ASSIGNMENTS} assignments of 5 rows"):
             combine_unequal(d, h, model="iid", delta=-1.0)
 
     def test_subset_guard(self):
@@ -694,7 +698,7 @@ class TestCombineExhaustiveData:
 @pytest.mark.filterwarnings("ignore:the log-linear objective")
 def test_pairing_searches_refuse_qbar_above_10(search):
     psi, _ = random_psi(np.random.default_rng(23), 11, delta=-1.0)
-    with pytest.raises(BoundError, match="over 10! assignments of 11 rows"):
+    with pytest.raises(BoundError, match=f"over {MAX_ASSIGNMENTS} assignments of 11 rows"):
         search(psi)
 
 
