@@ -12,7 +12,10 @@ exact optimum.
 exactly in one pass over the cached table of all (at most 10!) assignments,
 for paired (``combine_k1``) and unequal counts (``combine_unequal``).  A single
 program is the same pass with one band: ``solve_interval_bilp`` on its
-interval, ``combine_loglinear`` with no side constraint.  No MILP solver is used.
+interval, ``combine_loglinear`` with no side constraint.  The pass runs over a
+stack of programs at once; ``k1_picks`` gives ``combine_k1``'s pairing for a
+block of simulated fits that way, and ``combine_k1`` is the stack of one.  No
+MILP solver is used.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
@@ -42,6 +45,7 @@ from .estimation import (
     group_stats,
     psi_from_scales,
     psi_matrix,
+    psi_terms,
 )
 from .power import PowerEstimate, _k1_estimate, power_tally
 from .regression import RegressionSpec
@@ -91,9 +95,7 @@ class IntervalPlan:
             raise ValueError("A must be at least 1")
         top = 0.5 ** psi.qbar
         if eps0 is None:
-            side_vals = psi.comp if delta < 0 else psi.values
-            low = float(np.nanmin(side_vals))
-            eps0 = max(low**psi.qbar, EPS0_FLOOR)
+            eps0 = _default_eps0(psi.comp if delta < 0 else psi.values)
         eps0 = min(float(eps0), top * (1.0 - 1e-12))
         if spacing == "linear":
             eps = np.linspace(eps0, top, A + 1)
@@ -102,6 +104,15 @@ class IntervalPlan:
         else:
             raise ValueError("spacing must be 'linear' or 'log'")
         return cls(eps=eps)
+
+
+def _default_eps0(side_vals: np.ndarray) -> np.ndarray:
+    """min(side term)^q-bar of each (q-bar, m) matrix of a stack, floored so
+    its log is finite."""
+    qbar = side_vals.shape[-2]
+    lows = np.nanmin(side_vals, axis=(-2, -1))
+    return np.array([max(float(low) ** qbar, EPS0_FLOOR)
+                     for low in lows.ravel()]).reshape(lows.shape)
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,9 @@ class AssignmentSolution:
     side_sum: float
 
 
-def _branch_coeffs(psi: PsiMatrix, delta: float):
-    """Objective/side log-coefficient matrices for the sign of delta.
+def _branch_coeffs(values: np.ndarray, comp: np.ndarray, delta: float):
+    """Objective/side log-coefficient arrays of Psi and 1 - Psi for the sign
+    of delta.
 
     delta < 0: maximize sum log Psi, side-constrain sum log(1 - Psi);
     delta > 0: the roles swap.  Excluded (NaN) pairs become -inf.
@@ -123,8 +135,8 @@ def _branch_coeffs(psi: PsiMatrix, delta: float):
     if delta == 0.0:
         raise ValueError("delta must be nonzero to pick a branch; see combine_k1")
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_psi = np.log(psi.values)
-        log_comp = np.log(psi.comp)
+        log_psi = np.log(values)
+        log_comp = np.log(comp)
     log_psi = np.where(np.isnan(log_psi), -np.inf, log_psi)
     log_comp = np.where(np.isnan(log_comp), -np.inf, log_comp)
     return (log_psi, log_comp) if delta < 0 else (log_comp, log_psi)
@@ -159,7 +171,7 @@ def solve_interval_bilp(
         raise ValueError("interval lower bound must be below the upper bound")
     if lo <= 0.0 or not math.isfinite(math.log(lo)) or not math.isfinite(math.log(hi)):
         raise ValueError("interval bounds must have finite logarithms")
-    obj, side = _branch_coeffs(psi, delta)
+    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
     try:
         choice, feasible = band_winners(obj, side, *_paired(psi.qbar),
                                         np.array([math.log(lo), math.log(hi)]))
@@ -195,57 +207,103 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     Returns ``(choice, feasible)``, one row per band.  Raises
     IdentificationError when no assignment avoids the excluded cells, and
     BoundError when the table would exceed ``data.MAX_ASSIGNMENTS`` rows
-    (q-bar > 10 in paired mode).
+    (q-bar > 10 in paired mode).  It is ``_stacked_band_winners`` on a stack
+    of one.
     """
-    q = obj.shape[0]
+    choice, feasible = _stacked_band_winners(obj[None], side[None], masks, full, log_eps[None])
+    return choice[0], feasible[0]
+
+
+def _stacked_band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
+                          log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``band_winners`` of R programs at once: obj and side are (R, q, m),
+    ``log_eps`` (R, A + 1); returns choice (R, A, q) and feasible (R, A).
+
+    The table is read once, block by block; the sums run over all R stacked
+    programs together, and each program's bands are found on its own row.
+    Raises IdentificationError when any program has no assignment that
+    avoids its excluded cells.
+    """
+    q = obj.shape[1]
     table = _assignment_table(tuple(int(m) for m in masks), full, q)
     # an assignment that uses an excluded cell gets a NaN side sum, which
     # searchsorted places after every band
     side = np.where(np.isfinite(obj) & np.isfinite(side), side, np.nan)
-    lo = log_eps[:-1] - _INTERVAL_TOL
-    hi = log_eps[1:] + _INTERVAL_TOL
-    best_obj = np.full(lo.shape[0], -np.inf)
-    best = np.zeros((lo.shape[0], q), dtype=table.dtype)
-    n_leaves = 0
+    lo = log_eps[:, :-1] - _INTERVAL_TOL
+    hi = log_eps[:, 1:] + _INTERVAL_TOL
+    best_obj = np.full(lo.shape, -np.inf)
+    best = np.zeros(lo.shape + (q,), dtype=table.dtype)
+    n_leaves = np.zeros(obj.shape[0], dtype=np.int64)
     for start in range(0, table.shape[0], _BLOCK_ROWS):
         choice = table[start:start + _BLOCK_ROWS]
-        obj_acc, side_acc = np.zeros((2, choice.shape[0]))
+        obj_acc, side_acc = np.zeros((2, obj.shape[0], choice.shape[0]))
         for i in range(q):
-            obj_acc += obj[i, choice[:, i]]
-            side_acc += side[i, choice[:, i]]
-        n_leaves += np.count_nonzero(~np.isnan(side_acc))
-        first = np.searchsorted(hi, side_acc, side="left")
-        n_in = np.maximum(np.searchsorted(lo, side_acc, side="right") - first, 0)
-        leaf = np.repeat(np.arange(choice.shape[0]), n_in)
-        band = first[leaf] + np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
-        better = obj_acc[leaf] > best_obj[band]  # only these can take their band
-        leaf, band = leaf[better], band[better]
-        # lexsort is stable and ``leaf`` ascends: each band's first entry is
-        # its largest obj, the lexicographically first leaf on ties
-        order = np.lexsort((-obj_acc[leaf], band))
-        band, head = np.unique(band[order], return_index=True)
-        leaf = leaf[order][head]
-        best_obj[band] = obj_acc[leaf]
-        best[band] = choice[leaf]
-    if n_leaves == 0:
+            obj_acc += obj[:, i].take(choice[:, i], axis=1)
+            side_acc += side[:, i].take(choice[:, i], axis=1)
+        n_leaves += np.count_nonzero(~np.isnan(side_acc), axis=1)
+        for r in range(obj.shape[0]):
+            obj_r, side_r, best_obj_r = obj_acc[r], side_acc[r], best_obj[r]
+            first = np.searchsorted(hi[r], side_r, side="left")
+            n_in = np.maximum(np.searchsorted(lo[r], side_r, side="right") - first, 0)
+            leaf = np.repeat(np.arange(choice.shape[0]), n_in)
+            band = first[leaf] + np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+            better = obj_r[leaf] > best_obj_r[band]  # only these can take their band
+            leaf, band = leaf[better], band[better]
+            # lexsort is stable and ``leaf`` ascends: each band's first entry is
+            # its largest obj, the lexicographically first leaf on ties
+            order = np.lexsort((-obj_r[leaf], band))
+            band, head = np.unique(band[order], return_index=True)
+            leaf = leaf[order][head]
+            best_obj_r[band] = obj_r[leaf]
+            best[r, band] = choice[leaf]
+    if not n_leaves.all():
         raise IdentificationError("no identified pairing exists")
     return best.astype(np.int64), best_obj > -np.inf
 
 
-def _best_band(psi: PsiMatrix, delta: float, plan: IntervalPlan, masks, full: int):
-    """Solve every interval program of ``plan``; return the winner of best
-    K = 1 power (the first band on ties), and per band its feasibility and
-    its winner's power (-inf when infeasible)."""
-    obj, side = _branch_coeffs(psi, delta)
-    choice, feasible = band_winners(obj, side, masks, full, np.log(plan.eps))
-    if not feasible.any():
+def _best_bands(values: np.ndarray, comp: np.ndarray, delta: float, log_eps: np.ndarray,
+                masks, full: int):
+    """Solve every interval program of R plans (``log_eps`` (R, A + 1)) on a
+    stack of Psi and 1 - Psi (R, q-bar, m); per program return the winner of
+    best K = 1 power (the first band on ties), and per band its feasibility
+    and its winner's power (-inf when infeasible)."""
+    obj, side = _branch_coeffs(values, comp, delta)
+    choice, feasible = _stacked_band_winners(obj, side, masks, full, log_eps)
+    if not feasible.any(axis=1).all():
         raise RuntimeError(
             "every subinterval program was infeasible; lower eps0 (the default "
             "covers all assignments, so this indicates a custom eps0 that is too large)"
         )
-    power = np.full(plan.A, -np.inf)
-    power[feasible] = _k1_power_of_perm(psi, choice[feasible])[0]
-    return choice[np.argmax(power)], feasible, power
+    stack = np.arange(values.shape[0])[:, None, None]
+    rows = np.arange(values.shape[1])
+    power = (np.prod(values[stack, rows, choice], axis=-1)
+             + np.prod(comp[stack, rows, choice], axis=-1))
+    power = np.where(feasible, power, -np.inf)
+    return choice[stack[:, 0, 0], np.argmax(power, axis=1)], feasible, power
+
+
+def _best_band(psi: PsiMatrix, delta: float, plan: IntervalPlan, masks, full: int):
+    """``_best_bands`` of one Psi matrix and plan."""
+    cols, feasible, power = _best_bands(psi.values[None], psi.comp[None], delta,
+                                        np.log(plan.eps)[None], masks, full)
+    return cols[0], feasible[0], power[0]
+
+
+def k1_picks(xi: np.ndarray, sigma: np.ndarray, delta: float, A: int = 200) -> np.ndarray:
+    """``combine_k1``'s pairing of each of R candidate-pair fits, as the
+    treated column of each sorted control (R, q-bar).
+
+    ``xi`` and ``sigma`` are (R, q-bar, q-bar); each fit gets its own default
+    linear plan of A intervals (``IntervalPlan.build``'s eps0 rule) and the
+    same ties as ``combine_k1``.  No PsiMatrix, plan, grouping or diagnostics
+    record is built.  delta must be nonzero.
+    """
+    values, comp = psi_terms(xi, sigma, delta)
+    qbar = values.shape[1]
+    top = 0.5 ** qbar
+    eps0 = np.minimum(_default_eps0(comp if delta < 0 else values), top * (1.0 - 1e-12))
+    log_eps = np.log(np.linspace(eps0, top, A + 1, axis=-1))
+    return _best_bands(values, comp, delta, log_eps, *_paired(qbar))[0]
 
 
 def combine_k1(
@@ -259,9 +317,10 @@ def combine_k1(
 
     Solves the side-constrained program on each of the A subintervals in one
     pass (``band_winners``), evaluates the K = 1 power of every feasible
-    solution, and returns the best.  Ties: within an interval the
-    lexicographically smallest pairing among equal objectives, across
-    intervals the smallest interval index among equal powers.
+    solution, and returns the best: the search ``k1_picks`` runs on a stack
+    of fits, on a stack of one, plus the diagnostics.  Ties: within an
+    interval the lexicographically smallest pairing among equal objectives,
+    across intervals the smallest interval index among equal powers.
 
     Returns ``(grouping, estimate, diagnostics)`` where diagnostics holds one
     record per interval with its bounds, feasibility, and achieved power.
@@ -404,7 +463,8 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
         UserWarning,
         stacklevel=2,
     )
-    obj = np.add(*_branch_coeffs(psi, -1.0))  # log Psi + log(1 - Psi), either order
+    # log Psi + log(1 - Psi), either order
+    obj = np.add(*_branch_coeffs(psi.values, psi.comp, -1.0))
     zeros = np.zeros_like(obj)
     choice, _ = band_winners(obj, zeros, *_paired(psi.qbar), np.array([-1.0, 1.0]))
     return _solution(psi, choice[0], obj, zeros)
@@ -537,12 +597,16 @@ def combine_unequal(
     flip = len(controls) > len(treated)
     small, big = (treated, controls) if flip else (controls, treated)
     qbar = len(small)
-    subsets = partitions if partitions is not None else enumerate_side_subsets(big, qbar)
-    subsets = [frozenset(m) for m in subsets]
-    if len(subsets) > UNEQUAL_MAX_SUBSETS:
+    # enumerate_side_subsets' count, sizes 1 to len(big) - qbar + 1, known before
+    # any subset is built
+    n_subsets = (len(partitions) if partitions is not None else
+                 sum(math.comb(len(big), size) for size in range(1, len(big) - qbar + 2)))
+    if n_subsets > UNEQUAL_MAX_SUBSETS:
         raise BoundError(
-            f"{len(subsets)} candidate subsets exceed the guard of {UNEQUAL_MAX_SUBSETS}"
+            f"{n_subsets} candidate subsets exceed the guard of {UNEQUAL_MAX_SUBSETS}"
         )
+    subsets = [frozenset(m) for m in
+               (partitions if partitions is not None else enumerate_side_subsets(big, qbar))]
 
     big_index = {j: b for b, j in enumerate(sorted(big))}
     masks = tuple(sum(1 << big_index[j] for j in m) for m in subsets)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -117,6 +117,28 @@ class PanelDataset:
             return self.x_names.index(name)
         except ValueError:
             raise SchemaError(f"unknown covariate column {name!r}") from None
+
+
+@dataclass(frozen=True)
+class PanelBlock:
+    """R panels on one layout, stacked along a leading replication axis.
+
+    Replication r has covariates ``x[r]`` (n, k) and outcome ``y[r]`` (n,);
+    ``layout`` is replication 0 as a dataset, and every replication shares
+    its cluster and time ids, sides and column names.
+    """
+
+    layout: PanelDataset
+    x: np.ndarray
+    y: np.ndarray
+
+    @property
+    def R(self) -> int:
+        return int(self.x.shape[0])
+
+    def panel(self, r: int) -> PanelDataset:
+        """Replication r as a dataset."""
+        return self.layout if r == 0 else replace(self.layout, x=self.x[r], y=self.y[r])
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ then its score, its size ratio xi = sqrt(n_g / n) and, under a working model,
 its scale sigma.  The test, the plug-in power of a grouping, the unequal-count
 search and the simulation policies that fix their groups all read it.
 
-Two functions fit every candidate {control, treated} pair.
+Two paths fit every candidate {control, treated} pair.
 ``pairwise_group_stats`` is the reference: ``group_stats`` on each pair.
-``pairwise_moment_stats`` returns the same arrays from per-cluster sufficient
-statistics, because a pair's pooled normal equations are the sum of its two
-clusters' ones.  Its scores and scales agree with the reference to 1e-9
+``pairwise_block_stats`` returns the same arrays for a block of panels from
+per-cluster sufficient statistics, because a pair's pooled normal equations
+are the sum of its two clusters' ones; ``pairwise_moment_stats`` is that path
+on one panel.  Its scores and scales agree with the reference to 1e-9
 relative or better, and every pair it cannot reproduce that closely is handed
-to the reference path.  The Monte Carlo loop uses the fast one; the CLI keeps
-the reference so its output files stay the same to the byte.
+to the reference path.  The Monte Carlo engine uses the fast one; the CLI
+keeps the reference so its output files stay the same to the byte.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Grouping, Hypothesis, PanelDataset
+from .data import Grouping, Hypothesis, PanelBlock, PanelDataset
 from .errors import IdentificationError, SchemaError
 from .regression import RegressionSpec, design_matrix
 
@@ -117,11 +118,7 @@ class PsiMatrix:
         if comp is None:
             comp = 1.0 - values
         comp = np.asarray(comp, dtype=np.float64)
-        mask = ~np.isnan(values)
-        values = values.copy()
-        comp = comp.copy()
-        values[mask] = np.clip(values[mask], PSI_FLOOR, 1.0 - 1e-16)
-        comp[mask] = np.clip(comp[mask], PSI_FLOOR, 1.0 - 1e-16)
+        values, comp = _clip_psi(values, comp)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "control_ids", tuple(int(j) for j in self.control_ids))
@@ -376,33 +373,34 @@ def _pair_stats(d, h, spec, model, allow_unidentified, j, r):
 
 
 def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
-    """Per-cluster sufficient statistics of the rows z_t = [x_t, y_t].
+    """Per-cluster sufficient statistics of the rows z_t = [x_t, y_t] of R
+    panels on one layout: ``z`` is (R, n, p+1) and ``cluster`` (n,).
 
-    Returns ``(ids, sizes, moments)`` with ``moments[k]`` stacking, for the
-    k-th cluster in id order: Z'Z, Z'Z without the last row's outer product,
-    Z'Z without the first row's, the lag-1 cross moment sum_t z_t z_{t-1}',
-    and |Z|'|Z|.  Rows keep their
-    load order within a cluster, which is the time order.
+    Returns ``(ids, sizes, moments)`` with ``moments[r, k]`` stacking, for the
+    k-th cluster in id order of panel r: Z'Z, Z'Z without the last row's outer
+    product, Z'Z without the first row's, the lag-1 cross moment
+    sum_t z_t z_{t-1}', and |Z|'|Z|.  Rows keep their load order within a
+    cluster, which is the time order.  One ``np.add.reduceat`` per moment runs
+    over all (panel, cluster) segments, summing each segment's rows in order.
     """
     order = np.argsort(cluster, kind="stable")
-    z = z[order]
     cluster = cluster[order]
-    starts = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
-    ends = np.r_[starts[1:], cluster.size] - 1
-    outer = z[:, :, None] * z[:, None, :]
-    lag = np.zeros_like(outer)
-    lag[:-1] = z[1:, :, None] * z[:-1, None, :]
-    lag[ends] = 0.0  # a cluster's last row has no successor inside the cluster
-    gram = np.add.reduceat(outer, starts)
-    absz = np.abs(z)
-    moments = np.stack([
-        gram,
-        gram - outer[ends],
-        gram - outer[starts],
-        np.add.reduceat(lag, starts),
-        np.add.reduceat(absz[:, :, None] * absz[:, None, :], starts),
-    ], axis=1)
-    return cluster[starts], np.diff(np.r_[starts, cluster.size]), moments
+    R, n, width = z.shape
+    z = z[:, order].reshape(R * n, width)
+    first = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
+    starts = (n * np.arange(R)[:, None] + first).ravel()
+    ends = np.r_[starts[1:], R * n] - 1
+    # one (R n, p+1, p+1) buffer holds the outer products, then their
+    # absolute values (|z_i z_j| = |z_i| |z_j| exactly), then the lag products
+    prod = z[:, :, None] * z[:, None, :]
+    gram = np.add.reduceat(prod, starts)
+    parts = [gram, gram - prod[ends], gram - prod[starts]]
+    absolute = np.add.reduceat(np.abs(prod, out=prod), starts)
+    np.multiply(z[1:, :, None], z[:-1, None, :], out=prod[:-1])
+    prod[ends] = 0.0  # a cluster's last row has no successor inside the cluster
+    parts += [np.add.reduceat(prod, starts), absolute]
+    moments = np.stack(parts, axis=1).reshape(R, first.size, 5, width, width)
+    return cluster[first], np.diff(np.r_[first, n]), moments
 
 
 def pairwise_moment_stats(
@@ -415,46 +413,69 @@ def pairwise_moment_stats(
     """``pairwise_group_stats`` from per-cluster moments, without a fit per pair.
 
     Returns the same ``(control_ids, treated_ids, score, xi, sigma)`` tuple.
-    The design is built once for all rows; each cluster contributes its Z'Z,
-    lag-1 cross moment and first- and last-row outer products (Z = [X | y]),
-    and a pair's pooled least squares is the sum of its two clusters' normal
-    equations.  One batched ``eigvalsh`` checks identification, one batched
-    ``solve`` gives beta, and the RSS, the AR(1) sums and c'(X'X/n)^{-1}c
-    are quadratic forms in v = [-beta, 1].  xi is identical to the reference;
-    on the simulation designs sigma agrees with it to about 1e-13 relative
-    and the score to about 1e-11 (less where c'beta is near lambda); the
-    tests pin 1e-9.  Nothing is kept between calls.
-
-    Everything this path cannot reproduce that closely goes to the reference
-    ``lstsq`` path, so errors, warnings and the rank rule are the reference's:
-
-    - the whole panel, for fixed effects, ``model='hac'`` (or an unknown
-      model), a ``c`` that does not match the covariates, or a serial model
-      with a pair of fewer than 3 observations;
-    - a single pair, when its Gram condition number exceeds
-      ``GRAM_COND_MAX`` (then the rank decision is lstsq's), when a quadratic form it divides by is below ``FORM_RTOL`` of
-      its magnitude bound |v|'|Z|'|Z||v| (cancellation, e.g. an exact fit), or
-      when its variance is at most ``SIGMA_FLOOR**2`` (the reference floors
-      it with a warning).
+    It is ``pairwise_block_stats`` on a block of one panel; see there for the
+    method, its accuracy and the pairs it hands to the reference path.
 
     The CLI stays on ``pairwise_group_stats`` because its files must match
     earlier releases to the byte, which a last-digit difference would break.
     """
+    control_ids, treated_ids, score, xi, sigma = pairwise_block_stats(
+        PanelBlock(d, d.x[None], d.y[None]), h, spec, model, allow_unidentified)
+    return control_ids, treated_ids, score[0], xi[0], sigma[0]
+
+
+def pairwise_block_stats(
+    block: PanelBlock,
+    h: Hypothesis,
+    spec: RegressionSpec | None = None,
+    model: str | None = "ar1",
+    allow_unidentified: bool = False,
+):
+    """``pairwise_group_stats`` of every panel of a block, from per-cluster moments.
+
+    Returns ``(control_ids, treated_ids, score, xi, sigma)`` with (R, q-bar,
+    q-bar) arrays, row r being panel r's.  Each cluster contributes its Z'Z,
+    lag-1 cross moment and first- and last-row outer products (Z = [X | y]),
+    and a pair's pooled least squares is the sum of its two clusters' normal
+    equations.  One batched ``eigvalsh`` checks identification, one batched
+    ``solve`` gives beta, and the RSS, the AR(1) sums and c'(X'X/n)^{-1}c are
+    quadratic forms in v = [-beta, 1], for all R x q-bar^2 pairs at once.
+    Panel r's results do not depend on the other panels of the block.  xi is
+    identical to the reference; on the simulation designs sigma agrees with
+    it to about 1e-13 relative and the score to about 1e-11 (less where c'beta
+    is near lambda); the tests pin 1e-9.  Nothing is kept between calls.
+
+    Everything this path cannot reproduce that closely goes to the reference
+    ``lstsq`` path, one panel at a time, so errors, warnings and the rank rule
+    are the reference's:
+
+    - every panel, for fixed effects, ``model='hac'`` (or an unknown model),
+      a ``c`` that does not match the covariates, or a serial model with a
+      pair of fewer than 3 observations;
+    - a single pair of one panel, when its Gram condition number exceeds
+      ``GRAM_COND_MAX`` (then the rank decision is lstsq's), when a quadratic
+      form it divides by is below ``FORM_RTOL`` of its magnitude bound
+      |v|'|Z|'|Z||v| (cancellation, e.g. an exact fit), or when its variance is
+      at most ``SIGMA_FLOOR**2`` (the reference floors it with a warning).
+    """
+    d = block.layout
     spec = spec or RegressionSpec(outcome=d.y_name)
     if spec.cluster_fe or spec.time_fe or model not in (None, "iid", "ar1"):
-        return pairwise_group_stats(d, h, spec, model, allow_unidentified)
-    y, X, _ = design_matrix(d, np.arange(d.n), spec)
-    p = X.shape[1]
-    ids, sizes, moments = _cluster_moments(d.cluster, np.column_stack([X, y]))
+        return _per_panel_stats(block, h, spec, model, allow_unidentified)
+    spec.check_against(d)
+    idx = [d.covariate_index(name) for name in spec.resolve_covariates(d)]
+    p = len(idx)
+    ids, sizes, moments = _cluster_moments(
+        d.cluster, np.concatenate([block.x[..., idx], block.y[..., None]], axis=-1))
     control_ids = tuple(sorted(d.controls))
     treated_ids = tuple(sorted(d.treated))
     rows = np.searchsorted(ids, control_ids)
     cols = np.searchsorted(ids, treated_ids)
     n_g = sizes[rows][:, None] + sizes[cols][None, :]
     if h.c.shape[0] != p or (model == "ar1" and n_g.min() < 3):
-        return pairwise_group_stats(d, h, spec, model, allow_unidentified)
+        return _per_panel_stats(block, h, spec, model, allow_unidentified)
 
-    m = moments[rows][:, None] + moments[cols][None, :]  # (nc, nt, 5, p+1, p+1)
+    m = moments[:, rows, None] + moments[:, None, cols]  # (R, nc, nt, 5, p+1, p+1)
     xx = m[..., 0, :p, :p]
     eig = np.linalg.eigvalsh(xx)
     fast = (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
@@ -463,7 +484,7 @@ def pairwise_moment_stats(
     sol = np.linalg.solve(xx, rhs)
     beta = sol[..., 0]
     score = np.sqrt(n_g) * (beta @ h.c - h.lam)
-    xi = np.sqrt(n_g / d.n)
+    xi = np.broadcast_to(np.sqrt(n_g / d.n), score.shape).copy()
     sigma = np.full(score.shape, np.nan)
     if model is not None:
         v = np.concatenate([-beta, np.ones(beta.shape[:-1] + (1,))], axis=-1)
@@ -485,11 +506,21 @@ def pairwise_moment_stats(
                 fast &= (early > bound) & (sq_sum > bound)
         fast &= var > SIGMA_FLOOR**2
         sigma[fast] = np.sqrt(var[fast])
-    for a, b in zip(*np.nonzero(~fast)):
-        stats = _pair_stats(d, h, spec, model, allow_unidentified,
-                            control_ids[a], treated_ids[b])
-        score[a, b], xi[a, b], sigma[a, b] = (np.nan,) * 3 if stats is None else stats
+    for r in np.unique(np.nonzero(~fast)[0]):
+        panel = block.panel(r)
+        for a, b in zip(*np.nonzero(~fast[r])):
+            stats = _pair_stats(panel, h, spec, model, allow_unidentified,
+                                control_ids[a], treated_ids[b])
+            score[r, a, b], xi[r, a, b], sigma[r, a, b] = (
+                (np.nan,) * 3 if stats is None else stats)
     return control_ids, treated_ids, score, xi, sigma
+
+
+def _per_panel_stats(block, h, spec, model, allow_unidentified):
+    """``pairwise_group_stats`` on each panel of a block, stacked."""
+    fits = [pairwise_group_stats(block.panel(r), h, spec, model, allow_unidentified)
+            for r in range(block.R)]
+    return (*fits[0][:2], *(np.stack([f[i] for f in fits]) for i in (2, 3, 4)))
 
 
 def psi_matrix(
@@ -525,11 +556,30 @@ def psi_from_scales(
         control_ids = tuple(range(1, xi.shape[0] + 1))
     if treated_ids is None:
         treated_ids = tuple(range(xi.shape[0] + 1, xi.shape[0] + xi.shape[1] + 1))
-    with np.errstate(invalid="ignore"):
-        z = xi * delta / sigma
-        values = ndtr(-z)
-        comp = ndtr(z)  # 1 - Phi(-z), computed on its own tail for accuracy
+    values, comp = psi_terms(xi, sigma, delta)
     return PsiMatrix(
         values=values, comp=comp, delta=float(delta),
         control_ids=control_ids, treated_ids=treated_ids, xi=xi, sigma=sigma,
     )
+
+
+def psi_terms(xi: np.ndarray, sigma: np.ndarray, delta: float):
+    """``(Psi, 1 - Psi)`` of (xi, sigma) arrays of any shape, as ``PsiMatrix``
+    holds them: each term from its own tail of the normal cdf, clipped away
+    from 0 and 1, NaN where xi or sigma is."""
+    with np.errstate(invalid="ignore"):
+        z = xi * delta / sigma
+        values = ndtr(-z)
+        comp = ndtr(z)  # 1 - Phi(-z), computed on its own tail for accuracy
+    return _clip_psi(values, comp)
+
+
+def _clip_psi(values: np.ndarray, comp: np.ndarray):
+    """Copies of Psi and 1 - Psi clipped into [PSI_FLOOR, 1 - 1e-16] where Psi
+    is not NaN."""
+    mask = ~np.isnan(values)
+    values = values.copy()
+    comp = comp.copy()
+    values[mask] = np.clip(values[mask], PSI_FLOOR, 1.0 - 1e-16)
+    comp[mask] = np.clip(comp[mask], PSI_FLOOR, 1.0 - 1e-16)
+    return values, comp

@@ -17,6 +17,15 @@ cluster scale schedule sigma_j, governed by a heterogeneity level h in 1..4:
 
 "j mod 6" is taken literally with clusters numbered 1..12, so j = 6 and 12
 give 0, j = 7 gives 1, and so on.
+
+``rejection_curve`` runs its replications in blocks of ``_BLOCK_REPS``.  A
+block is drawn as arrays (``draw_block``), its candidate pairs are fitted for
+all panels at once (``estimation.pairwise_block_stats``), its K = 1 pairings
+are searched at once (``combine.k1_picks``), and one ``crstest.rejects`` call
+decides it.  Replication r draws only from ``SeedSequence((seed, r))`` (and
+its own derived streams), so no result depends on the block size.
+``gen_dgp``, ``pairwise_moment_stats`` and ``combine_k1`` are the same code
+on a block of one.
 """
 
 from __future__ import annotations
@@ -27,14 +36,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import _perm_of_grouping, combine_heuristic_psi, combine_k1
+from .combine import _perm_of_grouping, combine_heuristic_psi, k1_picks
 from .crstest import k_budget, rejects, sign_changes
-from .data import Grouping, Hypothesis, PanelDataset, _perm_table, validate_grouping
+from .data import (
+    Grouping,
+    Hypothesis,
+    PanelBlock,
+    PanelDataset,
+    _perm_table,
+    validate_grouping,
+)
 from .errors import GroupingError
-from .estimation import group_stats, ols_within_group, pairwise_moment_stats, psi_from_scales
+from .estimation import group_stats, ols_within_group, pairwise_block_stats, psi_from_scales
 from .regression import RegressionSpec
 
 DGP_X_NAMES = ("const", "i_post", "d", "x1", "x2", "x3")
+_BLOCK_REPS = 8        # replications drawn, fitted, searched and decided together
+_DECIDE_CELLS = 1 << 18  # randomization values (2 MB) all_omegas decides at a time
 
 
 @dataclass(frozen=True)
@@ -87,52 +105,61 @@ class DgpSpec:
 def gen_dgp(spec: DgpSpec, seed) -> PanelDataset:
     """Draw one panel from the design; deterministic per seed.
 
-    Draw order is fixed per cluster (X2, X3, V, W, then the AR start), so two
-    runs with the same seed but different beta differ only through the
-    beta * D term in the outcome.
+    It is ``draw_block`` with one seed: the panel depends on nothing but
+    ``spec`` and ``seed``, and two runs with the same seed but different beta
+    differ only through the beta * D term in the outcome.
     """
-    rng = np.random.default_rng(seed)
-    q, T, t0 = spec.q, spec.T, spec.t0
+    return draw_block(spec, [seed]).layout
+
+
+def draw_block(spec: DgpSpec, seeds) -> PanelBlock:
+    """One panel per seed, stacked into a ``PanelBlock``.
+
+    Panel i draws from ``np.random.default_rng(seeds[i])`` alone, in one
+    ``standard_normal`` call of q * (4T + 1) values (q * (4T + burn_in)
+    without a stationary start): cluster by cluster X2, X3, V and W, T values
+    each, then the AR(1) start (or the burn-in innovations).  The AR(1)
+    recursion runs as a T-step loop over all (panel, cluster) series at once.
+    """
+    q, T, t0, rho = spec.q, spec.T, spec.t0, spec.rho
+    n_start = 1 if spec.stationary_start else spec.burn_in
+    width = 4 * T + n_start
+    scale = np.array([spec.sigma_for(j) for j in range(1, q + 1)])[:, None]
+    draws = np.stack([np.random.default_rng(s).standard_normal(q * width) for s in seeds])
+    draws = draws.reshape(-1, q, width)
+    bounds = (0, T, 2 * T, 3 * T, 4 * T, width)
+    x2, x3, v, w, start = (draws[..., a:b] * scale for a, b in zip(bounds, bounds[1:]))
+    if spec.stationary_start:
+        prev = start[..., 0] / math.sqrt(1.0 - rho**2)
+    else:
+        prev = np.zeros(start.shape[:2])
+        for k in range(spec.burn_in):
+            prev = rho * prev + start[..., k]
+    u = np.empty_like(v)
+    for k in range(T):
+        prev = rho * prev + v[..., k]
+        u[..., k] = prev
     t = np.arange(1, T + 1)
     i_post = (t > t0).astype(np.float64)
-    treated = spec.treated_ids
-
-    cluster_col = np.repeat(np.arange(1, q + 1), T)
-    time_col = np.tile(t, q)
-    x = np.empty((q * T, len(DGP_X_NAMES)))
-    y = np.empty(q * T)
-    for j in range(1, q + 1):
-        s = spec.sigma_for(j)
-        x2 = rng.standard_normal(T) * s
-        x3 = rng.standard_normal(T) * s
-        v = rng.standard_normal(T) * s
-        w = rng.standard_normal(T) * s
-        u = np.empty(T)
-        if spec.stationary_start:
-            prev = rng.standard_normal() * s / math.sqrt(1.0 - spec.rho**2)
-        else:
-            prev = 0.0
-            for z in rng.standard_normal(spec.burn_in) * s:
-                prev = spec.rho * prev + z
-        for k in range(T):
-            prev = spec.rho * prev + v[k]
-            u[k] = prev
-        d_col = i_post if j in treated else np.zeros(T)
-        x1 = spec.gamma4 * i_post * d_col + w
-        out = (spec.theta0 * i_post + spec.beta * d_col + spec.gamma1 * x1
-               + spec.gamma2 * x2 + spec.gamma3 * x3 + spec.xi_fe + u)
-        rows = slice((j - 1) * T, j * T)
-        x[rows, 0] = 1.0
-        x[rows, 1] = i_post
-        x[rows, 2] = d_col
-        x[rows, 3] = x1
-        x[rows, 4] = x2
-        x[rows, 5] = x3
-        y[rows] = out
-    return PanelDataset(
-        cluster=cluster_col, time=time_col, y=y, x=x, x_names=DGP_X_NAMES,
-        controls=spec.control_ids, treated=spec.treated_ids,
+    d_col = np.zeros((q, T))
+    d_col[: q // 2] = i_post  # clusters 1..q/2 are treated
+    x1 = spec.gamma4 * i_post * d_col + w
+    y = (spec.theta0 * i_post + spec.beta * d_col + spec.gamma1 * x1
+         + spec.gamma2 * x2 + spec.gamma3 * x3 + spec.xi_fe + u)
+    x = np.empty(y.shape + (len(DGP_X_NAMES),))
+    x[..., 0] = 1.0
+    x[..., 1] = i_post
+    x[..., 2] = d_col
+    x[..., 3] = x1
+    x[..., 4] = x2
+    x[..., 5] = x3
+    x = x.reshape(y.shape[0], q * T, len(DGP_X_NAMES))
+    y = y.reshape(y.shape[0], q * T)
+    layout = PanelDataset(
+        cluster=np.repeat(np.arange(1, q + 1), T), time=np.tile(t, q), y=y[0], x=x[0],
+        x_names=DGP_X_NAMES, controls=spec.control_ids, treated=spec.treated_ids,
     )
+    return PanelBlock(layout, x, y)
 
 
 def dgp_hypothesis(alpha: float, delta: float = 0.0) -> Hypothesis:
@@ -210,6 +237,25 @@ def rejection_curve(
     Every policy turns a draw into the scores of its groups (one row per
     pairing for ``all_omegas``), and one sign-change decision, sized by the
     number of groups scored, tests them.
+
+    Replications run in blocks of ``_BLOCK_REPS`` (8): replication r draws its
+    panel from ``SeedSequence((seed, r))`` alone, the ``crs_random`` pairing
+    from ``SeedSequence((seed, r, 1))`` and the 2-opt draws from a seed derived
+    from (seed, r, 2), so every count is that of a loop over single
+    replications, whatever the block size.  ``crs_data`` and ``all_omegas``
+    fit a block's candidate pairs at once; ``crs_data`` at K = 1 searches its
+    pairings at once, and at K > 1 runs its 2-opt search per replication on
+    those fits; ``fixed`` and ``crs_random`` fit each panel's groups by
+    ``group_stats``.  One ``rejects`` call decides a block, and ``all_omegas``
+    decides its pairings in steps of at most ``_DECIDE_CELLS`` randomization
+    values (2 MB).
+
+    Memory per block of R replications of n rows and p covariates: on the
+    reference design (q = 12, T = 20, p = 6, R = 8) a ``crs_data`` block
+    peaks at about 1.4 MB of arrays.  The largest are the per-cluster moment
+    buffer, 8 R n (p+1)^2 bytes (0.75 MB), and the summed pair moments,
+    40 R q-bar^2 (p+1)^2 bytes (0.56 MB); the K = 1 search adds
+    16 R min(q-bar!, 32,768) bytes of sums.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -239,35 +285,38 @@ def rejection_curve(
     rows_idx = np.arange(qbar)
     for b in beta_grid:
         draw_spec = replace(spec, beta=float(b))
+        delta = delta_mag if b >= 0 else -delta_mag
         counts = np.zeros(1 if perms is None else perms.shape[0], dtype=np.int64)
-        for r in range(reps):
-            d = gen_dgp(draw_spec, _rep_seed(seed, r))
-            if policy == "fixed":
-                groups = (grouping.members(i) for i in range(q))
-                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
-            elif policy == "crs_random":
-                rng = np.random.default_rng(np.random.SeedSequence((seed, r, 1)))
-                cols = rng.permutation(qbar)
-                ctrl = sorted(d.controls)
-                trt = sorted(d.treated)
-                groups = ({ctrl[i], trt[cols[i]]} for i in range(qbar))
-                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
+        for first in range(0, reps, _BLOCK_REPS):
+            block_reps = range(first, min(first + _BLOCK_REPS, reps))
+            block = draw_block(draw_spec, [_rep_seed(seed, r) for r in block_reps])
+            if policy in ("fixed", "crs_random"):
+                scores = np.stack([
+                    group_stats(block.panel(i), _groups(policy, grouping, seed, r, block.layout),
+                                h0, reg, model=None)[0]
+                    for i, r in enumerate(block_reps)])
+                counts += _rejections(scores[:, None, :], signs_t, k)
             elif policy == "crs_data":
-                delta = delta_mag if b >= 0 else -delta_mag
-                ctrl_ids, trt_ids, score, xi, sigma = pairwise_moment_stats(d, h0, reg, model)
-                psi = psi_from_scales(xi, sigma, delta, ctrl_ids, trt_ids)
+                ctrl, trt, score, xi, sigma = pairwise_block_stats(block, h0, reg, model)
                 if kb <= 1:
-                    g_star, _, _ = combine_k1(psi, delta, A=A)
+                    cols = k1_picks(xi, sigma, delta, A)
                 else:
-                    g_star, _, _ = combine_heuristic_psi(
-                        psi, delta, alpha, reps=heuristic_reps,
-                        seed=_derived_int_seed(seed, r, 2), A=A,
-                    )
-                score_rows = score[rows_idx, _perm_of_grouping(psi, g_star)]
+                    cols = np.empty((block.R, qbar), dtype=np.int64)
+                    for i, r in enumerate(block_reps):
+                        psi = psi_from_scales(xi[i], sigma[i], delta, ctrl, trt)
+                        g_star, _, _ = combine_heuristic_psi(
+                            psi, delta, alpha, reps=heuristic_reps,
+                            seed=_derived_int_seed(seed, r, 2), A=A,
+                        )
+                        cols[i] = _perm_of_grouping(psi, g_star)
+                score_rows = score[np.arange(block.R)[:, None], rows_idx, cols]
+                counts += _rejections(score_rows[:, None, :], signs_t, k)
             else:  # all_omegas
-                score = pairwise_moment_stats(d, h0, reg, model=None)[2]
-                score_rows = score[rows_idx[None, :], perms]
-            counts += rejects(np.abs(score_rows @ signs_t) / q, k)
+                score = pairwise_block_stats(block, h0, reg, model=None)[2]
+                step = max(1, _DECIDE_CELLS // (block.R * s.n_unique))
+                for lo in range(0, perms.shape[0], step):
+                    counts[lo:lo + step] += _rejections(
+                        score[:, rows_idx, perms[lo:lo + step]], signs_t, k)
         rates = counts / reps
         if omega_rates is not None:
             omega_rates.append(rates)
@@ -280,6 +329,30 @@ def rejection_curve(
         betas=tuple(float(b) for b in beta_grid),
         omega_rates=None if omega_rates is None else np.asarray(omega_rates),
     )
+
+
+def _groups(policy: str, grouping: Grouping | None, seed: int, r: int, d: PanelDataset):
+    """Member sets of replication r's groups under ``fixed`` or ``crs_random``
+    (the i-th sorted control with the treated cluster of column i of the
+    replication's own permutation stream)."""
+    if policy == "fixed":
+        return [grouping.members(i) for i in range(grouping.q)]
+    ctrl, trt = sorted(d.controls), sorted(d.treated)
+    cols = np.random.default_rng(np.random.SeedSequence((seed, r, 1))).permutation(len(ctrl))
+    return [{ctrl[i], trt[cols[i]]} for i in range(len(ctrl))]
+
+
+def _rejections(score_rows: np.ndarray, signs_t: np.ndarray, k: int) -> np.ndarray:
+    """Rejections per row summed over a block: ``score_rows`` is (R, rows, q)
+    and row i of replication r tests the q group scores score_rows[r, i].
+
+    Each replication's rows make one matrix product with the sign vectors,
+    the same product as for those rows alone, and one ``rejects`` call
+    decides them all."""
+    values = score_rows @ signs_t
+    np.abs(values, out=values)
+    values /= signs_t.shape[0]
+    return rejects(values, k).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from crscombine.combine import (
     _k1_power_of_perm,
     _perm_of_grouping,
     band_winners,
+    k1_picks,
 )
 from crscombine.data import MAX_ASSIGNMENTS
 from crscombine.estimation import psi_matrix
@@ -120,7 +121,7 @@ def assert_interval_matches_bb(psi, interval, delta):
     """solve_interval_bilp against _solve_assignment_bb: the same columns,
     objective and side sum, to the bit, or None from both."""
     sol = solve_interval_bilp(psi, interval, delta)
-    obj, side = _branch_coeffs(psi, delta)
+    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
     ref = _solve_assignment_bb(obj, side, math.log(interval[0]), math.log(interval[1]))
     assert (sol is None) == (ref is None)
     if ref is not None:
@@ -145,7 +146,7 @@ def loglinear_matching_bb(psi):
 
 def brute_force_interval(psi, interval, delta):
     """Oracle: scan every permutation for the side-constrained optimum."""
-    obj, side = _branch_coeffs(psi, delta)
+    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
     qbar = psi.qbar
     lo, hi = math.log(interval[0]), math.log(interval[1])
     best = None
@@ -161,7 +162,7 @@ def brute_force_interval(psi, interval, delta):
 
 def assert_bands_match_bb(psi, delta, A):
     """combine_k1's bands against one _solve_assignment_bb call per band."""
-    obj, side = _branch_coeffs(psi, delta)
+    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
     log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
     choice, feasible = band_winners(obj, side, [1 << c for c in range(psi.qbar)],
                                     (1 << psi.qbar) - 1, log_eps)
@@ -195,7 +196,7 @@ class TestSolveIntervalBilp:
             qbar = 2 + trial % 6
             psi, delta = random_psi(rng, qbar, delta=(-1.0 if trial // 6 % 2 else 1.0)
                                     * float(rng.uniform(0.3, 2.0)), n_excluded=trial // 12)
-            _, side = _branch_coeffs(psi, delta)
+            _, side = _branch_coeffs(psi.values, psi.comp, delta)
             sums = [side[np.arange(qbar), list(p)].sum()
                     for p in itertools.permutations(range(qbar))]
             sums = [x for x in sums if np.isfinite(x)]
@@ -256,7 +257,7 @@ class TestIntervalPlan:
         assert plan.eps[-1] == 0.5**4
         assert plan.eps[0] == pytest.approx(float(np.min(psi.comp)) ** 4)
         # every pairing's side product is covered by the plan
-        _, side = _branch_coeffs(psi, delta)
+        _, side = _branch_coeffs(psi.values, psi.comp, delta)
         for p in itertools.permutations(range(4)):
             s = side[np.arange(4), list(p)].sum()
             assert math.log(plan.eps[0]) - 1e-9 <= s <= math.log(plan.eps[-1]) + 1e-9
@@ -320,7 +321,7 @@ class TestCombineK1:
     def test_side_sums_within_tolerance_of_a_break_point_join_both_bands(self):
         rng = np.random.default_rng(22)
         psi, delta = random_psi(rng, 4)
-        obj, side = _branch_coeffs(psi, delta)
+        obj, side = _branch_coeffs(psi.values, psi.comp, delta)
         perms = np.array(list(itertools.permutations(range(4))))
         rows = np.arange(4)
         k = int(np.argmax(obj[rows, perms].sum(axis=1)))
@@ -364,6 +365,23 @@ class TestCombineK1:
         _, _, diag = combine_k1(psi, delta, A=100)
         assert any(r["feasible"] for r in diag)
         assert all((r["power"] > -np.inf) == r["feasible"] for r in diag)
+
+    @pytest.mark.parametrize("qbar", [2, 3, 5, 6])
+    def test_stacked_picks_equal_combine_k1(self, qbar):
+        # each fit of a stack gets combine_k1's pairing, excluded pairs and
+        # all-equal (tied) fits included
+        rng = np.random.default_rng(40 + qbar)
+        xi = rng.uniform(0.05, 1.0, (24, qbar, qbar))
+        sigma = rng.uniform(0.1, 5.0, (24, qbar, qbar))
+        sigma[rng.random(sigma.shape) < 0.1] = np.nan
+        sigma[:, np.arange(qbar), np.arange(qbar)] = 1.0  # the identity stays identified
+        xi[-1], sigma[-1] = 0.5, 2.0
+        for delta in (-7.0, 3.0):
+            cols = k1_picks(xi, sigma, delta, A=60)
+            for r in range(xi.shape[0]):
+                psi = psi_from_scales(xi[r], sigma[r], delta)
+                expected = _perm_of_grouping(psi, combine_k1(psi, delta, A=60)[0])
+                np.testing.assert_array_equal(cols[r], expected)
 
 
 class TestCombineLoglinear:
@@ -600,7 +618,7 @@ class TestCombineUnequal:
             delta = -1.3 if trial % 2 else 0.8
             psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
                                   treated_ids=tuple(range(len(subsets))))
-            obj, side = _branch_coeffs(psi, delta)
+            obj, side = _branch_coeffs(psi.values, psi.comp, delta)
             log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
             full = (1 << n_big) - 1
             choice, feasible = band_winners(obj, side, masks, full, log_eps)
@@ -652,6 +670,20 @@ class TestCombineUnequal:
                                controls=tuple(range(1, 6)), treated=tuple(range(6, 16)))
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
         with pytest.raises(BoundError, match=f"over {MAX_ASSIGNMENTS} assignments of 5 rows"):
+            combine_unequal(d, h, model="iid", delta=-1.0)
+
+    def test_subset_count_guard_refuses_before_enumerating(self, monkeypatch):
+        import crscombine.combine as combine_mod
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerate_side_subsets was called")
+
+        monkeypatch.setattr(combine_mod, "enumerate_side_subsets", no_enumeration)
+        # 2 controls against 24 treated: subsets of sizes 1 to 23, 2^24 - 2 of them
+        d = make_unequal_panel(effects={j: 1.0 for j in range(1, 27)},
+                               controls=(1, 2), treated=tuple(range(3, 27)))
+        h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=-1.0)
+        with pytest.raises(BoundError, match="^16777214 candidate subsets exceed the guard"):
             combine_unequal(d, h, model="iid", delta=-1.0)
 
     def test_subset_guard(self):

@@ -22,7 +22,8 @@ from crscombine import (
     psi_matrix,
     score_stat,
 )
-from crscombine.estimation import SIGMA_FLOOR, GroupFit
+from crscombine.data import PanelBlock
+from crscombine.estimation import SIGMA_FLOOR, GroupFit, pairwise_block_stats
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
@@ -459,3 +460,46 @@ class TestPairwiseMomentStats:
                 stats(d, h, model="nope")
             with pytest.raises(SchemaError, match="c has length"):
                 stats(d, Hypothesis(c=[1.0], lam=0.0, alpha=0.25), model="iid")
+
+
+class TestPairwiseBlockStats:
+    """Each panel of a block gets its own ``pairwise_moment_stats``, bit for bit."""
+
+    @staticmethod
+    def _block(panels):
+        return PanelBlock(panels[0], np.stack([d.x for d in panels]),
+                          np.stack([d.y for d in panels]))
+
+    @staticmethod
+    def _panels():
+        panels = [gen_dgp(DgpSpec(variant=v, h=1 + i % 4, beta=1.0), seed=90 + i)
+                  for i, v in enumerate(("dgp1", "dgp2", "dgp3") * 3)]
+        # panel 4's pairs (7, 1) and (8, 1) are ill conditioned and take the
+        # per-pair reference path
+        d = panels[4]
+        x = d.x.copy()
+        rows = d.rows_of({1, 7, 8})
+        x[rows, 5] = x[rows, 4] + 1e-6 * np.random.default_rng(3).standard_normal(rows.size)
+        panels[4] = _subpanel(d, np.arange(d.n), x=x)
+        return panels
+
+    @pytest.mark.parametrize("model", ["ar1", "iid", None])
+    def test_block_equals_each_panel_alone(self, model):
+        h = dgp_hypothesis(0.05)
+        panels = self._panels()
+        block = pairwise_block_stats(self._block(panels), h, model=model)
+        for r, d in enumerate(panels):
+            alone = pairwise_moment_stats(d, h, model=model)
+            assert block[:2] == alone[:2]
+            for k in (2, 3, 4):
+                assert block[k][r].tobytes() == alone[k].tobytes()
+
+    def test_fixed_effects_fit_each_panel_by_the_reference(self):
+        spec = RegressionSpec.parse("y ~ d + x1 + x2 + x3 + fe(cluster)")
+        h = Hypothesis(c=np.eye(4)[0], lam=0.0, alpha=0.05)
+        panels = self._panels()[:3]
+        block = pairwise_block_stats(self._block(panels), h, spec, "ar1")
+        for r, d in enumerate(panels):
+            ref = pairwise_group_stats(d, h, spec, "ar1")
+            for k in (2, 3, 4):
+                np.testing.assert_array_equal(block[k][r], ref[k])

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +17,15 @@ from crscombine import (
     DgpSpec,
     Grouping,
     GroupingError,
+    PanelDataset,
     RegressionSpec,
     calibrate,
+    combine_heuristic_psi,
     combine_k1,
     dgp_hypothesis,
     gen_calibrated,
     gen_dgp,
+    group_stats,
     pairwise_group_stats,
     pairwise_moment_stats,
     psi_from_scales,
@@ -27,9 +34,10 @@ from crscombine import (
     simulate,
 )
 from crscombine import test_from_scores as decide_from_scores
-from crscombine.combine import _perm_of_grouping
+from crscombine.combine import _perm_of_grouping, k1_picks
 from crscombine.crstest import k_budget, rejects, sign_changes
-from crscombine.simulate import _rep_seed
+from crscombine.data import _perm_table
+from crscombine.simulate import DGP_X_NAMES, _derived_int_seed, _rep_seed
 
 CANONICAL_PAIRING = Grouping.from_pairs(
     [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)]
@@ -233,64 +241,294 @@ class TestPoliciesMatchRunTest:
                             grouping=mixed)
 
 
-def _record_pair_stats(monkeypatch):
-    """Make rejection_curve's pair fits also run the lstsq reference; returns
-    the list of (fast, reference) results, one per replication."""
-    calls = []
+def _reference_gen_dgp(spec, seed):
+    """gen_dgp before the block generator, kept verbatim as its reference: one
+    panel, cluster by cluster, one draw call per series."""
+    rng = np.random.default_rng(seed)
+    q, T, t0 = spec.q, spec.T, spec.t0
+    t = np.arange(1, T + 1)
+    i_post = (t > t0).astype(np.float64)
+    treated = spec.treated_ids
 
-    def both(d, h, reg, model="ar1"):
-        fast = pairwise_moment_stats(d, h, reg, model)
-        calls.append((fast, pairwise_group_stats(d, h, reg, model)))
-        return fast
+    cluster_col = np.repeat(np.arange(1, q + 1), T)
+    time_col = np.tile(t, q)
+    x = np.empty((q * T, len(DGP_X_NAMES)))
+    y = np.empty(q * T)
+    for j in range(1, q + 1):
+        s = spec.sigma_for(j)
+        x2 = rng.standard_normal(T) * s
+        x3 = rng.standard_normal(T) * s
+        v = rng.standard_normal(T) * s
+        w = rng.standard_normal(T) * s
+        u = np.empty(T)
+        if spec.stationary_start:
+            prev = rng.standard_normal() * s / math.sqrt(1.0 - spec.rho**2)
+        else:
+            prev = 0.0
+            for z in rng.standard_normal(spec.burn_in) * s:
+                prev = spec.rho * prev + z
+        for k in range(T):
+            prev = spec.rho * prev + v[k]
+            u[k] = prev
+        d_col = i_post if j in treated else np.zeros(T)
+        x1 = spec.gamma4 * i_post * d_col + w
+        out = (spec.theta0 * i_post + spec.beta * d_col + spec.gamma1 * x1
+               + spec.gamma2 * x2 + spec.gamma3 * x3 + spec.xi_fe + u)
+        rows = slice((j - 1) * T, j * T)
+        x[rows, 0] = 1.0
+        x[rows, 1] = i_post
+        x[rows, 2] = d_col
+        x[rows, 3] = x1
+        x[rows, 4] = x2
+        x[rows, 5] = x3
+        y[rows] = out
+    return PanelDataset(
+        cluster=cluster_col, time=time_col, y=y, x=x, x_names=DGP_X_NAMES,
+        controls=spec.control_ids, treated=spec.treated_ids,
+    )
 
-    monkeypatch.setattr(simulate, "pairwise_moment_stats", both)
-    return calls
+
+def _reference_counts(spec, beta_grid, policy, reps, alpha, seed, grouping=None,
+                      model="ar1", reg=None, A=200, heuristic_reps=5_000):
+    """rejection_curve's per-replication loop before the block engine, kept as
+    its reference: one panel, one set of fits, one search and one decision at
+    a time.  Returns the rejection counts, one row per beta (one column per
+    pairing for all_omegas)."""
+    reg = reg or RegressionSpec()
+    qbar = spec.q // 2
+    q = grouping.q if policy == "fixed" else qbar
+    s = sign_changes(q)
+    signs_t = s.unique.astype(np.float64).T  # (q, 2^(q-1))
+    k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
+    h0 = dgp_hypothesis(alpha)
+    delta_mag = 2.0 * math.sqrt(spec.q * spec.T)
+    kb = k_budget(1 << (qbar - 1), alpha)
+    perms = _perm_table(qbar) if policy == "all_omegas" else None
+    rows_idx = np.arange(qbar)
+    out = []
+    for b in beta_grid:
+        draw_spec = replace(spec, beta=float(b))
+        counts = np.zeros(1 if perms is None else perms.shape[0], dtype=np.int64)
+        for r in range(reps):
+            d = _reference_gen_dgp(draw_spec, _rep_seed(seed, r))
+            if policy == "fixed":
+                groups = (grouping.members(i) for i in range(q))
+                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
+            elif policy == "crs_random":
+                rng = np.random.default_rng(np.random.SeedSequence((seed, r, 1)))
+                cols = rng.permutation(qbar)
+                ctrl = sorted(d.controls)
+                trt = sorted(d.treated)
+                groups = ({ctrl[i], trt[cols[i]]} for i in range(qbar))
+                score_rows = group_stats(d, groups, h0, reg, model=None)[0]
+            elif policy == "crs_data":
+                delta = delta_mag if b >= 0 else -delta_mag
+                ctrl_ids, trt_ids, score, xi, sigma = pairwise_moment_stats(d, h0, reg, model)
+                psi = psi_from_scales(xi, sigma, delta, ctrl_ids, trt_ids)
+                if kb <= 1:
+                    g_star, _, _ = combine_k1(psi, delta, A=A)
+                else:
+                    g_star, _, _ = combine_heuristic_psi(
+                        psi, delta, alpha, reps=heuristic_reps,
+                        seed=_derived_int_seed(seed, r, 2), A=A,
+                    )
+                score_rows = score[rows_idx, _perm_of_grouping(psi, g_star)]
+            else:  # all_omegas
+                score = pairwise_moment_stats(d, h0, reg, model=None)[2]
+                score_rows = score[rows_idx[None, :], perms]
+            counts += rejects(np.abs(score_rows @ signs_t) / q, k)
+        out.append(counts)
+    return np.array(out)
+
+
+def _capture_values(monkeypatch):
+    """Record the randomization values of each ``rejects`` call the engine makes."""
+    values = []
+
+    def record(v, k):
+        values.append(v.copy())
+        return rejects(v, k)
+
+    monkeypatch.setattr(simulate, "rejects", record)
+    return values
+
+
+FE_REG = RegressionSpec(cluster_fe=True)
+THREE_GROUPS = Grouping.from_literal("{7,8}:{1,2},{9,10}:{3,4},{11,12}:{5,6}")
+
+
+class TestBlockEngine:
+    """Blocks of replications give the per-replication loop's curves exactly."""
+
+    @pytest.mark.parametrize("variant", ["dgp1", "dgp2", "dgp3"])
+    @pytest.mark.parametrize("h", [1, 4])
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_block_generator_equals_reference_generator(self, variant, h, stationary):
+        # 12 designs x 50 seeds = 600 panels, drawn as blocks of 1, 7 and 42
+        spec = DgpSpec(variant=variant, h=h, beta=-0.7, stationary_start=stationary)
+        seeds = [_rep_seed(61, r) for r in range(50)]
+        panels = [simulate.draw_block(spec, seeds[lo:hi])
+                  for lo, hi in ((0, 1), (1, 8), (8, 50))]
+        stacked_x = np.concatenate([b.x for b in panels])
+        stacked_y = np.concatenate([b.y for b in panels])
+        for r, seed in enumerate(seeds):
+            ref = _reference_gen_dgp(spec, seed)
+            d = gen_dgp(spec, seed)
+            for got in (d, ref):
+                np.testing.assert_array_equal(got.cluster, panels[0].layout.cluster)
+                np.testing.assert_array_equal(got.time, panels[0].layout.time)
+            assert stacked_x[r].tobytes() == ref.x.tobytes() == d.x.tobytes()
+            assert stacked_y[r].tobytes() == ref.y.tobytes() == d.y.tobytes()
+            assert (d.controls, d.treated) == (ref.controls, ref.treated)
+
+    @pytest.mark.parametrize("spec, betas, policy, alpha, kwargs", [
+        (DgpSpec("dgp2", h=4), (-2.0, 2.0), "crs_data", 0.05, {}),
+        (DgpSpec("dgp1", h=3, stationary_start=False), (1.5,), "crs_data", 0.05,
+         {"model": "iid"}),
+        (DgpSpec("dgp3", h=2), (-1.0,), "crs_data", 0.05, {"reg": FE_REG}),
+        (DgpSpec("dgp2", h=3), (1.0,), "crs_data", 0.10, {"heuristic_reps": 1_000}),
+        (DgpSpec("dgp1", h=2, stationary_start=False), (-1.0, 1.5), "all_omegas", 0.05, {}),
+        (DgpSpec("dgp3", h=4), (0.0, 2.0), "crs_random", 0.05, {}),
+        (DgpSpec("dgp2", h=1), (1.5,), "fixed", 0.25, {"grouping": THREE_GROUPS}),
+        (DgpSpec("dgp2", h=1), (-1.5,), "fixed", 0.05,
+         {"grouping": CANONICAL_PAIRING, "reg": FE_REG}),
+    ])
+    def test_curves_equal_the_per_replication_loop(self, spec, betas, policy, alpha, kwargs):
+        reps, seed = 101, 64
+        curve = rejection_curve(spec, betas, policy, reps=reps, alpha=alpha, seed=seed, **kwargs)
+        counts = _reference_counts(spec, betas, policy, reps, alpha, seed, **kwargs)
+        rates = counts / reps
+        assert [pt.reject_rate for pt in curve.points] == [float(r.mean()) for r in rates]
+        if policy == "all_omegas":
+            assert curve.omega_rates.tobytes() == rates.tobytes()
+
+    @pytest.mark.parametrize("block_reps", [1, 7])
+    def test_curves_do_not_depend_on_the_block_size(self, monkeypatch, block_reps):
+        # the default block of 8 does not divide 100 replications, nor does 7
+        spec, reps, seed = DgpSpec("dgp3", h=3), 100, 65
+        runs = [("crs_data", (-1.0, 1.0), None), ("all_omegas", (1.0,), None),
+                ("crs_random", (1.0,), None), ("fixed", (1.0,), CANONICAL_PAIRING)]
+        default = [rejection_curve(spec, betas, policy, reps=reps, alpha=0.05, seed=seed,
+                                   grouping=grouping) for policy, betas, grouping in runs]
+        monkeypatch.setattr(simulate, "_BLOCK_REPS", block_reps)
+        for (policy, betas, grouping), curve in zip(runs, default):
+            other = rejection_curve(spec, betas, policy, reps=reps, alpha=0.05, seed=seed,
+                                    grouping=grouping)
+            assert other.points == curve.points
+            if policy == "all_omegas":
+                assert other.omega_rates.tobytes() == curve.omega_rates.tobytes()
+
+    @pytest.mark.parametrize("qbar", [6, 8, 9])
+    def test_all_omegas_row_blocks_equal_one_product(self, monkeypatch, qbar):
+        # the row blocks all_omegas decides hold the randomization values of one
+        # 2-D product over the same rows (the first 6,000 pairings at q-bar = 9)
+        values = _capture_values(monkeypatch)
+        rng = np.random.default_rng(qbar)
+        perms = _perm_table(qbar)[:6000]
+        signs_t = sign_changes(qbar).unique.astype(np.float64).T
+        scores = rng.standard_normal((3, qbar, qbar)) * rng.uniform(0.1, 50.0, (3, 1, 1))
+        rows = np.arange(qbar)
+        for n_reps in (1, 3):
+            values.clear()
+            step = max(1, simulate._DECIDE_CELLS // (n_reps * signs_t.shape[1]))
+            for lo in range(0, perms.shape[0], step):
+                simulate._rejections(scores[:n_reps, rows, perms[lo:lo + step]], signs_t, 1)
+            blocks = np.concatenate(values, axis=1)
+            for r in range(n_reps):
+                whole = np.abs(scores[r][rows[None, :], perms] @ signs_t) / qbar
+                assert blocks[r].tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("q", [3, 6, 8, 12])
+    def test_single_row_blocks_equal_each_row_alone(self, monkeypatch, q):
+        # crs_data, fixed and crs_random decide one row per replication: the
+        # block's values are each replication's own 1-D product
+        values = _capture_values(monkeypatch)
+        signs_t = sign_changes(q).unique.astype(np.float64).T
+        scores = np.random.default_rng(q).standard_normal((8, q)) * 10.0
+        simulate._rejections(scores[:, None, :], signs_t, 1)
+        for r in range(8):
+            assert values[0][r, 0].tobytes() == (np.abs(scores[r] @ signs_t) / q).tobytes()
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal doubles the resident size of a fresh process and adds about
+    # a second of import time
+    import crscombine
+
+    code = "import sys, crscombine; sys.exit(int('scipy.signal' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(crscombine.__file__).resolve().parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _record_engine(monkeypatch):
+    """Record rejection_curve's K = 1 picks and test decisions, block by block."""
+    picks, decisions = [], []
+
+    def record_picks(*args, **kwargs):
+        picks.append(k1_picks(*args, **kwargs))
+        return picks[-1]
+
+    def record_rejects(values, k):
+        decisions.append(rejects(values, k))
+        return decisions[-1]
+
+    monkeypatch.setattr(simulate, "k1_picks", record_picks)
+    monkeypatch.setattr(simulate, "rejects", record_rejects)
+    return picks, decisions
 
 
 class TestFastPairFitsInSimulation:
-    """The moment-based pair fits leave every simulated decision unchanged."""
+    """Replication by replication, the engine's moment-based pair fits leave
+    every grouping and decision those of gen_dgp, the per-pair lstsq fits,
+    combine_k1 and rejects."""
 
     @pytest.mark.parametrize("variant, h, betas", [
         ("dgp2", 4, (-2.0, 0.0, 2.0)), ("dgp3", 3, (-1.0, 1.0)),
     ])
     def test_crs_data_groupings_and_decisions_match_reference(self, monkeypatch,
                                                               variant, h, betas):
-        spec, alpha, reps = DgpSpec(variant=variant, h=h), 0.05, 200
-        calls = _record_pair_stats(monkeypatch)
-        curve = rejection_curve(spec, betas, "crs_data", reps=reps, alpha=alpha, seed=71)
-        assert len(calls) == reps * len(betas)
+        spec, alpha, reps, seed = DgpSpec(variant=variant, h=h), 0.05, 200, 71
+        picks, decisions = _record_engine(monkeypatch)
+        curve = rejection_curve(spec, betas, "crs_data", reps=reps, alpha=alpha, seed=seed)
+        picks = np.concatenate(picks)
+        decisions = np.concatenate(decisions)
+        assert picks.shape == (reps * len(betas), spec.q // 2)
+        assert decisions.shape == (reps * len(betas), 1)
         rows = np.arange(spec.q // 2)
+        h0 = dgp_hypothesis(alpha)
         for i, b in enumerate(betas):
             delta = math.copysign(2.0 * math.sqrt(spec.q * spec.T), 1.0 if b >= 0 else -1.0)
             rejected = 0
-            for fast, ref in calls[i * reps:(i + 1) * reps]:
-                decided = []
-                for ctrl, trt, score, xi, sigma in (fast, ref):
-                    psi = psi_from_scales(xi, sigma, delta, ctrl, trt)
-                    grouping = combine_k1(psi, delta)[0]
-                    cols = _perm_of_grouping(psi, grouping)
-                    decided.append((grouping, decide_from_scores(score[rows, cols], alpha).reject))
-                assert decided[0] == decided[1]
-                rejected += decided[1][1]
+            for r in range(reps):
+                d = gen_dgp(replace(spec, beta=b), _rep_seed(seed, r))
+                ctrl, trt, score, xi, sigma = pairwise_group_stats(d, h0)
+                psi = psi_from_scales(xi, sigma, delta, ctrl, trt)
+                cols = _perm_of_grouping(psi, combine_k1(psi, delta)[0])
+                reject = decide_from_scores(score[rows, cols], alpha).reject
+                np.testing.assert_array_equal(picks[i * reps + r], cols)
+                assert decisions[i * reps + r, 0] == reject
+                rejected += reject
             assert curve.points[i].reject_rate == rejected / reps
 
     def test_all_omegas_rates_match_reference(self, monkeypatch):
-        spec, alpha, reps = DgpSpec(variant="dgp1", h=3), 0.05, 150
-        calls = _record_pair_stats(monkeypatch)
-        curve = rejection_curve(spec, [1.5], "all_omegas", reps=reps, alpha=alpha, seed=72)
+        spec, alpha, reps, seed = DgpSpec(variant="dgp1", h=3), 0.05, 150, 72
+        _, decisions = _record_engine(monkeypatch)
+        curve = rejection_curve(spec, [1.5], "all_omegas", reps=reps, alpha=alpha, seed=seed)
         qbar = spec.q // 2
         perms = np.array(list(itertools.permutations(range(qbar))))
+        decisions = np.concatenate(decisions)
+        assert decisions.shape == (reps, perms.shape[0])
         signs = sign_changes(qbar)
         k = min(k_budget(signs.n_unique, alpha), signs.n_unique - 1)
-        counts = np.zeros(perms.shape[0], dtype=np.int64)
-        for fast, ref in calls:
-            decisions = [
-                rejects(np.abs(score[np.arange(qbar), perms] @ signs.unique.T) / qbar, k)
-                for score in (fast[2], ref[2])
-            ]
-            np.testing.assert_array_equal(decisions[0], decisions[1])
-            counts += decisions[1]
-        np.testing.assert_array_equal(curve.omega_rates, (counts / reps)[None, :])
+        h0 = dgp_hypothesis(alpha)
+        for r in range(reps):
+            d = gen_dgp(replace(spec, beta=1.5), _rep_seed(seed, r))
+            score = pairwise_group_stats(d, h0, model=None)[2]
+            np.testing.assert_array_equal(
+                decisions[r],
+                rejects(np.abs(score[np.arange(qbar), perms] @ signs.unique.T) / qbar, k))
+        np.testing.assert_array_equal(curve.omega_rates,
+                                      (decisions.sum(axis=0) / reps)[None, :])
 
 
 def make_true_params(q=8, T=500, seed=5, rho_lo=0.75, rho_hi=0.9):
