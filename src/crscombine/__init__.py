@@ -13,7 +13,6 @@ from .combine import (
     IntervalPlan,
     combine_exhaustive,
     combine_exhaustive_psi,
-    combine_heuristic,
     combine_heuristic_psi,
     combine_k1,
     combine_loglinear,

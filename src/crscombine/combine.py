@@ -530,27 +530,6 @@ def combine_heuristic_psi(
     return psi.grouping_for(cols), current, trace
 
 
-def combine_heuristic(
-    d: PanelDataset,
-    h: Hypothesis,
-    spec: RegressionSpec | None = None,
-    model: str = "ar1",
-    alpha: float | None = None,
-    delta: float | None = None,
-    power_method: str = "auto",
-    reps: int = 20_000,
-    seed: int = 0,
-    A: int = 200,
-):
-    """Data-driven 2-opt search (paired mode); see combine_heuristic_psi."""
-    spec = spec or RegressionSpec(outcome=d.y_name)
-    alpha = h.alpha if alpha is None else alpha
-    delta = h.delta if delta is None else delta
-    psi = psi_matrix(d, replace(h, delta=delta), spec, model)
-    return combine_heuristic_psi(psi, delta, alpha, power_method=power_method,
-                                 reps=reps, seed=seed, A=A)
-
-
 def enumerate_side_subsets(big: tuple[int, ...], n_groups: int) -> list[frozenset[int]]:
     """Nonempty subsets of the larger side usable in an n_groups partition.
 

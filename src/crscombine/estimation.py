@@ -6,27 +6,24 @@ under a researcher-chosen working model (iid, Bartlett-kernel HAC, or a
 residual AR(1) fit).  The working model only ranks candidate groupings by
 power; the randomization test itself never uses these variance estimates.
 
-``group_stats`` is the one per-group fit: one ``lstsq`` fit per member set,
-then its score, its size ratio xi = sqrt(n_g / n) and, under a working model,
-its scale sigma.  The test, the plug-in power of a grouping, the unequal-count
-search and the simulation policies that fix their groups all read it.
-
-Two paths fit every candidate {control, treated} pair.
-``pairwise_group_stats`` is the reference: ``group_stats`` on each pair.
-``pairwise_block_stats`` returns the same arrays for a block of panels from
-per-cluster sufficient statistics, because a pair's pooled normal equations
-are the sum of its two clusters' ones; ``pairwise_moment_stats`` is that path
-on one panel.  Its scores and scales agree with the reference to 1e-9
-relative or better, and every pair it cannot reproduce that closely is handed
-to the reference path.  The Monte Carlo engine uses the fast one; the CLI
-keeps the reference so its output files stay the same to the byte.
+``group_stats`` is the one ``lstsq`` fit per member set: its score, its size
+ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  The
+test, the plug-in power of a grouping, the unequal-count search and the CLI
+read it, and ``pairwise_group_stats`` runs it on every candidate {control,
+treated} pair.  ``group_block_stats`` gives the same numbers for any member
+sets of a block of panels from per-cluster sufficient statistics, because a
+group's pooled normal equations are the sum of its clusters' ones; a group
+it cannot reproduce closely (see there) is handed to ``group_stats``.
+``pairwise_block_stats`` is its candidate-pair case (``pairwise_moment_stats``
+on one panel).  The Monte Carlo engine fits every policy's groups that way;
+the CLI keeps the reference so its output files stay the same to the byte.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -352,31 +349,20 @@ def pairwise_group_stats(
     stats = np.full((3, len(control_ids), len(treated_ids)), np.nan)
     for a, j in enumerate(control_ids):
         for b, r in enumerate(treated_ids):
-            pair = _pair_stats(d, h, spec, model, allow_unidentified, j, r)
-            if pair is not None:
-                stats[:, a, b] = pair
-    score, xi, sigma = stats
-    return control_ids, treated_ids, score, xi, sigma
-
-
-def _pair_stats(d, h, spec, model, allow_unidentified, j, r):
-    """``group_stats`` of one candidate pair, or None for an unidentified pair
-    when ``allow_unidentified``."""
-    try:
-        return group_stats(d, [{j, r}], h, spec, model)[:, 0]
-    except IdentificationError:
-        if allow_unidentified:
-            return None
-        raise IdentificationError(
-            f"candidate pair (control {j}, treated {r}) is not identified"
-        ) from None
+            try:
+                stats[:, a, b] = group_stats(d, [{j, r}], h, spec, model)[:, 0]
+            except IdentificationError:
+                if not allow_unidentified:
+                    raise IdentificationError(
+                        f"candidate pair (control {j}, treated {r}) is not identified") from None
+    return (control_ids, treated_ids, *stats)
 
 
 def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
     """Per-cluster sufficient statistics of the rows z_t = [x_t, y_t] of R
     panels on one layout: ``z`` is (R, n, p+1) and ``cluster`` (n,).
 
-    Returns ``(ids, sizes, moments)`` with ``moments[r, k]`` stacking, for the
+    Returns ``(sizes, moments)`` with ``moments[r, k]`` stacking, for the
     k-th cluster in id order of panel r: Z'Z, Z'Z without the last row's outer
     product, Z'Z without the first row's, the lag-1 cross moment
     sum_t z_t z_{t-1}', and |Z|'|Z|.  Rows keep their load order within a
@@ -400,7 +386,7 @@ def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
     prod[ends] = 0.0  # a cluster's last row has no successor inside the cluster
     parts += [np.add.reduceat(prod, starts), absolute]
     moments = np.stack(parts, axis=1).reshape(R, first.size, 5, width, width)
-    return cluster[first], np.diff(np.r_[first, n]), moments
+    return np.diff(np.r_[first, n]), moments
 
 
 def pairwise_moment_stats(
@@ -410,14 +396,9 @@ def pairwise_moment_stats(
     model: str | None = "ar1",
     allow_unidentified: bool = False,
 ):
-    """``pairwise_group_stats`` from per-cluster moments, without a fit per pair.
-
-    Returns the same ``(control_ids, treated_ids, score, xi, sigma)`` tuple.
-    It is ``pairwise_block_stats`` on a block of one panel; see there for the
-    method, its accuracy and the pairs it hands to the reference path.
-
-    The CLI stays on ``pairwise_group_stats`` because its files must match
-    earlier releases to the byte, which a last-digit difference would break.
+    """``pairwise_group_stats`` from per-cluster moments: ``pairwise_block_stats``
+    on a block of one panel.  ``group_block_stats`` describes the method, its
+    accuracy and the pairs it hands to the reference path.
     """
     control_ids, treated_ids, score, xi, sigma = pairwise_block_stats(
         PanelBlock(d, d.x[None], d.y[None]), h, spec, model, allow_unidentified)
@@ -431,28 +412,66 @@ def pairwise_block_stats(
     model: str | None = "ar1",
     allow_unidentified: bool = False,
 ):
-    """``pairwise_group_stats`` of every panel of a block, from per-cluster moments.
+    """``pairwise_group_stats`` of every panel of a block, as (R, q-bar, q-bar)
+    arrays: ``group_block_stats`` on the q-bar^2 candidate pairs.  An
+    unidentified pair raises the reference's error unless ``allow_unidentified``.
+    """
+    d = block.layout
+    control_ids = tuple(sorted(d.controls))
+    treated_ids = tuple(sorted(d.treated))
+    pairs = member_matrix(d.clusters, [(j, r) for j in control_ids for r in treated_ids])
+    stats = group_block_stats(block, pairs, h, spec, model, allow_unidentified=True)
+    score, xi, sigma = stats.reshape(3, block.R, len(control_ids), len(treated_ids))
+    unidentified = np.argwhere(np.isnan(score))
+    if not allow_unidentified and unidentified.size:
+        _, a, b = unidentified[0]
+        raise IdentificationError(f"candidate pair (control {control_ids[a]}, "
+                                  f"treated {treated_ids[b]}) is not identified")
+    return control_ids, treated_ids, score, xi, sigma
 
-    Returns ``(control_ids, treated_ids, score, xi, sigma)`` with (R, q-bar,
-    q-bar) arrays, row r being panel r's.  Each cluster contributes its Z'Z,
-    lag-1 cross moment and first- and last-row outer products (Z = [X | y]),
-    and a pair's pooled least squares is the sum of its two clusters' normal
-    equations.  One batched ``eigvalsh`` checks identification, one batched
+
+def member_matrix(clusters: Sequence[int], groups: Iterable[Iterable[int]]) -> np.ndarray:
+    """0/1 (G, C) matrix whose row g marks the members of ``groups[g]`` among
+    ``clusters``, C cluster ids in increasing order."""
+    index = {j: k for k, j in enumerate(clusters)}
+    cells = [[index[j] for j in members] for members in groups]
+    members = np.zeros((len(cells), len(index)))
+    members[[g for g, c in enumerate(cells) for _ in c], [k for c in cells for k in c]] = 1.0
+    return members
+
+
+def group_block_stats(
+    block: PanelBlock,
+    members: np.ndarray,
+    h: Hypothesis,
+    spec: RegressionSpec | None = None,
+    model: str | None = "ar1",
+    allow_unidentified: bool = False,
+):
+    """``group_stats`` of G member sets on every panel of a block, from
+    per-cluster moments: a (3, R, G) array of score, xi and sigma.
+
+    ``members`` is a 0/1 matrix over the layout's clusters in id order
+    (``member_matrix``): (G, C) when every panel has the same groups, (R, G,
+    C) when panel r has its own.  A group's pooled normal equations are the
+    sum of its clusters' Z'Z, lag-1 cross moments and first- and last-row
+    outer products (Z = [X | y]): one product of ``members`` with them, which
+    for a pair adds two clusters' moments to exact zeros and so is their plain
+    sum bit for bit.  A batched ``eigvalsh`` checks identification, a batched
     ``solve`` gives beta, and the RSS, the AR(1) sums and c'(X'X/n)^{-1}c are
-    quadratic forms in v = [-beta, 1], for all R x q-bar^2 pairs at once.
-    Panel r's results do not depend on the other panels of the block.  xi is
-    identical to the reference; on the simulation designs sigma agrees with
-    it to about 1e-13 relative and the score to about 1e-11 (less where c'beta
-    is near lambda); the tests pin 1e-9.  Nothing is kept between calls.
+    quadratic forms in v = [-beta, 1].  Panel r's results do not depend on the
+    other panels.  xi is identical to the reference; on the simulation designs
+    sigma agrees with it to about 1e-13 relative and the score to about 1e-11
+    (less where c'beta is near lambda); the tests pin 1e-9.
 
-    Everything this path cannot reproduce that closely goes to the reference
-    ``lstsq`` path, one panel at a time, so errors, warnings and the rank rule
-    are the reference's:
+    Everything this path cannot reproduce that closely goes to ``group_stats``,
+    one group of one panel at a time, so errors, warnings and the rank rule are
+    the reference's; an unidentified group is NaN under ``allow_unidentified``:
 
-    - every panel, for fixed effects, ``model='hac'`` (or an unknown model),
+    - every group, for fixed effects, ``model='hac'`` (or an unknown model),
       a ``c`` that does not match the covariates, or a serial model with a
-      pair of fewer than 3 observations;
-    - a single pair of one panel, when its Gram condition number exceeds
+      group of fewer than 3 observations;
+    - a single group of one panel, when its Gram condition number exceeds
       ``GRAM_COND_MAX`` (then the rank decision is lstsq's), when a quadratic
       form it divides by is below ``FORM_RTOL`` of its magnitude bound
       |v|'|Z|'|Z||v| (cancellation, e.g. an exact fit), or when its variance is
@@ -460,22 +479,44 @@ def pairwise_block_stats(
     """
     d = block.layout
     spec = spec or RegressionSpec(outcome=d.y_name)
+    members = np.asarray(members, dtype=np.float64)
+    if members.shape[-1] != len(d.clusters):
+        raise ValueError(f"members cover {members.shape[-1]} of {len(d.clusters)} clusters")
+    shape = (block.R, members.shape[-2])
+    stats, fast = (_moment_fit(block, members, h, spec, model)
+                   or (np.full((3,) + shape, np.nan), np.zeros(shape, bool)))
+    sets = np.broadcast_to(members, shape + members.shape[-1:])
+    for r in np.unique(np.nonzero(~fast)[0]):
+        panel = block.panel(r)
+        for g in np.flatnonzero(~fast[r]):
+            group = [d.clusters[k] for k in np.flatnonzero(sets[r, g])]
+            try:
+                stats[:, r, g] = group_stats(panel, [group], h, spec, model)[:, 0]
+            except IdentificationError:
+                if not allow_unidentified:
+                    raise
+                stats[:, r, g] = np.nan
+    return stats
+
+
+def _moment_fit(block, members, h, spec, model):
+    """``group_block_stats``' moment path: ``(stats, fast)`` with ``fast``
+    marking the groups it settles, or None when the whole block must take the
+    reference path."""
     if spec.cluster_fe or spec.time_fe or model not in (None, "iid", "ar1"):
-        return _per_panel_stats(block, h, spec, model, allow_unidentified)
+        return None
+    d = block.layout
     spec.check_against(d)
     idx = [d.covariate_index(name) for name in spec.resolve_covariates(d)]
     p = len(idx)
-    ids, sizes, moments = _cluster_moments(
+    sizes, moments = _cluster_moments(
         d.cluster, np.concatenate([block.x[..., idx], block.y[..., None]], axis=-1))
-    control_ids = tuple(sorted(d.controls))
-    treated_ids = tuple(sorted(d.treated))
-    rows = np.searchsorted(ids, control_ids)
-    cols = np.searchsorted(ids, treated_ids)
-    n_g = sizes[rows][:, None] + sizes[cols][None, :]
+    n_g = members @ sizes
     if h.c.shape[0] != p or (model == "ar1" and n_g.min() < 3):
-        return _per_panel_stats(block, h, spec, model, allow_unidentified)
+        return None
 
-    m = moments[:, rows, None] + moments[:, None, cols]  # (R, nc, nt, 5, p+1, p+1)
+    R, C = moments.shape[:2]
+    m = (members @ moments.reshape(R, C, -1)).reshape(R, -1, 5, p + 1, p + 1)
     xx = m[..., 0, :p, :p]
     eig = np.linalg.eigvalsh(xx)
     fast = (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
@@ -501,26 +542,12 @@ def pairwise_block_stats(
             else:
                 rho = np.clip(cross / early, -1.0 + 1e-6, 1.0 - 1e-6)
                 sq_sum = late - 2.0 * rho * cross + rho**2 * early
-                count = n_g - 2  # sum over the pair's two clusters of T_c - 1
+                count = n_g - members.sum(axis=-1)  # sum over the group's clusters of T_c - 1
                 var = sq_sum / count / (1.0 - rho) ** 2 * c_bread
                 fast &= (early > bound) & (sq_sum > bound)
         fast &= var > SIGMA_FLOOR**2
         sigma[fast] = np.sqrt(var[fast])
-    for r in np.unique(np.nonzero(~fast)[0]):
-        panel = block.panel(r)
-        for a, b in zip(*np.nonzero(~fast[r])):
-            stats = _pair_stats(panel, h, spec, model, allow_unidentified,
-                                control_ids[a], treated_ids[b])
-            score[r, a, b], xi[r, a, b], sigma[r, a, b] = (
-                (np.nan,) * 3 if stats is None else stats)
-    return control_ids, treated_ids, score, xi, sigma
-
-
-def _per_panel_stats(block, h, spec, model, allow_unidentified):
-    """``pairwise_group_stats`` on each panel of a block, stacked."""
-    fits = [pairwise_group_stats(block.panel(r), h, spec, model, allow_unidentified)
-            for r in range(block.R)]
-    return (*fits[0][:2], *(np.stack([f[i] for f in fits]) for i in (2, 3, 4)))
+    return np.stack([score, xi, sigma]), fast
 
 
 def psi_matrix(

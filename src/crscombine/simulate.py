@@ -19,13 +19,14 @@ cluster scale schedule sigma_j, governed by a heterogeneity level h in 1..4:
 give 0, j = 7 gives 1, and so on.
 
 ``rejection_curve`` runs its replications in blocks of ``_BLOCK_REPS``.  A
-block is drawn as arrays (``draw_block``), its candidate pairs are fitted for
-all panels at once (``estimation.pairwise_block_stats``), its K = 1 pairings
-are searched at once (``combine.k1_picks``), and one ``crstest.rejects`` call
-decides it.  Replication r draws only from ``SeedSequence((seed, r))`` (and
-its own derived streams), so no result depends on the block size.
-``gen_dgp``, ``pairwise_moment_stats`` and ``combine_k1`` are the same code
-on a block of one.
+block is drawn as arrays (``draw_block``), the groups of every policy are
+fitted for all panels at once from per-cluster moments
+(``estimation.group_block_stats``; ``pairwise_block_stats`` for the candidate
+pairs), its K = 1 pairings are searched at once (``combine.k1_picks``), and
+one ``crstest.rejects`` call decides it.  Replication r draws only from
+``SeedSequence((seed, r))`` (and its own derived streams), so no result
+depends on the block size.  ``gen_dgp``, ``pairwise_moment_stats`` and
+``combine_k1`` are the same code on a block of one.
 """
 
 from __future__ import annotations
@@ -38,16 +39,11 @@ import numpy as np
 
 from .combine import _perm_of_grouping, combine_heuristic_psi, k1_picks
 from .crstest import k_budget, rejects, sign_changes
-from .data import (
-    Grouping,
-    Hypothesis,
-    PanelBlock,
-    PanelDataset,
-    _perm_table,
-    validate_grouping,
-)
+from .data import (Grouping, Hypothesis, PanelBlock, PanelDataset, _perm_table,
+                   validate_grouping)
 from .errors import GroupingError
-from .estimation import group_stats, ols_within_group, pairwise_block_stats, psi_from_scales
+from .estimation import (group_block_stats, member_matrix, ols_within_group,
+                         pairwise_block_stats, psi_from_scales)
 from .regression import RegressionSpec
 
 DGP_X_NAMES = ("const", "i_post", "d", "x1", "x2", "x3")
@@ -242,20 +238,22 @@ def rejection_curve(
     panel from ``SeedSequence((seed, r))`` alone, the ``crs_random`` pairing
     from ``SeedSequence((seed, r, 1))`` and the 2-opt draws from a seed derived
     from (seed, r, 2), so every count is that of a loop over single
-    replications, whatever the block size.  ``crs_data`` and ``all_omegas``
-    fit a block's candidate pairs at once; ``crs_data`` at K = 1 searches its
-    pairings at once, and at K > 1 runs its 2-opt search per replication on
-    those fits; ``fixed`` and ``crs_random`` fit each panel's groups by
-    ``group_stats``.  One ``rejects`` call decides a block, and ``all_omegas``
-    decides its pairings in steps of at most ``_DECIDE_CELLS`` randomization
-    values (2 MB).
+    replications, whatever the block size.  Every policy fits a block's
+    groups at once from per-cluster moments (``group_block_stats``): ``fixed``
+    its grouping's groups, ``crs_random`` each replication's q-bar pairs, and
+    ``crs_data`` and ``all_omegas`` all q-bar^2 candidate pairs.  ``crs_data``
+    at K = 1 searches its pairings at once, and at K > 1 runs its 2-opt search
+    per replication on those fits.  One ``rejects`` call decides a block, and
+    ``all_omegas`` decides its pairings in steps of at most ``_DECIDE_CELLS``
+    randomization values (2 MB).
 
     Memory per block of R replications of n rows and p covariates: on the
     reference design (q = 12, T = 20, p = 6, R = 8) a ``crs_data`` block
     peaks at about 1.4 MB of arrays.  The largest are the per-cluster moment
-    buffer, 8 R n (p+1)^2 bytes (0.75 MB), and the summed pair moments,
-    40 R q-bar^2 (p+1)^2 bytes (0.56 MB); the K = 1 search adds
-    16 R min(q-bar!, 32,768) bytes of sums.
+    buffer, 8 R n (p+1)^2 bytes (0.75 MB), and the moments of G groups, one
+    (G, C) product, 40 R G (p+1)^2 bytes: 0.56 MB for the q-bar^2 candidate
+    pairs, 0.09 MB for the q-bar groups of ``fixed`` and ``crs_random``.  The
+    K = 1 search adds 16 R min(q-bar!, 32,768) bytes of sums.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -266,12 +264,18 @@ def rejection_curve(
     reg = reg or RegressionSpec()
     qbar = spec.q // 2
     q = qbar
+    clusters = sorted(spec.control_ids | spec.treated_ids)
     if policy == "fixed":
         # every draw has the same clusters on the same sides, so one draw checks them
         violations = validate_grouping(grouping, gen_dgp(spec, _rep_seed(seed, 0)))
         if violations:
             raise GroupingError("; ".join(violations))
         q = grouping.q
+        members = member_matrix(clusters, [grouping.members(i) for i in range(q)])
+    elif policy == "crs_random":  # members[i, c]: control i with treated c
+        members = member_matrix(clusters, [(j, r) for j in sorted(spec.control_ids)
+                                           for r in sorted(spec.treated_ids)])
+        members = members.reshape(qbar, qbar, -1)
     s = sign_changes(q)
     signs_t = s.unique.astype(np.float64).T  # (q, 2^(q-1))
     k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
@@ -291,11 +295,12 @@ def rejection_curve(
             block_reps = range(first, min(first + _BLOCK_REPS, reps))
             block = draw_block(draw_spec, [_rep_seed(seed, r) for r in block_reps])
             if policy in ("fixed", "crs_random"):
-                scores = np.stack([
-                    group_stats(block.panel(i), _groups(policy, grouping, seed, r, block.layout),
-                                h0, reg, model=None)[0]
-                    for i, r in enumerate(block_reps)])
-                counts += _rejections(scores[:, None, :], signs_t, k)
+                # crs_random: control i with treated column i of replication r's permutation
+                group_members = members if policy == "fixed" else members[rows_idx, [
+                    np.random.default_rng(np.random.SeedSequence((seed, r, 1))).permutation(qbar)
+                    for r in block_reps]]
+                score = group_block_stats(block, group_members, h0, reg, model=None)[0]
+                counts += _rejections(score[:, None, :], signs_t, k)
             elif policy == "crs_data":
                 ctrl, trt, score, xi, sigma = pairwise_block_stats(block, h0, reg, model)
                 if kb <= 1:
@@ -329,17 +334,6 @@ def rejection_curve(
         betas=tuple(float(b) for b in beta_grid),
         omega_rates=None if omega_rates is None else np.asarray(omega_rates),
     )
-
-
-def _groups(policy: str, grouping: Grouping | None, seed: int, r: int, d: PanelDataset):
-    """Member sets of replication r's groups under ``fixed`` or ``crs_random``
-    (the i-th sorted control with the treated cluster of column i of the
-    replication's own permutation stream)."""
-    if policy == "fixed":
-        return [grouping.members(i) for i in range(grouping.q)]
-    ctrl, trt = sorted(d.controls), sorted(d.treated)
-    cols = np.random.default_rng(np.random.SeedSequence((seed, r, 1))).permutation(len(ctrl))
-    return [{ctrl[i], trt[cols[i]]} for i in range(len(ctrl))]
 
 
 def _rejections(score_rows: np.ndarray, signs_t: np.ndarray, k: int) -> np.ndarray:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crscombine import (
     Grouping,
@@ -23,8 +25,14 @@ from crscombine import (
     score_stat,
 )
 from crscombine.data import PanelBlock
-from crscombine.estimation import SIGMA_FLOOR, GroupFit, pairwise_block_stats
-from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
+from crscombine.estimation import (
+    SIGMA_FLOOR,
+    GroupFit,
+    group_block_stats,
+    member_matrix,
+    pairwise_block_stats,
+)
+from crscombine.simulate import DgpSpec, dgp_hypothesis, draw_block, gen_dgp
 
 
 def make_cluster_treatment_panel(n_per=6, noise=0.0, seed=0):
@@ -463,7 +471,9 @@ class TestPairwiseMomentStats:
 
 
 class TestPairwiseBlockStats:
-    """Each panel of a block gets its own ``pairwise_moment_stats``, bit for bit."""
+    """Each panel of a block gets its own ``pairwise_moment_stats``, bit for bit,
+    and ``group_block_stats``, of which the pairs are one case, gives each panel
+    ``group_stats`` of any member sets."""
 
     @staticmethod
     def _block(panels):
@@ -503,3 +513,106 @@ class TestPairwiseBlockStats:
             ref = pairwise_group_stats(d, h, spec, "ar1")
             for k in (2, 3, 4):
                 np.testing.assert_array_equal(block[k][r], ref[k])
+
+    @staticmethod
+    def _groups_on_panels(panels, groups):
+        """The block of the given panels and the (R, G, C) member matrix of
+        one list of member sets per panel."""
+        clusters = panels[0].clusters
+        return (TestPairwiseBlockStats._block(panels),
+                np.stack([member_matrix(clusters, g) for g in groups]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), variant=st.sampled_from(["dgp1", "dgp2", "dgp3"]),
+           h=st.integers(1, 4), beta=st.sampled_from([-2.0, 0.0, 1.3]), R=st.integers(1, 4),
+           model=st.sampled_from(["ar1", "iid", None]), seed=st.integers(0, 10_000),
+           shared=st.booleans(), shuffled=st.booleans())
+    def test_groups_agree_with_group_stats(self, data, variant, h, beta, R, model, seed,
+                                           shared, shuffled):
+        # 1-4 groups of mixed sizes, each with at least one control (7-12) and
+        # one treated cluster (1-6), so every group is identified
+        G = data.draw(st.integers(1, 4))
+
+        def draw_groups():
+            return [data.draw(st.sets(st.integers(7, 12), min_size=1, max_size=4))
+                    | data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))
+                    for _ in range(G)]
+
+        block = draw_block(DgpSpec(variant, h=h, beta=beta), [seed + r for r in range(R)])
+        if shuffled:  # clusters no longer contiguous
+            order = np.random.default_rng(seed).permutation(block.layout.n)
+            block = PanelBlock(_subpanel(block.layout, order), block.x[:, order],
+                               block.y[:, order])
+        groups = [draw_groups()] * R if shared else [draw_groups() for _ in range(R)]
+        clusters = block.layout.clusters
+        members = (member_matrix(clusters, groups[0]) if shared else
+                   np.stack([member_matrix(clusters, g) for g in groups]))
+        h0 = dgp_hypothesis(0.05)
+        score, xi, sigma = group_block_stats(block, members, h0, model=model)
+        for r in range(R):
+            ref = group_stats(block.panel(r), groups[r], h0, model=model)
+            np.testing.assert_array_equal(xi[r], ref[1])
+            for fast, k in ((score, 0), (sigma, 2)):
+                np.testing.assert_array_equal(np.isnan(fast[r]), np.isnan(ref[k]))
+                np.testing.assert_allclose(fast[r], ref[k], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("model", ["ar1", "iid", None])
+    def test_rank_deficient_group_raises_the_reference_error(self, model):
+        # {8, 9} holds no treated cluster, so its d column is zero
+        h = dgp_hypothesis(0.05)
+        panels = self._panels()[:3]
+        groups = [[{7, 1, 2}, {10, 3}, {8, 9}]] * 3
+        block, members = self._groups_on_panels(panels, groups)
+        with pytest.raises(IdentificationError) as fast:
+            group_block_stats(block, members, h, model=model)
+        with pytest.raises(IdentificationError) as ref:
+            group_stats(panels[0], groups[0], h, model=model)
+        assert "rank deficient" in str(ref.value) and str(fast.value) == str(ref.value)
+        score, xi, sigma = group_block_stats(block, members, h, model=model,
+                                             allow_unidentified=True)
+        for out in (score, xi, sigma):
+            assert np.isnan(out[:, 2]).all()
+        for r, d in enumerate(panels):
+            _assert_same_stats(
+                (None, None, score[r, :2], xi[r, :2], sigma[r, :2]),
+                (None, None, *group_stats(d, groups[r][:2], h, model=model)))
+
+    @pytest.mark.parametrize("model", ["ar1", "iid"])
+    def test_exact_fit_group_takes_the_reference_path(self, model):
+        # y = X b in clusters 1, 2, 7 and 8, so the group of those four fits
+        # exactly and its RSS is cancellation error: it must get the
+        # reference's own numbers and warnings
+        b = np.random.default_rng(6).uniform(-3, 3, 6)
+        panels = []
+        for d in self._panels()[:3]:
+            rows = d.rows_of({1, 2, 7, 8})
+            y = d.y.copy()
+            y[rows] = d.x[rows] @ b
+            panels.append(_subpanel(d, np.arange(d.n), y=y))
+        groups = [[{1, 2, 7, 8}, {3, 9}, {4, 5, 6, 10, 11, 12}]] * 3
+        block, members = self._groups_on_panels(panels, groups)
+        h = dgp_hypothesis(0.05)
+        out = []
+        for run in (lambda: [group_block_stats(block, members, h, model=model)],
+                    lambda: [group_stats(d, g, h, model=model) for d, g in zip(panels, groups)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out.append((run(), [str(w.message) for w in caught]))
+        ((fast,), fast_warnings), (ref, ref_warnings) = out
+        assert fast_warnings == ref_warnings
+        for r in range(3):
+            for k in (0, 1, 2):
+                assert fast[k][r, 0].tobytes() == ref[r][k, 0].tobytes()
+                np.testing.assert_allclose(fast[k][r], ref[r][k], rtol=1e-9, atol=0.0)
+
+    def test_cluster_fixed_effects_equal_group_stats(self):
+        spec = RegressionSpec.parse("y ~ d + x1 + x2 + x3 + fe(cluster)")
+        h = Hypothesis(c=np.eye(4)[0], lam=0.0, alpha=0.05)
+        panels = self._panels()[:3]
+        groups = [[{7, 8, 1}, {9, 2, 3}], [{10, 4}, {11, 12, 5, 6}], [{7, 1}, {8, 9, 10, 2}]]
+        block, members = self._groups_on_panels(panels, groups)
+        fast = group_block_stats(block, members, h, spec, "ar1")
+        for r, d in enumerate(panels):
+            ref = group_stats(d, groups[r], h, spec, "ar1")
+            for k in (0, 1, 2):
+                assert fast[k][r].tobytes() == ref[k].tobytes()

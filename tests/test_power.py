@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from crscombine import (
@@ -220,6 +222,21 @@ class TestPowerMc:
             mc = power_mc(lp, delta, alpha, reps=60_000, seed=5)
             k1 = power_k1(lp, delta, alpha)
             assert abs(mc.value - k1.value) <= max(3 * mc.mc_se, 0.005)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), q=st.integers(2, 6),
+           delta=st.floats(-4.0, 4.0, allow_nan=False), seed=st.integers(0, 1000))
+    def test_k1_components_match_closed_form(self, data, q, delta, seed):
+        # at K = 1 the kernel's tallies estimate the two one-sided products
+        xi = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q)))
+        sigma = np.array(data.draw(st.lists(st.floats(0.2, 5.0), min_size=q, max_size=q)))
+        lp = LimitParams(xi=xi, sigma=sigma)
+        alpha = 1.2 / 2 ** (q - 1)
+        reps = 20_000
+        mc = power_mc(lp, delta, alpha, reps=reps, seed=seed)
+        k1 = power_k1(lp, delta, alpha)
+        for got, want in zip(mc.components, k1.components):
+            assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / reps)
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from crscombine import (
     combine_heuristic_psi,
     combine_k1,
     dgp_hypothesis,
+    estimation,
     gen_calibrated,
     gen_dgp,
     group_stats,
@@ -36,7 +37,7 @@ from crscombine import (
 from crscombine import test_from_scores as decide_from_scores
 from crscombine.combine import _perm_of_grouping, k1_picks
 from crscombine.crstest import k_budget, rejects, sign_changes
-from crscombine.data import _perm_table
+from crscombine.data import PanelBlock, _perm_table
 from crscombine.simulate import DGP_X_NAMES, _derived_int_seed, _rep_seed
 
 CANONICAL_PAIRING = Grouping.from_pairs(
@@ -529,6 +530,24 @@ class TestFastPairFitsInSimulation:
                 rejects(np.abs(score[np.arange(qbar), perms] @ signs.unique.T) / qbar, k))
         np.testing.assert_array_equal(curve.omega_rates,
                                       (decisions.sum(axis=0) / reps)[None, :])
+
+
+@pytest.mark.parametrize("policy, grouping", [
+    ("fixed", CANONICAL_PAIRING), ("fixed", THREE_GROUPS), ("crs_random", None),
+    ("crs_data", None), ("all_omegas", None),
+])
+def test_policies_fit_well_posed_draws_on_the_moment_path(monkeypatch, policy, grouping):
+    # no group of these draws needs the lstsq fallback, so rejection_curve
+    # builds no panel and calls no group_stats
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group took the per-panel fallback")
+
+    monkeypatch.setattr(estimation, "group_stats", refuse)
+    monkeypatch.setattr(PanelBlock, "panel", refuse)
+    curve = rejection_curve(DgpSpec("dgp2", h=4), (-2.0, 2.0), policy, reps=100,
+                            alpha=0.25 if grouping is THREE_GROUPS else 0.05, seed=3,
+                            grouping=grouping)
+    assert len(curve.points) == 2
 
 
 def make_true_params(q=8, T=500, seed=5, rho_lo=0.75, rho_hi=0.9):
