@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .combine import (
     AssignmentSolution,
-    IntervalPlan,
-    combine_exhaustive,
     combine_exhaustive_psi,
     combine_heuristic_psi,
     combine_k1,
@@ -19,7 +17,6 @@ from .combine import (
     combine_unequal,
     default_delta,
     enumerate_side_subsets,
-    solve_interval_bilp,
 )
 from .crstest import (
     SignChangeSet,

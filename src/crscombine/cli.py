@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="ar1", choices=["iid", "hac", "ar1"])
     p.add_argument("--reps", type=int, default=20_000,
                    help="Monte Carlo reps for heuristic/exhaustive power")
-    p.add_argument("--diagnostics", default=None, help="per-interval CSV output")
+    p.add_argument("--diagnostics", default=None,
+                   help="per-interval CSV output (bilp and heuristic, paired data only)")
 
     p = sub.add_parser("power", help="evaluate local asymptotic power")
     _add_common_flags(p)
@@ -259,6 +260,11 @@ def _cmd_test(args, cfg: RunConfig) -> int:
 
 def _cmd_combine(args, cfg: RunConfig) -> int:
     d = _load_dataset(args)
+    if args.diagnostics and (args.method not in ("bilp", "heuristic")
+                             or len(d.controls) != len(d.treated)):
+        print("error: --diagnostics needs --method bilp or heuristic on paired data",
+              file=sys.stderr)
+        return 2
     spec = _regression_spec(args, d)
     delta = args.delta
     if delta is None:
@@ -297,7 +303,7 @@ def _cmd_combine(args, cfg: RunConfig) -> int:
     if estimate is not None:
         payload["power"] = {"value": estimate.value, "method": estimate.method}
     _write_json(payload, cfg, args.out)
-    if args.diagnostics and diagnostics:
+    if args.diagnostics:
         _write_csv(diagnostics, ["a", "feasible", "power"], cfg, args.diagnostics)
     return 0
 

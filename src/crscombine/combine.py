@@ -8,14 +8,14 @@ side-constrained 0/1 assignment program per subinterval, and keep the feasible
 solution with the best power.  With a fine enough partition this recovers the
 exact optimum.
 
-``band_winners`` is the one assignment solver: it solves all A programs
-exactly in one pass over the cached table of all (at most 10!) assignments,
-for paired (``combine_k1``) and unequal counts (``combine_unequal``).  A single
-program is the same pass with one band: ``solve_interval_bilp`` on its
-interval, ``combine_loglinear`` with no side constraint.  The pass runs over a
-stack of programs at once; ``k1_picks`` gives ``combine_k1``'s pairing for a
-block of simulated fits that way, and ``combine_k1`` is the stack of one.  No
-MILP solver is used.
+``band_winners`` is the one assignment solver: it solves every program of a
+stack of plans exactly in one pass over the cached table of all (at most 10!)
+assignments.  ``_k1_search`` is the one K = 1 search on top of it: it builds
+each plan (``_interval_plan``) and keeps each matrix's best band, for a stack
+of Psi matrices.  ``k1_picks`` runs it on a block of simulated fits,
+``combine_k1`` on a stack of one plus the diagnostics, and ``combine_unequal``
+on its covering table.  ``combine_loglinear`` is ``band_winners`` with one band
+and no side term.  No MILP solver is used.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
@@ -32,21 +32,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .crstest import k_budget
 from .data import Grouping, Hypothesis, PanelDataset, _assignment_table, _paired, _perm_table
 from .errors import BoundError, IdentificationError
-from .estimation import (
-    LimitParams,
-    PsiMatrix,
-    group_stats,
-    psi_from_scales,
-    psi_matrix,
-    psi_terms,
-)
+from .estimation import LimitParams, PsiMatrix, group_stats, psi_from_scales, psi_terms
 from .power import PowerEstimate, _k1_estimate, power_tally
 from .regression import RegressionSpec
 
@@ -54,65 +47,25 @@ from .regression import RegressionSpec
 # pairings on the kernel, so 8! = 40,320 candidates already take minutes
 EXHAUSTIVE_MAX_QBAR = 8
 UNEQUAL_MAX_SUBSETS = 10_000
-EPS0_FLOOR = 1e-300          # keeps log(eps0) finite in double precision
+EPS0_FLOOR = 1e-300          # floor of a plan's eps0; band 1 is open below it
 _INTERVAL_TOL = 1e-9         # absolute slack on log-scale interval membership
 _BLOCK_ROWS = 1 << 15        # assignment-table rows band_winners scores at a time
 
 
-@dataclass(frozen=True)
-class IntervalPlan:
-    """Increasing break points eps_0 < ... < eps_A = 2^-qbar for the side term."""
+def _interval_plan(side_vals: np.ndarray, A: int) -> np.ndarray:
+    """Break points eps_0 < ... < eps_A = 2^-qbar, shape (R, A + 1), of the
+    side term of each (q-bar, m) matrix of an (R, q-bar, m) stack.
 
-    eps: np.ndarray
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=np.float64)
-        if eps.ndim != 1 or eps.shape[0] < 2:
-            raise ValueError("interval plan needs at least one interval")
-        if eps[0] <= 0.0 or np.any(np.diff(eps) <= 0.0):
-            raise ValueError("interval break points must be positive and increasing")
-        object.__setattr__(self, "eps", eps)
-
-    @property
-    def A(self) -> int:
-        return self.eps.shape[0] - 1
-
-    @classmethod
-    def build(
-        cls,
-        psi: PsiMatrix,
-        delta: float,
-        A: int = 200,
-        spacing: str = "linear",
-        eps0: float | None = None,
-    ) -> "IntervalPlan":
-        """Default plan: the side product lives in [eps0, 2^-qbar].
-
-        eps0 defaults to min(1 - Psi)^qbar when delta < 0 (min Psi^qbar when
-        delta > 0), floored so its log is finite.
-        """
-        if A < 1:
-            raise ValueError("A must be at least 1")
-        top = 0.5 ** psi.qbar
-        if eps0 is None:
-            eps0 = _default_eps0(psi.comp if delta < 0 else psi.values)
-        eps0 = min(float(eps0), top * (1.0 - 1e-12))
-        if spacing == "linear":
-            eps = np.linspace(eps0, top, A + 1)
-        elif spacing == "log":
-            eps = np.geomspace(eps0, top, A + 1)
-        else:
-            raise ValueError("spacing must be 'linear' or 'log'")
-        return cls(eps=eps)
-
-
-def _default_eps0(side_vals: np.ndarray) -> np.ndarray:
-    """min(side term)^q-bar of each (q-bar, m) matrix of a stack, floored so
-    its log is finite."""
-    qbar = side_vals.shape[-2]
-    lows = np.nanmin(side_vals, axis=(-2, -1))
-    return np.array([max(float(low) ** qbar, EPS0_FLOOR)
-                     for low in lows.ravel()]).reshape(lows.shape)
+    The A bands are equally spaced from eps0 = max(min side^qbar, 1e-300),
+    capped at 2^-qbar (1 - 1e-12), up to 2^-qbar.
+    """
+    if A < 1:
+        raise ValueError("A must be at least 1")
+    qbar = side_vals.shape[1]
+    top = 0.5 ** qbar
+    eps0 = [min(max(float(low) ** qbar, EPS0_FLOOR), top * (1.0 - 1e-12))
+            for low in np.nanmin(side_vals, axis=(1, 2))]
+    return np.linspace(eps0, top, A + 1, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -142,44 +95,6 @@ def _branch_coeffs(values: np.ndarray, comp: np.ndarray, delta: float):
     return (log_psi, log_comp) if delta < 0 else (log_comp, log_psi)
 
 
-def _solution(psi: PsiMatrix, cols: np.ndarray, obj: np.ndarray,
-              side: np.ndarray) -> AssignmentSolution:
-    rows = np.arange(psi.qbar)
-    z = np.zeros((psi.qbar, psi.qbar), dtype=np.int64)
-    z[rows, cols] = 1
-    return AssignmentSolution(z=z, grouping=psi.grouping_for(cols),
-                              objective=float(obj[rows, cols].sum()),
-                              side_sum=float(side[rows, cols].sum()))
-
-
-def solve_interval_bilp(
-    psi: PsiMatrix, interval: tuple[float, float], delta: float
-) -> AssignmentSolution | None:
-    """One side-constrained 0/1 assignment program on a raw-scale interval.
-
-    Maximizes the branch objective over perfect assignments whose
-    complementary log-sum lies in [log lo, log hi]; ties go to the
-    lexicographically smallest assignment.  Returns None when no assignment
-    is feasible, including when every one uses an excluded pair.
-
-    It is ``band_winners`` with one band, so it scores all q-bar! pairings
-    however narrow the interval, at about the cost of ``combine_k1``'s pass.
-    Raises BoundError above q-bar = 10.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (lo < hi):
-        raise ValueError("interval lower bound must be below the upper bound")
-    if lo <= 0.0 or not math.isfinite(math.log(lo)) or not math.isfinite(math.log(hi)):
-        raise ValueError("interval bounds must have finite logarithms")
-    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
-    try:
-        choice, feasible = band_winners(obj, side, *_paired(psi.qbar),
-                                        np.array([math.log(lo), math.log(hi)]))
-    except IdentificationError:
-        return None
-    return _solution(psi, choice[0], obj, side) if feasible[0] else None
-
-
 def _k1_power_of_perm(psi: PsiMatrix, cols: np.ndarray):
     """K = 1 power of the pairings ``cols`` (shape (..., q-bar)) as arrays
     ``(power, pi_left, pi_right)`` of shape (...)."""
@@ -195,34 +110,21 @@ def _closed_k1(psi: PsiMatrix, cols: np.ndarray) -> PowerEstimate:
 
 def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
                  log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every interval program of a plan in one pass over the
+    """Solve every interval program of R plans in one pass over the
     assignment table of ``masks`` (``data._assignment_table``).
 
-    Assignments that use a cell where obj or side is -inf are dropped, and
-    sums run left to right from 0.0.  Band a holds the assignments with
-    log eps[a-1] - tol <= side <= log eps[a] + tol and keeps the largest obj,
-    the lexicographically first on ties: band by band the answer of a
-    depth-first branch and bound over the same program.
+    obj and side are (R, q, m) and ``log_eps`` is (R, A + 1).  Assignments
+    that use a cell where obj or side is -inf are dropped, and sums run left
+    to right from 0.0.  Band a of program r holds the assignments with
+    log_eps[r, a-1] - tol <= side <= log_eps[r, a] + tol and keeps the largest
+    obj, the lexicographically first on ties: band by band the answer of a
+    depth-first branch and bound over the same program.  The table is read
+    once, block by block, and the sums run over all R programs together.
 
-    Returns ``(choice, feasible)``, one row per band.  Raises
-    IdentificationError when no assignment avoids the excluded cells, and
-    BoundError when the table would exceed ``data.MAX_ASSIGNMENTS`` rows
-    (q-bar > 10 in paired mode).  It is ``_stacked_band_winners`` on a stack
-    of one.
-    """
-    choice, feasible = _stacked_band_winners(obj[None], side[None], masks, full, log_eps[None])
-    return choice[0], feasible[0]
-
-
-def _stacked_band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
-                          log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``band_winners`` of R programs at once: obj and side are (R, q, m),
-    ``log_eps`` (R, A + 1); returns choice (R, A, q) and feasible (R, A).
-
-    The table is read once, block by block; the sums run over all R stacked
-    programs together, and each program's bands are found on its own row.
-    Raises IdentificationError when any program has no assignment that
-    avoids its excluded cells.
+    Returns ``(choice, feasible)`` of shapes (R, A, q) and (R, A).  Raises
+    IdentificationError when any program has no assignment that avoids its
+    excluded cells, and BoundError when the table would exceed
+    ``data.MAX_ASSIGNMENTS`` rows (q-bar > 10 in paired mode).
     """
     q = obj.shape[1]
     table = _assignment_table(tuple(int(m) for m in masks), full, q)
@@ -261,74 +163,65 @@ def _stacked_band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     return best.astype(np.int64), best_obj > -np.inf
 
 
-def _best_bands(values: np.ndarray, comp: np.ndarray, delta: float, log_eps: np.ndarray,
-                masks, full: int):
-    """Solve every interval program of R plans (``log_eps`` (R, A + 1)) on a
-    stack of Psi and 1 - Psi (R, q-bar, m); per program return the winner of
-    best K = 1 power (the first band on ties), and per band its feasibility
-    and its winner's power (-inf when infeasible)."""
+def _k1_search(values: np.ndarray, comp: np.ndarray, delta: float, A: int, masks, full: int):
+    """The K = 1 band procedure on a stack of Psi and 1 - Psi (R, q-bar, m)
+    whose assignments are the table of ``masks``.
+
+    Each matrix gets its own plan of A bands (``_interval_plan``).  Band 1
+    is open below, so an assignment whose side product underflows the plan's
+    eps0 still lands in it.  Returns per matrix the band winner of best K = 1
+    power (the first band on ties), and per band the plan's break points
+    (R, A + 1), its feasibility and its winner's power (-inf when
+    infeasible).  delta must be nonzero.
+    """
+    eps = _interval_plan(comp if delta < 0 else values, A)
+    log_eps = np.log(eps)
+    log_eps[:, 0] = -np.inf
     obj, side = _branch_coeffs(values, comp, delta)
-    choice, feasible = _stacked_band_winners(obj, side, masks, full, log_eps)
+    choice, feasible = band_winners(obj, side, masks, full, log_eps)
     if not feasible.any(axis=1).all():
         raise RuntimeError(
-            "every subinterval program was infeasible; lower eps0 (the default "
-            "covers all assignments, so this indicates a custom eps0 that is too large)"
+            "every subinterval program was infeasible: every identified assignment "
+            "has a side product above 2^-q-bar, so some side term exceeds one half"
         )
     stack = np.arange(values.shape[0])[:, None, None]
     rows = np.arange(values.shape[1])
     power = (np.prod(values[stack, rows, choice], axis=-1)
              + np.prod(comp[stack, rows, choice], axis=-1))
     power = np.where(feasible, power, -np.inf)
-    return choice[stack[:, 0, 0], np.argmax(power, axis=1)], feasible, power
-
-
-def _best_band(psi: PsiMatrix, delta: float, plan: IntervalPlan, masks, full: int):
-    """``_best_bands`` of one Psi matrix and plan."""
-    cols, feasible, power = _best_bands(psi.values[None], psi.comp[None], delta,
-                                        np.log(plan.eps)[None], masks, full)
-    return cols[0], feasible[0], power[0]
+    return choice[stack[:, 0, 0], np.argmax(power, axis=1)], eps, feasible, power
 
 
 def k1_picks(xi: np.ndarray, sigma: np.ndarray, delta: float, A: int = 200) -> np.ndarray:
     """``combine_k1``'s pairing of each of R candidate-pair fits, as the
     treated column of each sorted control (R, q-bar).
 
-    ``xi`` and ``sigma`` are (R, q-bar, q-bar); each fit gets its own default
-    linear plan of A intervals (``IntervalPlan.build``'s eps0 rule) and the
-    same ties as ``combine_k1``.  No PsiMatrix, plan, grouping or diagnostics
-    record is built.  delta must be nonzero.
+    ``xi`` and ``sigma`` are (R, q-bar, q-bar); it is ``_k1_search`` on
+    their Psi terms, with no PsiMatrix, grouping or diagnostics record
+    built.  delta must be nonzero.
     """
     values, comp = psi_terms(xi, sigma, delta)
-    qbar = values.shape[1]
-    top = 0.5 ** qbar
-    eps0 = np.minimum(_default_eps0(comp if delta < 0 else values), top * (1.0 - 1e-12))
-    log_eps = np.log(np.linspace(eps0, top, A + 1, axis=-1))
-    return _best_bands(values, comp, delta, log_eps, *_paired(qbar))[0]
+    return _k1_search(values, comp, delta, A, *_paired(values.shape[1]))[0]
 
 
-def combine_k1(
-    psi: PsiMatrix,
-    delta: float,
-    A: int = 200,
-    spacing: str = "linear",
-    eps0: float | None = None,
-):
+def combine_k1(psi: PsiMatrix, delta: float, A: int = 200):
     """Interval-partitioned assignment search for the K = 1 optimal pairing.
 
     Solves the side-constrained program on each of the A subintervals in one
     pass (``band_winners``), evaluates the K = 1 power of every feasible
-    solution, and returns the best: the search ``k1_picks`` runs on a stack
-    of fits, on a stack of one, plus the diagnostics.  Ties: within an
-    interval the lexicographically smallest pairing among equal objectives,
-    across intervals the smallest interval index among equal powers.
+    solution, and returns the best: ``_k1_search`` on a stack of one.  Ties:
+    within an interval the lexicographically smallest pairing among equal
+    objectives, across intervals the smallest interval index among equal
+    powers.
 
     Returns ``(grouping, estimate, diagnostics)`` where diagnostics holds one
     record per interval with its bounds, feasibility, and achieved power.
 
     The pass scores every pairing: on one core about 0.5 ms at q-bar = 6,
     11-15 ms at 8, 50 ms at 9 and 0.5-0.6 s at 10 (1.1-1.4 s for a process's
-    first q-bar = 10 call, which builds the table).  Raises BoundError above
-    q-bar = 10, and IdentificationError when every pairing uses an excluded pair.
+    first q-bar = 10 call, which builds the table).  Raises ValueError when
+    A < 1, BoundError above q-bar = 10, and IdentificationError when every
+    pairing uses an excluded pair.
 
     delta = 0 makes the objective flat (every Psi is one half); the
     lexicographically smallest pairing is returned with a warning.
@@ -343,14 +236,14 @@ def combine_k1(
         cols = np.arange(psi.qbar)
         return psi.grouping_for(cols), _closed_k1(psi, cols), []
 
-    plan = IntervalPlan.build(psi, delta, A=A, spacing=spacing, eps0=eps0)
-    cols, feasible, power = _best_band(psi, delta, plan, *_paired(psi.qbar))
+    cols, eps, feasible, power = _k1_search(psi.values[None], psi.comp[None], delta, A,
+                                            *_paired(psi.qbar))
     diagnostics = [
         {"a": a, "lo": lo, "hi": hi, "feasible": f, "power": p}
-        for a, lo, hi, f, p in zip(range(1, plan.A + 1), plan.eps[:-1].tolist(),
-                                   plan.eps[1:].tolist(), feasible.tolist(), power.tolist())
+        for a, lo, hi, f, p in zip(range(1, A + 1), eps[0, :-1].tolist(), eps[0, 1:].tolist(),
+                                   feasible[0].tolist(), power[0].tolist())
     ]
-    return psi.grouping_for(cols), _closed_k1(psi, cols), diagnostics
+    return psi.grouping_for(cols[0]), _closed_k1(psi, cols[0]), diagnostics
 
 
 def _pairing_tally(psi: PsiMatrix, delta: float, alpha: float, method: str,
@@ -425,26 +318,6 @@ def combine_exhaustive_psi(
     return psi.grouping_for(best_cols), estimate(best)
 
 
-def combine_exhaustive(
-    d: PanelDataset,
-    h: Hypothesis,
-    spec: RegressionSpec | None = None,
-    model: str = "ar1",
-    alpha: float | None = None,
-    delta: float | None = None,
-    power_method: str = "auto",
-    reps: int = 100_000,
-    seed: int = 0,
-):
-    """Data-driven exhaustive oracle over all pairings (paired mode)."""
-    spec = spec or RegressionSpec(outcome=d.y_name)
-    alpha = h.alpha if alpha is None else alpha
-    delta = h.delta if delta is None else delta
-    psi = psi_matrix(d, replace(h, delta=delta), spec, model)
-    return combine_exhaustive_psi(psi, delta, alpha, method=power_method,
-                                  reps=reps, seed=seed)
-
-
 def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     """Single-program baseline: maximize sum of log Psi + log(1 - Psi).
 
@@ -452,8 +325,8 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     two power terms equally and is kept for comparison only: it can perform
     worse than picking a pairing at random.
 
-    It is ``band_winners`` with one band and a zero side term, at the cost of
-    ``solve_interval_bilp``.  Raises BoundError above q-bar = 10, and
+    It is ``band_winners`` with one band and a zero side term, so it scores
+    all q-bar! pairings.  Raises BoundError above q-bar = 10, and
     IdentificationError when every pairing uses an excluded pair.
     """
     warnings.warn(
@@ -465,9 +338,13 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     )
     # log Psi + log(1 - Psi), either order
     obj = np.add(*_branch_coeffs(psi.values, psi.comp, -1.0))
-    zeros = np.zeros_like(obj)
-    choice, _ = band_winners(obj, zeros, *_paired(psi.qbar), np.array([-1.0, 1.0]))
-    return _solution(psi, choice[0], obj, zeros)
+    choice, _ = band_winners(obj[None], np.zeros_like(obj)[None], *_paired(psi.qbar),
+                             np.array([[-1.0, 1.0]]))
+    rows, cols = np.arange(psi.qbar), choice[0, 0]
+    z = np.zeros((psi.qbar, psi.qbar), dtype=np.int64)
+    z[rows, cols] = 1
+    return AssignmentSolution(z=z, grouping=psi.grouping_for(cols),
+                              objective=float(obj[rows, cols].sum()), side_sum=0.0)
 
 
 def combine_heuristic_psi(
@@ -558,9 +435,9 @@ def combine_unequal(
     The smaller side supplies one cluster per group; the larger side is
     partitioned across the groups, every cluster used exactly once.  Candidate
     subsets of the larger side are enumerated, Psi is precomputed per
-    (singleton, subset) group, and the same interval-partitioned programs are
-    solved in one ``band_winners`` pass whose rows pick disjoint subsets
-    covering the larger side.  Ties break as in ``combine_k1``.
+    (singleton, subset) group, and ``_k1_search`` runs on that table: its
+    assignments pick disjoint subsets covering the larger side.  Ties break
+    as in ``combine_k1``.
 
     Returns ``(grouping, estimate)``.  Raises BoundError, before any fit, on
     a shape with more than 10! coverings (5 controls against 10 treated).
@@ -597,7 +474,7 @@ def combine_unequal(
     psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta,
                           control_ids=small, treated_ids=tuple(range(len(subsets))))
 
-    best_choice, _, _ = _best_band(psi, delta, IntervalPlan.build(psi, delta, A=A), masks, full)
+    best_choice = _k1_search(psi.values[None], psi.comp[None], delta, A, masks, full)[0][0]
     groups = []
     for i, j in enumerate(small):
         m = subsets[int(best_choice[i])]

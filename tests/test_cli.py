@@ -1,15 +1,28 @@
 """End-to-end CLI wiring: subcommands, outputs, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crscombine import write_panel
+from crscombine import (
+    Hypothesis,
+    PanelDataset,
+    combine_exhaustive_psi,
+    load_panel,
+    psi_matrix,
+    write_panel,
+)
 from crscombine.cli import dispatch
+from crscombine.simulate import DgpSpec, gen_dgp
 
-FIXTURE = str(Path(__file__).parent / "data" / "sixclusters.csv")
+DATA = Path(__file__).parent / "data"
+FIXTURE = str(DATA / "sixclusters.csv")
+DGP2_CONTROLS = "7,8,9,10,11,12"
+DGP2_TREATED = "1,2,3,4,5,6"
+DGP2_C = "0,0,1,0,0,0"
 
 
 def read_json(path):
@@ -116,6 +129,100 @@ class TestCombineCommand:
         used = sorted(t for g in groups for t in g["treated"])
         assert used == [3, 4, 5, 6]
 
+    @pytest.mark.parametrize("method, controls, treated", [
+        ("exhaustive", "1,2,3", "4,5,6"),
+        ("loglinear", "1,2,3", "4,5,6"),
+        ("random", "1,2,3", "4,5,6"),
+        ("bilp", "1,2", "3,4,5,6"),
+    ], ids=["exhaustive", "loglinear", "random", "unequal"])
+    def test_diagnostics_refused_where_there_are_none(self, tmp_path, capsys, method,
+                                                      controls, treated):
+        out, diag = tmp_path / "g.json", tmp_path / "intervals.csv"
+        code = dispatch([
+            "combine", "--data", FIXTURE, "--controls", controls, "--treated", treated,
+            "--x-cols", "const", "--c", "1", "--method", method, "--delta", "-5.0",
+            "--alpha", "0.5", "--model", "iid", "--seed", "3", "--out", str(out),
+            "--diagnostics", str(diag),
+        ])
+        assert code == 2
+        assert "--diagnostics" in capsys.readouterr().err
+        assert not out.exists() and not diag.exists()
+
+    def test_bilp_at_delta_zero_writes_an_empty_diagnostics_file(self, tmp_path):
+        # delta = 0 leaves no interval programs: the file holds the header only
+        diag = tmp_path / "intervals.csv"
+        with pytest.warns(UserWarning, match="delta = 0"):
+            code = dispatch([
+                "combine", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+                "--c", "0,1", "--delta", "0", "--seed", "3", "--out", str(tmp_path / "g.json"),
+                "--diagnostics", str(diag),
+            ])
+        assert code == 0
+        assert strip_header(diag) == ["a,feasible,power"]
+
+    def test_underflowing_side_products_still_pair(self, tmp_path):
+        # with the outcome scaled by 0.01 every side product of the default
+        # delta is below 1e-300; the search returns the exhaustive optimum
+        d = gen_dgp(DgpSpec("dgp2", h=4), seed=1)
+        path, out = tmp_path / "scaled.csv", tmp_path / "g.json"
+        write_panel(replace(d, y=d.y * 0.01), path)
+        code = dispatch([
+            "combine", "--data", str(path), "--controls", DGP2_CONTROLS,
+            "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", "--out", str(out),
+        ])
+        assert code == 0
+        payload = read_json(out)
+        delta = payload["delta"]
+        scaled = load_panel(path, controls=d.controls, treated=d.treated)
+        h = Hypothesis(c=np.array([0, 0, 1, 0, 0, 0.0]), lam=0.0, alpha=0.05, delta=delta)
+        psi = psi_matrix(scaled, h)
+        assert float(psi.values.min()) ** psi.qbar < 1e-300
+        g, est = combine_exhaustive_psi(psi, delta, 0.05, method="k1")
+        assert payload["grouping"]["literal"] == g.to_literal()
+        assert payload["power"]["value"] == est.value
+
+
+@pytest.fixture(scope="module")
+def dgp2_panels(tmp_path_factory):
+    """One dgp2 draw (h = 4, seed 1) and its cut to controls 7-9, treated 1-6."""
+    d = gen_dgp(DgpSpec("dgp2", h=4), seed=1)
+    root = tmp_path_factory.mktemp("dgp2")
+    write_panel(d, root / "dgp2.csv")
+    keep = np.isin(d.cluster, range(1, 10))
+    write_panel(PanelDataset(cluster=d.cluster[keep], time=d.time[keep], y=d.y[keep],
+                             x=d.x[keep], x_names=d.x_names, controls={7, 8, 9},
+                             treated={1, 2, 3, 4, 5, 6}),
+                root / "dgp2_unequal.csv")
+    return root
+
+
+# name -> (panel, controls, flags, writes diagnostics)
+GOLDEN_COMBINE = {
+    "bilp_pos": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "+"], True),
+    "bilp_neg": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "-"], True),
+    "heuristic": ("dgp2", DGP2_CONTROLS, ["--method", "heuristic", "--reps", "2000"], False),
+    "exhaustive": ("dgp2", DGP2_CONTROLS, ["--method", "exhaustive", "--reps", "2000"], False),
+    "loglinear": ("dgp2", DGP2_CONTROLS, ["--method", "loglinear", "--reps", "2000"], False),
+    "unequal": ("dgp2_unequal", "7,8,9", [], False),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_COMBINE))
+@pytest.mark.filterwarnings("ignore:the log-linear objective")
+def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
+    # tests/data holds each output without its JSON meta block or CSV "#" lines
+    panel, controls, flags, diagnostics = GOLDEN_COMBINE[name]
+    out, diag = tmp_path / "g.json", tmp_path / "intervals.csv"
+    argv = ["combine", "--data", str(dgp2_panels / f"{panel}.csv"), "--controls", controls,
+            "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", *flags, "--out", str(out)]
+    assert dispatch(argv + (["--diagnostics", str(diag)] if diagnostics else [])) == 0
+    payload = read_json(out)
+    payload.pop("meta")
+    assert json.dumps(payload, indent=2) + "\n" == (DATA / f"combine_{name}.json").read_text()
+    if diagnostics:
+        lines = [ln for ln in diag.read_bytes().splitlines(True) if not ln.startswith(b"#")]
+        assert b"".join(lines) == (DATA / f"combine_{name}_intervals.csv").read_bytes()
+
 
 class TestPowerCommand:
     def test_inline_scales_k1_grid(self, tmp_path):
@@ -194,6 +301,17 @@ class TestPowerCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dgp", "2", "--h", "4", "--betas", "0:0:1", "--policy", "crs_data",
+         "--reps", "100"],
+        ["combine", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+         "--c", "0,1", "--delta", "-13.9"],
+    ], ids=["simulate", "combine"])
+    def test_a_below_one_is_a_data_error(self, tmp_path, capsys, argv):
+        code = dispatch(argv + ["--A", "0", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: A must be at least 1\n"
+
     def test_curve_csv(self, tmp_path):
         out = tmp_path / "c.csv"
         code = dispatch([

@@ -12,13 +12,11 @@ from crscombine import (
     Grouping,
     IdentificationError,
     Hypothesis,
-    IntervalPlan,
     LimitParams,
     PanelDataset,
     PsiMatrix,
     RegressionSpec,
     SchemaError,
-    combine_exhaustive,
     combine_exhaustive_psi,
     combine_heuristic_psi,
     combine_k1,
@@ -27,25 +25,24 @@ from crscombine import (
     enumerate_side_subsets,
     group_limit_params,
     psi_from_scales,
-    solve_interval_bilp,
 )
 from crscombine.combine import (
     _INTERVAL_TOL,
     _INTERVAL_TOL as TOL,
     _branch_coeffs,
+    _interval_plan,
     _k1_power_of_perm,
     _perm_of_grouping,
     band_winners,
     k1_picks,
 )
-from crscombine.data import MAX_ASSIGNMENTS
+from crscombine.data import MAX_ASSIGNMENTS, _paired
 from crscombine.estimation import psi_matrix
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
-# The exact solver of single programs before solve_interval_bilp and
-# combine_loglinear became band_winners calls, kept verbatim as the reference
-# band_winners is checked against band by band.
+# The exact solver of single programs before they became band_winners calls,
+# kept verbatim as the reference band_winners is checked against band by band.
 def _solve_assignment_bb(obj: np.ndarray, side: np.ndarray, lo: float, hi: float):
     """Exact DFS branch and bound for the side-constrained assignment program.
 
@@ -117,16 +114,32 @@ def solution_cols(sol):
     return np.nonzero(sol.z)[1]
 
 
+def interval_program(psi, interval, delta):
+    """The program of one raw-scale interval, solved by band_winners with one
+    band: ``(cols, objective, side_sum)``, or None when no assignment is
+    feasible, including when every one uses an excluded pair."""
+    obj, side = _branch_coeffs(psi.values, psi.comp, delta)
+    try:
+        choice, feasible = band_winners(obj[None], side[None], *_paired(psi.qbar),
+                                        np.array([[math.log(interval[0]), math.log(interval[1])]]))
+    except IdentificationError:
+        return None
+    if not feasible[0, 0]:
+        return None
+    rows, cols = np.arange(psi.qbar), choice[0, 0]
+    return cols, float(obj[rows, cols].sum()), float(side[rows, cols].sum())
+
+
 def assert_interval_matches_bb(psi, interval, delta):
-    """solve_interval_bilp against _solve_assignment_bb: the same columns,
-    objective and side sum, to the bit, or None from both."""
-    sol = solve_interval_bilp(psi, interval, delta)
+    """One band of band_winners against _solve_assignment_bb: the same
+    columns, objective and side sum, to the bit, or None from both."""
+    sol = interval_program(psi, interval, delta)
     obj, side = _branch_coeffs(psi.values, psi.comp, delta)
     ref = _solve_assignment_bb(obj, side, math.log(interval[0]), math.log(interval[1]))
     assert (sol is None) == (ref is None)
     if ref is not None:
-        np.testing.assert_array_equal(solution_cols(sol), ref[0])
-        assert (sol.objective, sol.side_sum) == ref[1:]
+        np.testing.assert_array_equal(sol[0], ref[0])
+        assert sol[1:] == ref[1:]
     return sol
 
 
@@ -163,10 +176,11 @@ def brute_force_interval(psi, interval, delta):
 def assert_bands_match_bb(psi, delta, A):
     """combine_k1's bands against one _solve_assignment_bb call per band."""
     obj, side = _branch_coeffs(psi.values, psi.comp, delta)
-    log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
-    choice, feasible = band_winners(obj, side, [1 << c for c in range(psi.qbar)],
-                                    (1 << psi.qbar) - 1, log_eps)
     _, _, diag = combine_k1(psi, delta, A=A)
+    log_eps = np.log([r["lo"] for r in diag] + [diag[-1]["hi"]])
+    choice, feasible = band_winners(obj[None], side[None], [1 << c for c in range(psi.qbar)],
+                                    (1 << psi.qbar) - 1, log_eps[None])
+    choice, feasible = choice[0], feasible[0]
     for a in range(1, A + 1):
         result = _solve_assignment_bb(obj, side, log_eps[a - 1], log_eps[a])
         assert feasible[a - 1] == (result is not None) == diag[a - 1]["feasible"]
@@ -175,7 +189,7 @@ def assert_bands_match_bb(psi, delta, A):
             assert diag[a - 1]["power"] == _k1_power_of_perm(psi, result[0])[0]
 
 
-class TestSolveIntervalBilp:
+class TestIntervalPrograms:
     def test_matches_brute_force_on_full_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -183,10 +197,10 @@ class TestSolveIntervalBilp:
             psi, delta = random_psi(rng, qbar)
             side_vals = psi.comp if delta < 0 else psi.values
             eps0 = float(np.min(side_vals)) ** qbar
-            sol = solve_interval_bilp(psi, (eps0, 0.5**qbar), delta)
+            sol = interval_program(psi, (eps0, 0.5**qbar), delta)
             oracle = brute_force_interval(psi, (eps0, 0.5**qbar), delta)
             assert sol is not None and oracle is not None
-            assert sol.objective == pytest.approx(oracle[0], abs=1e-9)
+            assert sol[1] == pytest.approx(oracle[0], abs=1e-9)
 
     def test_matches_brute_force_on_random_subintervals(self):
         # q-bar 2 to 7, both signs of delta, some pairs excluded; the answer is
@@ -212,32 +226,31 @@ class TestSolveIntervalBilp:
                 assert sol is None
             else:
                 assert sol is not None
-                assert sol.objective == pytest.approx(oracle[0], abs=1e-9)
+                assert sol[1] == pytest.approx(oracle[0], abs=1e-9)
 
     def test_infeasible_interval_returns_none(self):
         rng = np.random.default_rng(2)
         psi, delta = random_psi(rng, 3, delta=-1.0)
         # far below any attainable side sum
-        sol = solve_interval_bilp(psi, (1e-250, 1e-240), delta)
+        sol = interval_program(psi, (1e-250, 1e-240), delta)
         assert sol is None
         # every pairing uses an excluded pair
-        assert solve_interval_bilp(unidentified_column_psi(), (1e-250, 1.0), -1.0) is None
+        assert interval_program(unidentified_column_psi(), (1e-250, 1.0), -1.0) is None
 
     def test_assignment_constraints_hold(self):
         rng = np.random.default_rng(3)
         psi, delta = random_psi(rng, 5)
         side_vals = psi.comp if delta < 0 else psi.values
         eps0 = float(np.min(side_vals)) ** 5
-        sol = solve_interval_bilp(psi, (eps0, 0.5**5), delta)
-        assert sol.z.sum(axis=0).tolist() == [1] * 5
-        assert sol.z.sum(axis=1).tolist() == [1] * 5
-        assert sol.side_sum <= -5 * math.log(2) + 1e-9
+        cols, _, side_sum = interval_program(psi, (eps0, 0.5**5), delta)
+        assert sorted(cols.tolist()) == list(range(5))  # one treated column per control
+        assert side_sum <= -5 * math.log(2) + 1e-9
 
     def test_all_equal_entries_tie_break_lexicographic(self):
         psi = psi_from_scales(np.full((3, 3), 0.5), np.full((3, 3), 1.0), -1.0)
         eps0 = float(np.min(psi.comp)) ** 3
-        sol = solve_interval_bilp(psi, (eps0, 0.5**3), -1.0)
-        assert sol.grouping == Grouping.from_pairs([(1, 4), (2, 5), (3, 6)])
+        cols, _, _ = interval_program(psi, (eps0, 0.5**3), -1.0)
+        assert psi.grouping_for(cols) == Grouping.from_pairs([(1, 4), (2, 5), (3, 6)])
         for qbar in range(2, 8):
             for delta in (-1.0, 1.0):
                 flat = psi_from_scales(np.full((qbar, qbar), 0.5),
@@ -245,29 +258,7 @@ class TestSolveIntervalBilp:
                 side_vals = flat.comp if delta < 0 else flat.values
                 eps0 = float(np.min(side_vals)) ** qbar
                 sol = assert_interval_matches_bb(flat, (eps0, 0.5**qbar), delta)
-                np.testing.assert_array_equal(solution_cols(sol), np.arange(qbar))
-
-
-class TestIntervalPlan:
-    def test_default_bounds(self):
-        rng = np.random.default_rng(4)
-        psi, delta = random_psi(rng, 4, delta=-1.0)
-        plan = IntervalPlan.build(psi, delta, A=200)
-        assert plan.A == 200
-        assert plan.eps[-1] == 0.5**4
-        assert plan.eps[0] == pytest.approx(float(np.min(psi.comp)) ** 4)
-        # every pairing's side product is covered by the plan
-        _, side = _branch_coeffs(psi.values, psi.comp, delta)
-        for p in itertools.permutations(range(4)):
-            s = side[np.arange(4), list(p)].sum()
-            assert math.log(plan.eps[0]) - 1e-9 <= s <= math.log(plan.eps[-1]) + 1e-9
-
-    def test_log_spacing_option(self):
-        rng = np.random.default_rng(5)
-        psi, delta = random_psi(rng, 3, delta=1.0)
-        plan = IntervalPlan.build(psi, delta, A=10, spacing="log")
-        ratios = plan.eps[1:] / plan.eps[:-1]
-        np.testing.assert_allclose(ratios, ratios[0])
+                np.testing.assert_array_equal(sol[0], np.arange(qbar))
 
 
 class TestCombineK1:
@@ -327,7 +318,9 @@ class TestCombineK1:
         k = int(np.argmax(obj[rows, perms].sum(axis=1)))
         s_k = float(side[rows, perms[k]].sum())
         log_eps = s_k + np.array([-1.0, -0.5 * TOL, 0.5 * TOL, 1.0])
-        choice, feasible = band_winners(obj, side, [1 << c for c in range(4)], 15, log_eps)
+        choice, feasible = band_winners(obj[None], side[None], [1 << c for c in range(4)], 15,
+                                        log_eps[None])
+        choice, feasible = choice[0], feasible[0]
         assert feasible.all()
         for a in range(1, 4):
             np.testing.assert_array_equal(choice[a - 1], perms[k])
@@ -359,6 +352,60 @@ class TestCombineK1:
         assert est.value == pytest.approx(2 * 0.5**3)
         assert diag == []
 
+    def test_diagnostics_bounds_follow_the_plan_rule(self):
+        # A equal bands from max(min side^q-bar, 1e-300), capped just under
+        # 2^-q-bar, up to 2^-q-bar: an ordinary matrix, one whose side product
+        # underflows, one with NaN cells and one whose side terms are all one half
+        rng = np.random.default_rng(4)
+        ordinary, _ = random_psi(rng, 4, delta=-1.0)
+        underflow, _ = random_psi(rng, 4, delta=60.0)
+        nan_cells, _ = random_psi(rng, 5, delta=2.0, n_excluded=3)
+        halves = PsiMatrix(values=np.full((3, 3), 0.5), delta=-1.0, control_ids=(1, 2, 3),
+                           treated_ids=(4, 5, 6), xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
+        for psi, A in ((ordinary, 200), (underflow, 37), (nan_cells, 1), (halves, 10)):
+            delta = psi.delta
+            qbar = psi.qbar
+            side = psi.comp if delta < 0 else psi.values
+            top = 0.5**qbar
+            eps0 = min(max(float(np.nanmin(side)) ** qbar, 1e-300), top * (1.0 - 1e-12))
+            eps = np.linspace(eps0, top, A + 1)
+            _, _, diag = combine_k1(psi, delta, A=A)
+            assert [r["a"] for r in diag] == list(range(1, A + 1))
+            assert [r["lo"] for r in diag] == eps[:-1].tolist()
+            assert [r["hi"] for r in diag] == eps[1:].tolist()
+        assert float(underflow.values.min()) ** 4 < 1e-300  # the floor was reached
+        # every pairing's side product is covered by an ordinary plan
+        _, side = _branch_coeffs(ordinary.values, ordinary.comp, -1.0)
+        _, _, diag = combine_k1(ordinary, -1.0)
+        for p in itertools.permutations(range(4)):
+            s = side[np.arange(4), list(p)].sum()
+            assert math.log(diag[0]["lo"]) - 1e-9 <= s <= math.log(diag[-1]["hi"]) + 1e-9
+
+    def test_underflowing_side_products_land_in_band_one(self):
+        # at |delta| = 60 some 1 - Psi (Psi at delta > 0) is clipped to 1e-300,
+        # so eps0 is floored above every side product; band 1 is open below
+        # and the search still finds the exhaustive optimum
+        rng = np.random.default_rng(60)
+        xi = rng.uniform(0.2, 0.9, size=(4, 4))
+        sigma = rng.uniform(0.5, 2.0, size=(4, 4))
+        for delta in (60.0, -60.0):
+            psi = psi_from_scales(xi, sigma, delta)
+            side = psi.comp if delta < 0 else psi.values
+            assert float(side.min()) ** 4 < 1e-300
+            g, est, diag = combine_k1(psi, delta)
+            assert diag[0]["lo"] == 1e-300 and diag[0]["feasible"]
+            g_ref, est_ref = combine_exhaustive_psi(psi, delta, alpha=1.0 / 8, method="k1")
+            assert g == g_ref
+            assert est.value == est_ref.value
+
+    def test_side_term_above_one_half_is_a_runtime_error(self):
+        # only a hand-built Psi has side products above 2^-q-bar, the top of
+        # every plan; no band can hold them
+        psi = PsiMatrix(values=np.full((3, 3), 0.7), delta=1.0, control_ids=(1, 2, 3),
+                        treated_ids=(4, 5, 6), xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
+        with pytest.raises(RuntimeError, match="side product above 2\\^-q-bar"):
+            combine_k1(psi, 1.0)
+
     def test_diagnostics_record_feasibility(self):
         rng = np.random.default_rng(8)
         psi, delta = random_psi(rng, 4)
@@ -366,17 +413,29 @@ class TestCombineK1:
         assert any(r["feasible"] for r in diag)
         assert all((r["power"] > -np.inf) == r["feasible"] for r in diag)
 
-    @pytest.mark.parametrize("qbar", [2, 3, 5, 6])
-    def test_stacked_picks_equal_combine_k1(self, qbar):
+    @pytest.mark.parametrize("case", [2, 3, 5, 6, "underflow", "nan_cells"])
+    def test_stacked_picks_equal_combine_k1(self, case):
         # each fit of a stack gets combine_k1's pairing, excluded pairs and
-        # all-equal (tied) fits included
-        rng = np.random.default_rng(40 + qbar)
+        # all-equal (tied) fits included; an integer case is q-bar
+        qbar = case if isinstance(case, int) else 4
+        rng = np.random.default_rng(40 + qbar + (case == "nan_cells"))
         xi = rng.uniform(0.05, 1.0, (24, qbar, qbar))
         sigma = rng.uniform(0.1, 5.0, (24, qbar, qbar))
+        if case == "underflow":
+            # every fit has a side product below 1e-300 at |delta| = 200
+            sigma = rng.uniform(0.1, 1.0, (24, qbar, qbar))
+        elif case == "nan_cells":
+            # a row of xi and a column of sigma excluded in each fit, all but
+            # their diagonal cell
+            diagonal = xi[:, np.arange(qbar), np.arange(qbar)].copy()
+            for r in range(24):
+                xi[r, r % qbar, :] = np.nan
+                sigma[r, :, (r + 1) % qbar] = np.nan
+            xi[:, np.arange(qbar), np.arange(qbar)] = diagonal
         sigma[rng.random(sigma.shape) < 0.1] = np.nan
         sigma[:, np.arange(qbar), np.arange(qbar)] = 1.0  # the identity stays identified
         xi[-1], sigma[-1] = 0.5, 2.0
-        for delta in (-7.0, 3.0):
+        for delta in ((-200.0, 200.0) if case == "underflow" else (-7.0, 3.0)):
             cols = k1_picks(xi, sigma, delta, A=60)
             for r in range(xi.shape[0]):
                 psi = psi_from_scales(xi[r], sigma[r], delta)
@@ -619,9 +678,10 @@ class TestCombineUnequal:
             psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
                                   treated_ids=tuple(range(len(subsets))))
             obj, side = _branch_coeffs(psi.values, psi.comp, delta)
-            log_eps = np.log(IntervalPlan.build(psi, delta, A=A).eps)
+            log_eps = np.log(_interval_plan((psi.comp if delta < 0 else psi.values)[None], A)[0])
             full = (1 << n_big) - 1
-            choice, feasible = band_winners(obj, side, masks, full, log_eps)
+            choice, feasible = band_winners(obj[None], side[None], masks, full, log_eps[None])
+            choice, feasible = choice[0], feasible[0]
             for a in range(1, A + 1):
                 result = partition_bb_reference(obj, side, masks, full, log_eps[a - 1],
                                                 log_eps[a], n_big - qbar + 1)
@@ -710,7 +770,7 @@ class TestCombineExhaustiveData:
         h = dgp_hypothesis(0.05, delta=delta)
         psi = psi_matrix(d, h, model="ar1")
         g1, e1, _ = combine_k1(psi, delta, A=200)
-        g2, e2 = combine_exhaustive(d, h, model="ar1")
+        g2, e2 = combine_exhaustive_psi(psi, delta, h.alpha)
         assert abs(e1.value - e2.value) < 1e-12
 
     def test_qbar_guard(self):
@@ -724,7 +784,7 @@ class TestCombineExhaustiveData:
 
 @pytest.mark.parametrize("search", [
     lambda psi: combine_k1(psi, -1.0),
-    lambda psi: solve_interval_bilp(psi, (1e-30, 0.5**11), -1.0),
+    lambda psi: interval_program(psi, (1e-30, 0.5**11), -1.0),
     combine_loglinear,
 ], ids=["k1", "interval", "loglinear"])
 @pytest.mark.filterwarnings("ignore:the log-linear objective")
