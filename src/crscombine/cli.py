@@ -273,17 +273,19 @@ def _cmd_combine(args, cfg: RunConfig) -> int:
                    alpha=args.alpha, delta=delta)
     diagnostics: list[dict] = []
     estimate = None
-    if args.method == "random":
+    if len(d.controls) != len(d.treated):
+        # only the K = 1 band search (bilp) covers the larger side
+        if args.method != "bilp":
+            raise PartitionError(f"the {args.method} method needs paired mode; "
+                                 f"--method bilp handles unequal counts")
+        g, estimate = combine_unequal(d, h, spec, args.model, delta=delta, A=args.A)
+    elif args.method == "random":
         rng = np.random.default_rng(cfg.seed)
         ctrl, trt = sorted(d.controls), sorted(d.treated)
-        if len(ctrl) != len(trt):
-            raise PartitionError("the random method needs paired mode")
         g = Grouping.from_pairs(zip(ctrl, (trt[i] for i in rng.permutation(len(trt)))))
     elif args.method == "loglinear":
         sol = combine_loglinear(psi_matrix(d, h, spec, args.model))
         g = sol.grouping
-    elif len(d.controls) != len(d.treated):
-        g, estimate = combine_unequal(d, h, spec, args.model, delta=delta, A=args.A)
     elif args.method == "exhaustive":
         psi = psi_matrix(d, h, spec, args.model)
         g, estimate = combine_exhaustive_psi(psi, delta, args.alpha,

@@ -19,12 +19,15 @@ and no side term.  No MILP solver is used.
 
 For K > 1 the power has no product form; a 2-opt local search over pairwise
 swaps starts from the K = 1 solution and climbs until no swap improves the
-(common-random-number) power estimate.  The common random numbers are drawn
-once per search: every Monte Carlo candidate, in the 2-opt climb and in the
-exhaustive oracle, is scored on one ``SignFlipKernel`` as an integer rejection
-count.  The searches compare counts, validate the (xi, sigma) cells they may
-score once, and build a ``PowerEstimate`` only for the start, each accepted
-swap and the oracle's winner.
+(common-random-number) power estimate.  ``combine_heuristic_psi`` runs
+``combine_k1`` for its start, or takes one: ``rejection_curve`` hands each
+replication its row of the block's ``k1_picks``.  The common random numbers
+are drawn once per search: every Monte Carlo candidate, in the 2-opt climb
+and in the exhaustive oracle, is scored on one ``SignFlipKernel`` as an
+integer rejection count.  The searches compare counts, validate the (xi,
+sigma) cells they may score once, and build a ``PowerEstimate`` only for the
+start, each accepted swap and the oracle's winner.  The climb never rescores
+the swap that undoes its last accepted one.
 """
 
 from __future__ import annotations
@@ -355,6 +358,8 @@ def combine_heuristic_psi(
     reps: int = 20_000,
     seed: int = 0,
     A: int = 200,
+    *,
+    start=None,
 ):
     """2-opt local search over pairwise swaps, starting from combine_k1.
 
@@ -366,20 +371,31 @@ def combine_heuristic_psi(
     reps).  The start and every usable cell a swap can reach are validated
     once, before the climb, with ``LimitParams``'s errors, and a
     ``PowerEstimate`` is built only for the start and each accepted swap.
+    A round skips the swap that undoes the last accepted one: it restores the
+    previous pairing, whose score is below the current one.
     Returns ``(grouping, estimate, trace)``; the trace records the initial
     power and each accepted swap.
+
+    ``start`` is the pairing to climb from, as the treated column of each
+    sorted control; ``k1_picks`` gives ``combine_k1``'s pairing of many fits
+    at once.  By default the climb starts from ``combine_k1`` (from the
+    first pairing at delta = 0).
     """
     if power_method == "auto":
         power_method = "k1" if k_budget(1 << (psi.qbar - 1), alpha) == 1 else "mc"
     tally, estimate = _pairing_tally(psi, delta, alpha, power_method, reps, seed)
-    if delta == 0.0:
-        cols = np.arange(psi.qbar)
+    rows = np.arange(psi.qbar)
+    if start is not None:
+        cols = np.array(start, dtype=np.int64)  # a copy: the climb swaps in place
+        if not np.array_equal(np.sort(cols), rows):
+            raise ValueError(f"start must be a permutation of 0..{psi.qbar - 1}")
+    elif delta == 0.0:
+        cols = rows.copy()
     else:
         initial_grouping, _, _ = combine_k1(psi, delta, A=A)
         cols = _perm_of_grouping(psi, initial_grouping)
     # validate the start (at delta = 0 it may hold an excluded pair) and every
     # usable cell a swap can reach, once
-    rows = np.arange(psi.qbar)
     cells = ~np.isnan(psi.values)
     cells[rows, cols] = True
     LimitParams(xi=psi.xi[cells], sigma=psi.sigma[cells])
@@ -387,10 +403,13 @@ def combine_heuristic_psi(
     current = estimate(best)
     trace: list[dict] = [{"swap": None, "power": current.value}]
     improved = True
+    undo = None
     while improved:
         improved = False
         best_pair = None
         for i, j in itertools.combinations(range(psi.qbar), 2):
+            if (i, j) == undo:
+                continue
             cand = cols.copy()
             cand[i], cand[j] = cand[j], cand[i]
             if np.isnan(psi.values[rows, cand]).any():
@@ -404,6 +423,7 @@ def combine_heuristic_psi(
             current = estimate(best)
             trace.append({"swap": (i, j), "power": current.value})
             improved = True
+            undo = best_pair
     return psi.grouping_for(cols), current, trace
 
 

@@ -12,7 +12,10 @@ evaluators are provided:
 - ``power_mc``: simulates the limit experiment directly for any (q, K).
   ``SignFlipKernel`` is its engine: it draws the common random numbers once
   and scores any number of (xi, sigma) on them, which is how the grouping
-  searches compare candidates.
+  searches compare candidates.  It scores the randomization values undivided
+  by q, with the observed value replaced by its threshold, the smallest
+  value whose quotient equals its own, so its decisions are those on the
+  quotients.
 - ``power_exact``: for q <= 4, the kernel's rejection count under the label
   'exact_enum'.  The ordering enumeration the name once ran summed disjoint
   half-space terms on one shared set of draws to exactly that count; the
@@ -44,6 +47,8 @@ from .regression import RegressionSpec
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
 
 EXACT_MAX_Q = 4  # the 'exact' label's guard, kept from the old ordering enumeration
+
+_NORMAL_QUOTIENT = 2.0 ** -1021  # v0 / q at least this is normal, with a factor 2 to spare
 
 
 @dataclass(frozen=True)
@@ -105,18 +110,45 @@ def _normal_blocks(q: int, reps: int, seed):
         yield rng.standard_normal((min(MC_BLOCK, reps - start), q))
 
 
+def _undivided_rejects(values: np.ndarray, q: int, k: int) -> np.ndarray:
+    """``rejects(values / q, k, axis=0)`` without dividing the (n_u, n) block
+    ``values`` (each entry >= 0 or NaN); row 0 is overwritten.
+
+    Row 0, the observed value v0, becomes its threshold t: the smallest double
+    with fl(t / q) == fl(v0 / q).  fl(. / q) is monotone, so fl(v / q) <
+    fl(v0 / q) exactly when v < t, and the comparisons ``rejects`` makes on the
+    undivided values decide as on the quotients, ties, NaN and inf included.
+    When v0 / q is a normal double y at most two adjacent doubles share it
+    (the dividends that round to y span q ulp(y), under two of their own
+    spacings), so t is v0 or its predecessor, the int64 view minus one.  A
+    subnormal quotient can be shared by more (v0 = 1e-320 with four
+    predecessors at q = 6), so a block with any v0 < q * 2^-1021 is divided
+    as before.
+    """
+    v0 = values[0]
+    if np.any(v0 < q * _NORMAL_QUOTIENT):
+        np.divide(values, q, out=values)
+    else:
+        pred = (v0.view(np.int64) - 1).view(np.float64)
+        np.copyto(v0, pred, where=pred / q == v0 / q)
+    return rejects(values, k, axis=0)
+
+
 class SignFlipKernel:
     """Monte Carlo power of the sign-change test on common random numbers.
 
     The limit experiment's standard normal draws, the sign matrix and the
     rejection budget are made once; ``counts`` then scores any (sigma, xi *
     delta) on those same draws, so estimates of different groupings differ
-    only through the groupings.  Each block is scored as
-    |(Z * sigma + xi * delta) @ signs| / q and tested with ``crstest.rejects``.
-    The draws and sums are kept transposed, (q, block) and (2^(q-1), block),
-    so the comparisons run along contiguous rows; the values equal the row
-    layout's bit for bit (``tests/test_kernel.py`` pins this).  The kernel
-    holds all reps x q draws.
+    only through the groupings.  Each block is decided as
+    ``crstest.rejects`` decides |(Z * sigma + xi * delta) @ signs| / q, but on
+    the undivided values, with the observed one replaced by its threshold
+    (``_undivided_rejects``): no pass divides the block by q, and every count
+    is that of the divided values.  The draws and sums are kept transposed,
+    (q, block) and (2^(q-1), block), so the comparisons run along contiguous
+    rows; the values equal the row layout's bit for bit
+    (``tests/test_kernel.py`` pins this).  The kernel holds all reps x q
+    draws.
 
     ``counts`` returns integers and validates nothing, so a search can compare
     its candidates by rejection count (value = count / reps exactly, since
@@ -151,8 +183,7 @@ class SignFlipKernel:
             np.add(w, shift, out=w)
             values = np.matmul(self._signs, w, out=self._values[:, :n])
             np.abs(values, out=values)
-            np.divide(values, self.q, out=values)
-            rejections += int(np.count_nonzero(rejects(values, self.k, axis=0)))
+            rejections += int(np.count_nonzero(_undivided_rejects(values, self.q, self.k)))
             if self.k == 1:
                 left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
                 right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))

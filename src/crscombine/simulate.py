@@ -22,8 +22,9 @@ give 0, j = 7 gives 1, and so on.
 block is drawn as arrays (``draw_block``), the groups of every policy are
 fitted for all panels at once from per-cluster moments
 (``estimation.group_block_stats``; ``pairwise_block_stats`` for the candidate
-pairs), its K = 1 pairings are searched at once (``combine.k1_picks``), and
-one ``crstest.rejects`` call decides it.  Replication r draws only from
+pairs), its K = 1 pairings are searched at once (``combine.k1_picks``; at
+K > 1 they are the starts of the per-replication 2-opt climbs), and one
+``crstest.rejects`` call decides it.  Replication r draws only from
 ``SeedSequence((seed, r))`` (and its own derived streams), so no result
 depends on the block size.  ``gen_dgp``, ``pairwise_moment_stats`` and
 ``combine_k1`` are the same code on a block of one.
@@ -242,10 +243,10 @@ def rejection_curve(
     groups at once from per-cluster moments (``group_block_stats``): ``fixed``
     its grouping's groups, ``crs_random`` each replication's q-bar pairs, and
     ``crs_data`` and ``all_omegas`` all q-bar^2 candidate pairs.  ``crs_data``
-    at K = 1 searches its pairings at once, and at K > 1 runs its 2-opt search
-    per replication on those fits.  One ``rejects`` call decides a block, and
-    ``all_omegas`` decides its pairings in steps of at most ``_DECIDE_CELLS``
-    randomization values (2 MB).
+    searches the block's K = 1 pairings at once (``k1_picks``); at K > 1 each
+    replication's 2-opt search climbs from its pick, on those fits.  One
+    ``rejects`` call decides a block, and ``all_omegas`` decides its pairings
+    in steps of at most ``_DECIDE_CELLS`` randomization values (2 MB).
 
     Memory per block of R replications of n rows and p covariates: on the
     reference design (q = 12, T = 20, p = 6, R = 8) a ``crs_data`` block
@@ -303,15 +304,13 @@ def rejection_curve(
                 counts += _rejections(score[:, None, :], signs_t, k)
             elif policy == "crs_data":
                 ctrl, trt, score, xi, sigma = pairwise_block_stats(block, h0, reg, model)
-                if kb <= 1:
-                    cols = k1_picks(xi, sigma, delta, A)
-                else:
-                    cols = np.empty((block.R, qbar), dtype=np.int64)
+                cols = k1_picks(xi, sigma, delta, A)
+                if kb > 1:  # each replication climbs from its K = 1 pick
                     for i, r in enumerate(block_reps):
                         psi = psi_from_scales(xi[i], sigma[i], delta, ctrl, trt)
                         g_star, _, _ = combine_heuristic_psi(
                             psi, delta, alpha, reps=heuristic_reps,
-                            seed=_derived_int_seed(seed, r, 2), A=A,
+                            seed=_derived_int_seed(seed, r, 2), start=cols[i],
                         )
                         cols[i] = _perm_of_grouping(psi, g_star)
                 score_rows = score[np.arange(block.R)[:, None], rows_idx, cols]

@@ -129,6 +129,21 @@ class TestCombineCommand:
         used = sorted(t for g in groups for t in g["treated"])
         assert used == [3, 4, 5, 6]
 
+    @pytest.mark.parametrize("method", ["heuristic", "exhaustive", "loglinear", "random"])
+    def test_unequal_counts_need_bilp(self, tmp_path, capsys, method):
+        # only the partition search covers the larger side: loglinear used to pair
+        # 1:4,2:3 and leave clusters 5 and 6 out, and heuristic and exhaustive
+        # ran the bilp search under their own names
+        out = tmp_path / "g.json"
+        code = dispatch([
+            "combine", "--data", FIXTURE, "--controls", "1,2", "--treated", "3,4,5,6",
+            "--x-cols", "const", "--c", "1", "--delta", "-5", "--model", "iid",
+            "--method", method, "--seed", "3", "--out", str(out),
+        ])
+        assert code == 1
+        assert f"error: the {method} method needs paired mode" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, controls, treated", [
         ("exhaustive", "1,2,3", "4,5,6"),
         ("loglinear", "1,2,3", "4,5,6"),
@@ -203,6 +218,11 @@ GOLDEN_COMBINE = {
     "heuristic": ("dgp2", DGP2_CONTROLS, ["--method", "heuristic", "--reps", "2000"], False),
     "exhaustive": ("dgp2", DGP2_CONTROLS, ["--method", "exhaustive", "--reps", "2000"], False),
     "loglinear": ("dgp2", DGP2_CONTROLS, ["--method", "loglinear", "--reps", "2000"], False),
+    # K = 3: every candidate is scored on the Monte Carlo sign-flip kernel
+    "heuristic_mc": ("dgp2", DGP2_CONTROLS,
+                     ["--method", "heuristic", "--alpha", "0.1", "--reps", "5000"], False),
+    "exhaustive_mc": ("dgp2", DGP2_CONTROLS,
+                      ["--method", "exhaustive", "--alpha", "0.1", "--reps", "2000"], False),
     "unequal": ("dgp2_unequal", "7,8,9", [], False),
 }
 
@@ -222,6 +242,28 @@ def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
     if diagnostics:
         lines = [ln for ln in diag.read_bytes().splitlines(True) if not ln.startswith(b"#")]
         assert b"".join(lines) == (DATA / f"combine_{name}_intervals.csv").read_bytes()
+
+
+# name -> (grouping, alpha): K = 2 at q = 4 (exact_enum) and K = 3 at q = 6
+# (monte_carlo), both scored on the sign-flip kernel
+GOLDEN_POWER = {
+    "exact_enum": ("{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "0.25"),
+    "monte_carlo": ("7:1,8:2,9:3,10:4,11:5,12:6", "0.1"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_POWER))
+def test_power_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
+    # tests/data holds each CSV without its "#" lines
+    grouping, alpha = GOLDEN_POWER[name]
+    out = tmp_path / "power.csv"
+    assert dispatch([
+        "power", "--data", str(dgp2_panels / "dgp2.csv"), "--controls", DGP2_CONTROLS,
+        "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", "--grouping", grouping,
+        "--alpha", alpha, "--deltas", "-60:60:30", "--reps", "20000", "--out", str(out),
+    ]) == 0
+    lines = [ln for ln in out.read_bytes().splitlines(True) if not ln.startswith(b"#")]
+    assert b"".join(lines) == (DATA / f"power_{name}.csv").read_bytes()
 
 
 class TestPowerCommand:

@@ -13,16 +13,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crscombine import LimitParams, PowerEstimate, power_mc
+from crscombine import LimitParams, PowerEstimate, combine, power_mc
 from crscombine.combine import (
     _perm_of_grouping,
     combine_exhaustive_psi,
     combine_heuristic_psi,
     combine_k1,
 )
-from crscombine.crstest import k_budget, sign_changes
+from crscombine.crstest import k_budget, rejects, sign_changes
 from crscombine.estimation import pairwise_group_stats, psi_from_scales
-from crscombine.power import MC_BLOCK, SignFlipKernel
+from crscombine.power import _NORMAL_QUOTIENT, MC_BLOCK, SignFlipKernel, _undivided_rejects
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
@@ -179,20 +179,101 @@ def test_heuristic_matches_per_candidate_reference(qbar, alpha, n_excluded, reps
         assert got == reference_heuristic(psi, delta, alpha, reps, seed)
 
 
-def test_heuristic_matches_reference_on_design_draws():
-    # Psi of heterogeneous dgp2 draws, as in a crs_data replication at K = 3;
-    # unlike random Psi, these often move the climb off its K = 1 start
+def design_draws():
+    """(r, psi, delta) of nine heterogeneous dgp2 draws, as in a crs_data
+    replication at K = 3; unlike random Psi, these often move the climb off
+    its K = 1 start."""
     spec = DgpSpec(variant="dgp2", h=4)
     h0 = dgp_hypothesis(0.1)
-    swaps = 0
     for r, beta in enumerate([-2.0, 0.0, 2.0] * 3):
         d = gen_dgp(replace(spec, beta=beta), np.random.SeedSequence((5, r)))
         ctrl, trt, _, xi, sigma = pairwise_group_stats(d, h0)
         delta = math.copysign(2.0 * math.sqrt(d.n), beta if beta else 1.0)
-        psi = psi_from_scales(xi, sigma, delta, ctrl, trt)
+        yield r, psi_from_scales(xi, sigma, delta, ctrl, trt), delta
+
+
+def test_heuristic_matches_reference_on_design_draws():
+    swaps = 0
+    for r, psi, delta in design_draws():
         got = combine_heuristic_psi(psi, delta, 0.1, reps=5000, seed=r)
         assert got == reference_heuristic(psi, delta, 0.1, 5000, r)
         swaps += len(got[2]) - 1
+    assert swaps > 0
+
+
+@pytest.mark.parametrize("qbar,alpha,n_excluded", [
+    (4, 0.25, 0), (4, 0.25, 3), (5, 0.2, 6), (6, 0.1, 0), (6, 0.1, 8), (5, 0.09375, 4),
+])
+def test_heuristic_from_the_k1_start_equals_the_default(qbar, alpha, n_excluded):
+    # grouping, estimate and trace; the given start is copied, not climbed in place
+    rng = np.random.default_rng(31 * qbar + n_excluded)
+    for i in range(6):
+        delta = (1.0 if i % 2 == 0 else -1.0) * float(rng.uniform(0.3, 2.0))
+        psi = random_psi(rng, qbar, delta, n_excluded)
+        seed = int(rng.integers(2**31))
+        start = _perm_of_grouping(psi, combine_k1(psi, delta)[0])
+        kept = start.copy()
+        want = combine_heuristic_psi(psi, delta, alpha, reps=2000, seed=seed)
+        assert combine_heuristic_psi(psi, delta, alpha, reps=2000, seed=seed,
+                                     start=start) == want
+        np.testing.assert_array_equal(start, kept)
+
+
+def test_heuristic_start_must_be_a_pairing():
+    psi = random_psi(np.random.default_rng(0), 4, 1.0)
+    with pytest.raises(ValueError, match="permutation"):
+        combine_heuristic_psi(psi, 1.0, 0.25, reps=1000, start=[0, 0, 1, 2])
+
+
+def test_climb_never_rescores_the_undone_swap(monkeypatch):
+    # a spy on the tally: between two estimates (the start, then each accepted
+    # swap) the climb scores one round, which after a swap from p to p' must
+    # hold every identified neighbour of p' except p
+    events = []
+    real = combine._pairing_tally
+
+    def spy(*args):
+        tally, estimate = real(*args)
+
+        def counted(cols):
+            events.append(tuple(cols.tolist()))
+            return tally(cols)
+
+        def built(best):
+            events.append(None)
+            return estimate(best)
+        return counted, built
+
+    monkeypatch.setattr(combine, "_pairing_tally", spy)
+    swaps = 0
+    for r, psi, delta in design_draws():
+        events.clear()
+        _, _, trace = combine_heuristic_psi(psi, delta, 0.1, reps=5000, seed=r)
+        rounds = [[]]
+        for ev in events:
+            if ev is None:
+                rounds.append([])
+            else:
+                rounds[-1].append(ev)
+        assert len(rounds) == len(trace) + 1
+        path = list(rounds[0])
+        for step in trace[1:]:
+            i, j = step["swap"]
+            p = list(path[-1])
+            p[i], p[j] = p[j], p[i]
+            path.append(tuple(p))
+        for n, scored in enumerate(rounds[1:]):
+            here = path[n]
+            neighbours = set()
+            for i, j in itertools.combinations(range(psi.qbar), 2):
+                p = list(here)
+                p[i], p[j] = p[j], p[i]
+                if not np.isnan(psi.values[np.arange(psi.qbar), p]).any():
+                    neighbours.add(tuple(p))
+            undone = {path[n - 1]} if n else set()
+            assert len(scored) == len(set(scored))
+            assert set(scored) == neighbours - undone
+        swaps += len(trace) - 1
     assert swaps > 0
 
 
@@ -205,3 +286,64 @@ def test_exhaustive_mc_matches_per_candidate_reference(qbar, alpha, n_excluded):
         seed = int(rng.integers(2**31))
         got = combine_exhaustive_psi(psi, delta, alpha, method="mc", reps=1000, seed=seed)
         assert got == reference_exhaustive(psi, delta, alpha, 1000, seed)
+
+
+def _step(v, n):
+    """The double n places from v >= 0 in the int64 view (n < 0: predecessors)."""
+    return (np.asarray(v, dtype=np.float64).view(np.int64) + n).view(np.float64)
+
+
+def _spanning_values(q):
+    """Dividends >= 0 over every binade, subnormals included: powers of two,
+    q times powers of two (quotients at binade edges) and random mantissas,
+    each with two neighbours either side, then 0, the largest double, inf and
+    NaN."""
+    e = np.arange(-1074, 1019)
+    rng = np.random.default_rng(q)
+    base = np.concatenate([np.ldexp(1.0, e), np.ldexp(float(q), e),
+                           np.ldexp(rng.uniform(1.0, 2.0, e.size), e)])
+    v = np.concatenate([_step(base, n) for n in range(-2, 3)])
+    v = v[np.isfinite(v) & (v >= 0.0)]
+    return np.concatenate([v, [0.0, np.finfo(np.float64).max, np.inf, np.nan]])
+
+
+@pytest.mark.parametrize("q", range(2, 25))
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_threshold_decides_as_the_quotients(q):
+    # each block compares v0 with its near ties (itself, three predecessors,
+    # its successor) and with 0, inf and NaN, at every budget; the first block
+    # holds the quotients that may be subnormal, the second the others, the
+    # third both.  A step from NaN can give a signalling NaN, which warns when
+    # divided.
+    v0 = _spanning_values(q)
+    subnormal = v0 < q * 2.0 ** -1021
+    for row0 in (v0[subnormal], v0[~subnormal], v0):
+        n = row0.size
+        block = np.stack([row0, row0, _step(row0, -1), _step(row0, -2), _step(row0, -3),
+                          _step(row0, 1), np.zeros(n), np.full(n, np.inf), np.full(n, np.nan)])
+        for k in range(1, block.shape[0]):
+            want = rejects(block / q, k, axis=0)
+            np.testing.assert_array_equal(_undivided_rejects(block.copy(), q, k), want)
+
+
+@pytest.mark.parametrize("q", range(2, 25))
+def test_at_most_two_doubles_share_a_normal_quotient(q):
+    # above the kernel's guard no three adjacent doubles share a quotient, so
+    # the threshold is v0 or its predecessor; below it they can
+    v = _spanning_values(q)
+    v = v[np.isfinite(v) & (v >= q * _NORMAL_QUOTIENT)]
+    assert v.size > 6000
+    assert not np.any(_step(v, -2) / q == v / q)
+    assert _step(1e-320, -4) / 6 == 1e-320 / 6
+
+
+@pytest.mark.parametrize("q,alpha", [(4, 0.25), (5, 0.2), (6, 0.1), (6, 0.05), (7, 0.05)])
+@pytest.mark.parametrize("scale", [1e-321, 1e-306])
+def test_subnormal_quotients_match_reference(q, alpha, scale):
+    # at 1e-321 every quotient is subnormal and ties abound, so the kernel
+    # must divide; at 1e-306 only some draws of a block fall below the guard
+    rng = np.random.default_rng(q)
+    lp = LimitParams(xi=rng.uniform(0.1, 1.0, q), sigma=rng.uniform(1.0, 3.0, q) * scale)
+    kernel = SignFlipKernel(q, alpha, reps=5000, seed=q)
+    for delta in (0.0, scale, -2.0 * scale):
+        assert kernel.estimate(lp, delta) == reference_power_mc(lp, delta, alpha, 5000, q)

@@ -388,6 +388,8 @@ class TestBlockEngine:
          {"model": "iid"}),
         (DgpSpec("dgp3", h=2), (-1.0,), "crs_data", 0.05, {"reg": FE_REG}),
         (DgpSpec("dgp2", h=3), (1.0,), "crs_data", 0.10, {"heuristic_reps": 1_000}),
+        # the benchmark's sim_k3 design: K = 3, 2-opt from the block's K = 1 picks
+        (DgpSpec("dgp2", h=4), (-2.0, 2.0), "crs_data", 0.10, {"heuristic_reps": 5_000}),
         (DgpSpec("dgp1", h=2, stationary_start=False), (-1.0, 1.5), "all_omegas", 0.05, {}),
         (DgpSpec("dgp3", h=4), (0.0, 2.0), "crs_random", 0.05, {}),
         (DgpSpec("dgp2", h=1), (1.5,), "fixed", 0.25, {"grouping": THREE_GROUPS}),
