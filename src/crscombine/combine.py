@@ -10,9 +10,10 @@ exact optimum.
 
 ``band_winners`` is the one assignment solver: it solves every program of a
 stack of plans exactly in one pass over the cached table of all (at most 10!)
-assignments.  ``_k1_search`` is the one K = 1 search on top of it: it builds
-each plan (``_interval_plan``) and keeps each matrix's best band, for a stack
-of Psi matrices.  ``k1_picks`` runs it on a block of simulated fits,
+assignments, by scatter reductions over the whole stack and with no sort.
+``_k1_search`` is the one K = 1 search on top of it: it builds each plan
+(``_interval_plan``) and keeps each matrix's best band, for a stack of Psi
+matrices.  ``k1_picks`` runs it on a block of simulated fits,
 ``combine_k1`` on a stack of one plus the diagnostics, and ``combine_unequal``
 on its covering table.  ``combine_loglinear`` is ``band_winners`` with one band
 and no side term.  No MILP solver is used.
@@ -60,14 +61,16 @@ def _interval_plan(side_vals: np.ndarray, A: int) -> np.ndarray:
     side term of each (q-bar, m) matrix of an (R, q-bar, m) stack.
 
     The A bands are equally spaced from eps0 = max(min side^qbar, 1e-300),
-    capped at 2^-qbar (1 - 1e-12), up to 2^-qbar.
+    capped at 2^-qbar (1 - 1e-12), up to 2^-qbar.  The minimum skips NaN
+    (excluded) cells without a warning; an all-NaN matrix gets a NaN plan,
+    and ``band_winners`` raises IdentificationError for it.
     """
     if A < 1:
         raise ValueError("A must be at least 1")
     qbar = side_vals.shape[1]
     top = 0.5 ** qbar
     eps0 = [min(max(float(low) ** qbar, EPS0_FLOOR), top * (1.0 - 1e-12))
-            for low in np.nanmin(side_vals, axis=(1, 2))]
+            for low in np.fmin.reduce(side_vals, axis=(1, 2))]
     return np.linspace(eps0, top, A + 1, axis=-1)
 
 
@@ -111,6 +114,28 @@ def _closed_k1(psi: PsiMatrix, cols: np.ndarray) -> PowerEstimate:
     return _k1_estimate(tuple(float(t) for t in _k1_power_of_perm(psi, cols)))
 
 
+def _band_entries(side_acc: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Every (leaf, band) membership of an (R, L) stack of side sums as
+    stack-wide ids ``(cell, band)``: cell r * L + leaf, ascending, and band
+    r * A + a.  A leaf lies in band a when lo[r, a] <= side <= hi[r, a]; a
+    NaN side sum lies in none."""
+    n_prog, n_bands = lo.shape
+    first = np.empty(side_acc.shape, dtype=np.intp)
+    n_in = np.empty(side_acc.shape, dtype=np.intp)
+    for r in range(n_prog):
+        first[r] = np.searchsorted(hi[r], side_acc[r], side="left")
+        n_in[r] = np.searchsorted(lo[r], side_acc[r], side="right")
+    n_in -= first
+    np.maximum(n_in, 0, out=n_in)
+    first += np.arange(n_prog)[:, None] * n_bands
+    first, n_in = first.ravel(), n_in.ravel()
+    cell = np.repeat(np.arange(first.size), n_in)
+    # the j-th entry of a leaf is its band first + j
+    band = np.repeat(first - np.cumsum(n_in) + n_in, n_in)
+    band += np.arange(cell.size)
+    return cell, band
+
+
 def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
                  log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve every interval program of R plans in one pass over the
@@ -124,46 +149,55 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     depth-first branch and bound over the same program.  The table is read
     once, block by block, and the sums run over all R programs together.
 
+    Each block is one scatter pass over the whole stack, with no sort: every
+    (leaf, band) entry gets stack-wide ids (``_band_entries``), and only
+    entries strictly above their band's best from earlier blocks stay.
+    ``np.maximum.at`` takes each band's largest obj, and ``np.minimum.at``
+    the smallest cell among the entries equal to it, which is the first leaf
+    in table (lexicographic) order.  A later block thus replaces a winner
+    only on a strictly larger obj.
+
     Returns ``(choice, feasible)`` of shapes (R, A, q) and (R, A).  Raises
     IdentificationError when any program has no assignment that avoids its
     excluded cells, and BoundError when the table would exceed
     ``data.MAX_ASSIGNMENTS`` rows (q-bar > 10 in paired mode).
     """
-    q = obj.shape[1]
+    n_prog, q = obj.shape[:2]
     table = _assignment_table(tuple(int(m) for m in masks), full, q)
     # an assignment that uses an excluded cell gets a NaN side sum, which
     # searchsorted places after every band
     side = np.where(np.isfinite(obj) & np.isfinite(side), side, np.nan)
     lo = log_eps[:, :-1] - _INTERVAL_TOL
     hi = log_eps[:, 1:] + _INTERVAL_TOL
-    best_obj = np.full(lo.shape, -np.inf)
-    best = np.zeros(lo.shape + (q,), dtype=table.dtype)
-    n_leaves = np.zeros(obj.shape[0], dtype=np.int64)
+    n_bands = lo.shape[1]
+    best_obj = np.full(n_prog * n_bands, -np.inf)
+    best = np.zeros((n_prog * n_bands, q), dtype=table.dtype)
+    n_leaves = np.zeros(n_prog, dtype=np.int64)
     for start in range(0, table.shape[0], _BLOCK_ROWS):
         choice = table[start:start + _BLOCK_ROWS]
-        obj_acc, side_acc = np.zeros((2, obj.shape[0], choice.shape[0]))
+        n_rows = choice.shape[0]
+        obj_acc, side_acc = np.zeros((2, n_prog, n_rows))
         for i in range(q):
             obj_acc += obj[:, i].take(choice[:, i], axis=1)
             side_acc += side[:, i].take(choice[:, i], axis=1)
         n_leaves += np.count_nonzero(~np.isnan(side_acc), axis=1)
-        for r in range(obj.shape[0]):
-            obj_r, side_r, best_obj_r = obj_acc[r], side_acc[r], best_obj[r]
-            first = np.searchsorted(hi[r], side_r, side="left")
-            n_in = np.maximum(np.searchsorted(lo[r], side_r, side="right") - first, 0)
-            leaf = np.repeat(np.arange(choice.shape[0]), n_in)
-            band = first[leaf] + np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
-            better = obj_r[leaf] > best_obj_r[band]  # only these can take their band
-            leaf, band = leaf[better], band[better]
-            # lexsort is stable and ``leaf`` ascends: each band's first entry is
-            # its largest obj, the lexicographically first leaf on ties
-            order = np.lexsort((-obj_r[leaf], band))
-            band, head = np.unique(band[order], return_index=True)
-            leaf = leaf[order][head]
-            best_obj_r[band] = obj_r[leaf]
-            best[r, band] = choice[leaf]
+        cell, band = _band_entries(side_acc, lo, hi)
+        obj_acc = obj_acc.ravel()
+        better = obj_acc[cell] > best_obj[band]  # only these can take their band
+        cell, band = cell[better], band[better]
+        val = obj_acc[cell]
+        top = np.full(best_obj.shape, -np.inf)
+        np.maximum.at(top, band, val)
+        tied = val == top[band]
+        win = np.full(best_obj.shape, n_prog * n_rows)  # no winner in this block
+        np.minimum.at(win, band[tied], cell[tied])
+        taken = np.flatnonzero(win < n_prog * n_rows)
+        best_obj[taken] = obj_acc[win[taken]]
+        best[taken] = choice[win[taken] % n_rows]
     if not n_leaves.all():
         raise IdentificationError("no identified pairing exists")
-    return best.astype(np.int64), best_obj > -np.inf
+    return (best.astype(np.int64).reshape(n_prog, n_bands, q),
+            best_obj.reshape(n_prog, n_bands) > -np.inf)
 
 
 def _k1_search(values: np.ndarray, comp: np.ndarray, delta: float, A: int, masks, full: int):
@@ -175,7 +209,8 @@ def _k1_search(values: np.ndarray, comp: np.ndarray, delta: float, A: int, masks
     eps0 still lands in it.  Returns per matrix the band winner of best K = 1
     power (the first band on ties), and per band the plan's break points
     (R, A + 1), its feasibility and its winner's power (-inf when
-    infeasible).  delta must be nonzero.
+    infeasible).  The power is computed only for the winners of feasible
+    bands.  delta must be nonzero.
     """
     eps = _interval_plan(comp if delta < 0 else values, A)
     log_eps = np.log(eps)
@@ -187,12 +222,13 @@ def _k1_search(values: np.ndarray, comp: np.ndarray, delta: float, A: int, masks
             "every subinterval program was infeasible: every identified assignment "
             "has a side product above 2^-q-bar, so some side term exceeds one half"
         )
-    stack = np.arange(values.shape[0])[:, None, None]
+    r, a = np.nonzero(feasible)
+    cols = choice[r, a]
     rows = np.arange(values.shape[1])
-    power = (np.prod(values[stack, rows, choice], axis=-1)
-             + np.prod(comp[stack, rows, choice], axis=-1))
-    power = np.where(feasible, power, -np.inf)
-    return choice[stack[:, 0, 0], np.argmax(power, axis=1)], eps, feasible, power
+    power = np.full(feasible.shape, -np.inf)
+    power[r, a] = (np.prod(values[r[:, None], rows, cols], axis=-1)
+                   + np.prod(comp[r[:, None], rows, cols], axis=-1))
+    return choice[np.arange(values.shape[0]), np.argmax(power, axis=1)], eps, feasible, power
 
 
 def k1_picks(xi: np.ndarray, sigma: np.ndarray, delta: float, A: int = 200) -> np.ndarray:
@@ -220,9 +256,10 @@ def combine_k1(psi: PsiMatrix, delta: float, A: int = 200):
     Returns ``(grouping, estimate, diagnostics)`` where diagnostics holds one
     record per interval with its bounds, feasibility, and achieved power.
 
-    The pass scores every pairing: on one core about 0.5 ms at q-bar = 6,
-    11-15 ms at 8, 50 ms at 9 and 0.5-0.6 s at 10 (1.1-1.4 s for a process's
-    first q-bar = 10 call, which builds the table).  Raises ValueError when
+    The pass scores every pairing: on one core of a shared 2-vCPU VM, on
+    dgp2 panels, about 0.3-0.5 ms at q-bar = 6, 5-6 ms at 8, 28-33 ms at 9
+    and 0.24-0.34 s at 10 (0.7-0.9 s for a process's first q-bar = 10 call,
+    which builds the table).  Raises ValueError when
     A < 1, BoundError above q-bar = 10, and IdentificationError when every
     pairing uses an excluded pair.
 

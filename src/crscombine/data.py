@@ -289,7 +289,10 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
     max_size = total - q + 1
     step = max(1, _TABLE_CELLS // len(masks))
     covered, uncovered = np.zeros(1, dtype=np.int64), np.array([total])  # distinct covered sets
-    cover_of = np.zeros(1, dtype=np.intp)  # index of each partial assignment's covered set
+    # index of each partial assignment's covered set.  It, ``skip`` and ``pair``
+    # are int32 (at most MAX_ASSIGNMENTS rows), and each is deleted once used,
+    # to keep the build's peak memory down; ``counts`` stays intp for np.repeat
+    cover_of = np.zeros(1, dtype=np.int32)
     columns: list[np.ndarray] = []
     for row in range(q):
         remaining = q - row - 1
@@ -303,21 +306,30 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
             if n_rows > MAX_ASSIGNMENTS:
                 raise BoundError(f"refusing to enumerate over {MAX_ASSIGNMENTS} assignments "
                                  f"of {q} rows to {len(masks)} column sets")
-            opens.append(np.argwhere(ok) + [lo, 0])
-        open_cover, open_col = np.concatenate(opens).T
+            cover_idx, col_idx = np.nonzero(ok)
+            opens.append((cover_idx.astype(np.int32) + lo, col_idx.astype(np.int32)))
+        open_cover, open_col = (np.concatenate(part) for part in zip(*opens))
         n_open = np.bincount(open_cover, minlength=covered.shape[0])
         counts = n_open[cover_of]
         # the k-th child of a partial assignment takes the k-th open column of
         # its covered set: entry pair[child] of (open_cover, open_col)
-        pair = np.repeat((np.cumsum(n_open) - n_open)[cover_of] - (np.cumsum(counts) - counts),
-                         counts)
-        pair += np.arange(pair.shape[0])
-        columns = [np.repeat(c, counts) for c in columns]
+        skip = (np.cumsum(n_open) - n_open).astype(np.int32)[cover_of]
+        del cover_of
+        skip -= np.cumsum(counts, dtype=np.int32)
+        skip += counts
+        pair = np.repeat(skip, counts)
+        del skip
+        pair += np.arange(n_rows, dtype=np.int32)
+        for i, c in enumerate(columns):  # in place, so one old column is freed per step
+            columns[i] = np.repeat(c, counts)
+        del counts
         columns.append(open_col.astype(np.min_scalar_type(len(masks) - 1))[pair])
         covered, head, inverse = np.unique(covered[open_cover] | bits[open_col],
                                           return_index=True, return_inverse=True)
         uncovered = (uncovered[open_cover] - sizes[open_col])[head]
-        cover_of = inverse[pair]
+        cover_of = inverse.astype(np.int32)[pair]
+        del pair
+    del cover_of
     table = np.stack(columns, axis=1)
     table.setflags(write=False)
     return table

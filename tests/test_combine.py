@@ -27,6 +27,7 @@ from crscombine import (
     psi_from_scales,
 )
 from crscombine.combine import (
+    _BLOCK_ROWS,
     _INTERVAL_TOL,
     _INTERVAL_TOL as TOL,
     _branch_coeffs,
@@ -36,7 +37,7 @@ from crscombine.combine import (
     band_winners,
     k1_picks,
 )
-from crscombine.data import MAX_ASSIGNMENTS, _paired
+from crscombine.data import MAX_ASSIGNMENTS, _assignment_table, _paired
 from crscombine.estimation import psi_matrix
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
@@ -98,6 +99,48 @@ def _solve_assignment_bb(obj: np.ndarray, side: np.ndarray, lo: float, hi: float
     cols = np.asarray(best_cols, dtype=np.int64)
     rows = np.arange(q)
     return cols, float(obj[rows, cols].sum()), float(side[rows, cols].sum())
+
+
+# band_winners as it was before its stack-wide scatter pass: a sort per
+# program and table block.  Kept verbatim as the reference the pass is checked
+# against, stack by stack.
+def _band_winners_sorted(obj: np.ndarray, side: np.ndarray, masks, full: int,
+                         log_eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    q = obj.shape[1]
+    table = _assignment_table(tuple(int(m) for m in masks), full, q)
+    # an assignment that uses an excluded cell gets a NaN side sum, which
+    # searchsorted places after every band
+    side = np.where(np.isfinite(obj) & np.isfinite(side), side, np.nan)
+    lo = log_eps[:, :-1] - _INTERVAL_TOL
+    hi = log_eps[:, 1:] + _INTERVAL_TOL
+    best_obj = np.full(lo.shape, -np.inf)
+    best = np.zeros(lo.shape + (q,), dtype=table.dtype)
+    n_leaves = np.zeros(obj.shape[0], dtype=np.int64)
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        choice = table[start:start + _BLOCK_ROWS]
+        obj_acc, side_acc = np.zeros((2, obj.shape[0], choice.shape[0]))
+        for i in range(q):
+            obj_acc += obj[:, i].take(choice[:, i], axis=1)
+            side_acc += side[:, i].take(choice[:, i], axis=1)
+        n_leaves += np.count_nonzero(~np.isnan(side_acc), axis=1)
+        for r in range(obj.shape[0]):
+            obj_r, side_r, best_obj_r = obj_acc[r], side_acc[r], best_obj[r]
+            first = np.searchsorted(hi[r], side_r, side="left")
+            n_in = np.maximum(np.searchsorted(lo[r], side_r, side="right") - first, 0)
+            leaf = np.repeat(np.arange(choice.shape[0]), n_in)
+            band = first[leaf] + np.arange(leaf.size) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+            better = obj_r[leaf] > best_obj_r[band]  # only these can take their band
+            leaf, band = leaf[better], band[better]
+            # lexsort is stable and ``leaf`` ascends: each band's first entry is
+            # its largest obj, the lexicographically first leaf on ties
+            order = np.lexsort((-obj_r[leaf], band))
+            band, head = np.unique(band[order], return_index=True)
+            leaf = leaf[order][head]
+            best_obj_r[band] = obj_r[leaf]
+            best[r, band] = choice[leaf]
+    if not n_leaves.all():
+        raise IdentificationError("no identified pairing exists")
+    return best.astype(np.int64), best_obj > -np.inf
 
 
 def random_psi(rng, qbar, delta=None, n_excluded=0):
@@ -259,6 +302,104 @@ class TestIntervalPrograms:
                 eps0 = float(np.min(side_vals)) ** qbar
                 sol = assert_interval_matches_bb(flat, (eps0, 0.5**qbar), delta)
                 np.testing.assert_array_equal(sol[0], np.arange(qbar))
+
+
+def random_plan_stack(rng, R, qbar, A, n_cols=None, nan_share=0.0, flat=()):
+    """(obj, side, log_eps) of R random Psi matrices (q-bar, n_cols), each
+    with its own sign of delta and its own plan of A bands, as _k1_search
+    builds them; the fits listed in ``flat`` tie on every cell, and a share
+    ``nan_share`` of the other cells is excluded (never the diagonal)."""
+    n_cols = n_cols or qbar
+    obj, side, log_eps = [], [], []
+    for r in range(R):
+        delta = float(rng.uniform(0.3, 2.0)) * (-1.0 if rng.random() < 0.5 else 1.0)
+        xi = rng.uniform(0.05, 1.0, size=(qbar, n_cols))
+        sigma = rng.uniform(0.1, 5.0, size=(qbar, n_cols))
+        xi[rng.random(xi.shape) < nan_share] = np.nan
+        xi[np.arange(qbar), np.arange(qbar)] = rng.uniform(0.05, 1.0, qbar)
+        if r in flat:
+            xi[:], sigma[:] = 0.5, 1.0
+        psi = psi_from_scales(xi, sigma, delta, control_ids=tuple(range(qbar)),
+                              treated_ids=tuple(range(n_cols)))
+        o, sd = _branch_coeffs(psi.values, psi.comp, delta)
+        eps = np.log(_interval_plan((psi.comp if delta < 0 else psi.values)[None], A)[0])
+        eps[0] = -np.inf
+        obj.append(o), side.append(sd), log_eps.append(eps)
+    return np.array(obj), np.array(side), np.array(log_eps)
+
+
+def assert_scatter_matches_sorted(obj, side, masks, full, log_eps):
+    """band_winners against _band_winners_sorted on one stack: the same
+    choices, feasibility and dtypes."""
+    choice, feasible = band_winners(obj, side, masks, full, log_eps)
+    ref_choice, ref_feasible = _band_winners_sorted(obj, side, masks, full, log_eps)
+    assert (choice.dtype, feasible.dtype) == (ref_choice.dtype, ref_feasible.dtype)
+    np.testing.assert_array_equal(feasible, ref_feasible)
+    np.testing.assert_array_equal(choice, ref_choice)
+    return choice, feasible
+
+
+class TestBandWinnersScatterPass:
+    """band_winners' stack-wide scatter pass against the per-program sort it
+    replaced, band by band."""
+
+    def test_random_stacks_match_the_sorted_pass(self):
+        # q-bar 2 to 8 (8 spans two table blocks), stacks of 1, 3 and 8 plans,
+        # A of 1, 7, 60 and 200, excluded cells and tied fits
+        rng = np.random.default_rng(31)
+        for trial in range(28):
+            qbar, R, A = 2 + trial % 7, (1, 3, 8)[trial % 3], (1, 7, 60, 200)[trial % 4]
+            obj, side, log_eps = random_plan_stack(
+                rng, R, qbar, A, nan_share=(0.0, 0.15, 0.4)[trial % 3],
+                flat=(R - 1,) if trial % 5 == 0 else ())
+            assert_scatter_matches_sorted(obj, side, *_paired(qbar), log_eps)
+
+    def test_ties_across_the_block_boundary(self):
+        # every pairing of a flat fit ties, in both blocks of the q-bar = 8
+        # table: each band keeps its first leaf from the first block
+        assert 40_320 > _BLOCK_ROWS
+        rng = np.random.default_rng(32)
+        for A in (1, 7, 60, 200):
+            obj, side, log_eps = random_plan_stack(rng, 3, 8, A, nan_share=0.1, flat=(0, 2))
+            choice, feasible = assert_scatter_matches_sorted(obj, side, *_paired(8), log_eps)
+            np.testing.assert_array_equal(choice[0][feasible[0]][0], np.arange(8))
+
+    def test_leaves_on_a_band_edge_join_both_bands(self):
+        # break points set to leaves' own side sums: each such leaf lies in the
+        # band above and the band below
+        rng = np.random.default_rng(33)
+        for qbar, A in ((4, 7), (5, 60), (6, 200), (8, 60)):
+            obj, side, log_eps = random_plan_stack(rng, 3, qbar, A, nan_share=0.1)
+            table = _assignment_table(*_paired(qbar), qbar)
+            for r in range(3):
+                sums = np.zeros(table.shape[0])
+                for i in range(qbar):
+                    sums += np.where(np.isfinite(obj[r, i]), side[r, i], np.nan)[table[:, i]]
+                edges = np.unique(sums[np.isfinite(sums)])
+                picks = np.sort(rng.choice(edges, size=min(A - 1, edges.size), replace=False))
+                log_eps[r, 1:picks.size + 1] = picks
+                log_eps[r, picks.size + 1:] = picks[-1] + np.arange(1, A - picks.size + 1)
+            assert_scatter_matches_sorted(obj, side, *_paired(qbar), log_eps)
+
+    def test_unequal_covering_tables_match_the_sorted_pass(self):
+        rng = np.random.default_rng(34)
+        for trial, (qbar, n_big) in enumerate(((2, 3), (2, 5), (3, 5), (3, 7), (4, 7))):
+            masks = [sum(1 << j for j in m)
+                     for m in enumerate_side_subsets(tuple(range(n_big)), qbar)]
+            for R, A in ((1, 7), (3, 60), (8, 200)):
+                obj, side, log_eps = random_plan_stack(rng, R, qbar, A, n_cols=len(masks),
+                                                       nan_share=0.1 * (trial % 2))
+                assert_scatter_matches_sorted(obj, side, masks, (1 << n_big) - 1, log_eps)
+
+    def test_a_stack_equals_its_one_program_calls(self):
+        rng = np.random.default_rng(35)
+        for qbar, A in ((3, 200), (6, 60), (8, 7)):
+            obj, side, log_eps = random_plan_stack(rng, 8, qbar, A, nan_share=0.1, flat=(5,))
+            choice, feasible = band_winners(obj, side, *_paired(qbar), log_eps)
+            for r in range(8):
+                one = band_winners(obj[r:r + 1], side[r:r + 1], *_paired(qbar), log_eps[r:r + 1])
+                np.testing.assert_array_equal(choice[r], one[0][0])
+                np.testing.assert_array_equal(feasible[r], one[1][0])
 
 
 class TestCombineK1:
@@ -812,3 +953,17 @@ def unidentified_column_psi():
 def test_no_identified_pairing_is_an_identification_error(search):
     with pytest.raises(IdentificationError, match="no identified pairing exists"):
         search(unidentified_column_psi())
+
+
+@pytest.mark.parametrize("search", [
+    lambda: combine_k1(psi_from_scales(np.full((3, 3), np.nan), np.ones((3, 3)), -1.0), -1.0),
+    lambda: combine_k1(psi_from_scales(np.full((3, 3), np.nan), np.ones((3, 3)), 1.0), 1.0),
+    lambda: k1_picks(np.stack([np.full((4, 4), 0.5), np.full((4, 4), np.nan)]),
+                     np.ones((2, 4, 4)), 2.0),
+], ids=["k1_negative", "k1_positive", "picks"])
+def test_an_all_nan_fit_fails_without_a_warning(search):
+    # the named error, and no numpy warning about an all-NaN slice before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IdentificationError, match="no identified pairing exists"):
+            search()
