@@ -21,12 +21,12 @@ the CLI keeps the reference so its output files stay the same to the byte.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import Grouping, Hypothesis, PanelBlock, PanelDataset
 from .errors import IdentificationError, SchemaError
@@ -592,21 +592,84 @@ def psi_from_scales(
 
 def psi_terms(xi: np.ndarray, sigma: np.ndarray, delta: float):
     """``(Psi, 1 - Psi)`` of (xi, sigma) arrays of any shape, as ``PsiMatrix``
-    holds them: each term from its own tail of the normal cdf, clipped away
-    from 0 and 1, NaN where xi or sigma is."""
+    holds them: each term from its own tail of the normal cdf
+    (``normal_tails``), clipped away from 0 and 1, NaN where xi or sigma is."""
     with np.errstate(invalid="ignore"):
         z = xi * delta / sigma
-        values = ndtr(-z)
-        comp = ndtr(z)  # 1 - Phi(-z), computed on its own tail for accuracy
-    return _clip_psi(values, comp)
+    return _clip_psi(*normal_tails(z))
 
 
 def _clip_psi(values: np.ndarray, comp: np.ndarray):
-    """Copies of Psi and 1 - Psi clipped into [PSI_FLOOR, 1 - 1e-16] where Psi
-    is not NaN."""
-    mask = ~np.isnan(values)
-    values = values.copy()
-    comp = comp.copy()
-    values[mask] = np.clip(values[mask], PSI_FLOOR, 1.0 - 1e-16)
-    comp[mask] = np.clip(comp[mask], PSI_FLOOR, 1.0 - 1e-16)
-    return values, comp
+    """Copies of Psi and 1 - Psi clipped into [PSI_FLOOR, 1 - 1e-16]; NaN stays NaN."""
+    return values.clip(PSI_FLOOR, 1.0 - 1e-16), comp.clip(PSI_FLOOR, 1.0 - 1e-16)
+
+
+# The normal cdf as the Cephes library (S. L. Moshier) evaluates it in ndtr.c,
+# which is what scipy.special.ndtr runs.  With x = z / sqrt(2):
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1, erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8 and exp(-x^2) R(x) / S(x) from 8 on; U, Q and S are monic.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc counts as 0 once x^2 exceeds it
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# [k, numerator or denominator, rational]: the k-th Horner coefficient of T/U,
+# P/Q and R/S, each padded with leading zeros to degree 8.  A zero step adds
+# 0 * x to 0, so a finite x gets Cephes' own sums, bit for bit.
+_RATIONALS = np.array([[(0.0,) * (9 - len(c)) + c for c in pair] for pair in (
+    (_ERF_T, _ERF_U), (_ERFC_P, _ERFC_Q), (_ERFC_R, _ERFC_S))]).transpose(2, 1, 0).copy()
+_RATIONAL_CUTS = np.array([1.0, 8.0])
+_ARG_CAP = 27.0  # 27^2 > MAXLOG: a cap that keeps the padded rows finite and changes no result
+
+
+def normal_tails(z) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi(-z), Phi(z))`` of an array of any shape, each from its own tail.
+
+    Both equal ``scipy.special.ndtr(-z)`` and ``ndtr(z)`` bit for bit, sign
+    bits and NaN included: this is Cephes' ``ndtr`` with its ``erf`` and
+    ``erfc``, on one evaluation for both tails (Cephes has erf(-x) = -erf(x)
+    exactly).  Every rational runs as the same Horner steps on a (2, ...)
+    numerator and denominator stack, and ``exp`` is ``math.exp``, the C
+    library's, as Cephes calls it; numpy's vectorized ``exp`` can differ from
+    it in the last bit.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    ax = np.abs(z * _SQRT1_2)
+    a = np.minimum(ax, _ARG_CAP)
+    a2 = a * a
+    rational = _RATIONAL_CUTS.searchsorted(ax, side="right")
+    erf_side = rational == 0
+    coef = _RATIONALS.take(rational, axis=-1)
+    arg = np.where(erf_side, a2, a)
+    arg = np.array((arg, arg))  # in-place steps on equal shapes run about twice as fast
+    ratio = coef[0] * arg
+    for c in coef[1:-1]:
+        ratio += c
+        ratio *= arg
+    ratio += coef[-1]
+    # erf(|x|) below 1 and erfc(|x|) from 1 on, each as Cephes writes it:
+    # (x * T) / U and (exp(-x^2) * P) / Q; erfc is 0 once x^2 exceeds MAXLOG
+    scale = np.where(erf_side, a, 0.0)
+    tail = ~erf_side & (a2 <= _MAXLOG)
+    scale[tail] = np.fromiter(map(math.exp, (-a2[tail]).tolist()), np.float64)
+    half = 0.5 * (scale * ratio[0] / ratio[1])
+    # Phi(-|z|): 0.5 - 0.5 erf = 0.5 erfc exactly below 1, and 0.5 erfc from 1 on
+    near = np.where(erf_side, 0.5 - half, half)
+    far = np.where(ax < _SQRT1_2, 0.5 + half, 1.0 - near)
+    neg = z < 0
+    lower, upper = np.where(neg, far, near), np.where(neg, near, far)
+    nan = np.isnan(z)
+    if nan.any():
+        lower[nan] = upper[nan] = np.nan  # Cephes' NaN, whatever the input's payload
+    return lower, upper

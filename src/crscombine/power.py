@@ -26,8 +26,9 @@ evaluators are provided:
 ``power_tally`` splits it for the grouping searches: an object-free score per
 candidate (the kernel's integer rejection count) and a ``PowerEstimate`` only
 for the candidates a search keeps.
-Normal cdf values come from scipy's erfc-based ``ndtr`` (absolute error below
-1e-15), so independent implementations agree to ~1e-12.
+Normal cdf values come from ``estimation.normal_tails``, a port of the Cephes
+erfc-based ``ndtr`` that equals ``scipy.special.ndtr`` bit for bit (absolute
+error below 1e-15), so independent implementations agree to ~1e-12.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .crstest import k_budget, rejects, sign_changes
 from .data import Grouping, Hypothesis, PanelDataset
 from .errors import BoundError
-from .estimation import LimitParams, group_limit_params
+from .estimation import LimitParams, group_limit_params, normal_tails
 from .regression import RegressionSpec
 
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
@@ -92,8 +92,9 @@ def _check_k1_budget(q: int, alpha: float) -> None:
 
 def _k1_terms(z: np.ndarray) -> tuple[float, float, float]:
     """(value, pi_left, pi_right) of the K = 1 power at z = xi * delta / sigma."""
-    pi_left = float(np.prod(ndtr(-z)))
-    pi_right = float(np.prod(ndtr(z)))
+    left, right = normal_tails(z)
+    pi_left = float(np.prod(left))
+    pi_right = float(np.prod(right))
     return pi_left + pi_right, pi_left, pi_right
 
 

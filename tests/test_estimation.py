@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from crscombine import (
     Grouping,
@@ -26,11 +27,14 @@ from crscombine import (
 )
 from crscombine.data import PanelBlock
 from crscombine.estimation import (
+    PSI_FLOOR,
     SIGMA_FLOOR,
     GroupFit,
     group_block_stats,
     member_matrix,
+    normal_tails,
     pairwise_block_stats,
+    psi_terms,
 )
 from crscombine.simulate import DgpSpec, dgp_hypothesis, draw_block, gen_dgp
 
@@ -268,6 +272,70 @@ class TestPsiMatrix:
         psi = psi_matrix(bad, h, RegressionSpec(), model="iid", allow_unidentified=True)
         assert np.isnan(psi.values[0, 0])
         assert np.isfinite(psi.values[1, 1])
+
+
+def _assert_tails_equal_ndtr(z):
+    """normal_tails(z) against scipy's ndtr(-z) and ndtr(z), bit for bit."""
+    lower, upper = normal_tails(z)
+    for got, want in ((lower, ndtr(-z)), (upper, ndtr(z))):
+        assert got.shape == want.shape
+        bad = got.view(np.uint64) != want.view(np.uint64)
+        assert not bad.any(), (z[bad][:5], got[bad][:5], want[bad][:5])
+
+
+class TestNormalTails:
+    def test_equals_scipy_ndtr_on_seeded_values(self):
+        # every branch: the erf side, the P/Q and R/S erfc sides, the MAXLOG
+        # underflow, and magnitudes from subnormal to 1e300 with both signs
+        rng = np.random.default_rng(20)
+        n = 1 << 18
+        draws = [lambda s=s: rng.standard_normal(n) * s for s in (0.5, 1.5, 4.0, 12.0, 30.0)]
+        draws += [lambda: rng.uniform(-45.0, 45.0, n),
+                  lambda: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)]
+        count = 0
+        while count < 5_000_000:
+            z = draws[(count // n) % len(draws)]()
+            _assert_tails_equal_ndtr(z)
+            count += z.size
+
+    def test_equals_scipy_ndtr_at_edges(self):
+        # Cephes switches at |x| = 1/sqrt(2), 1 and 8 for x = z / sqrt(2), and
+        # returns 0 once x^2 > MAXLOG; each cut is approached from both sides,
+        # as a z = x * sqrt(2) and as the z whose x = z * (1/sqrt(2)) lands on it
+        maxlog = 7.09782712893383996843e2
+        cuts = [1 / np.sqrt(2.0), 1.0, 8.0, np.sqrt(maxlog)]
+        bases = [c * np.sqrt(2.0) for c in cuts] + [c / 0.70710678118654752440 for c in cuts]
+        bases += [np.sqrt(2.0 * maxlog), 37.5, 40.0, 1e300, 5e-324, 1e-310, 2.2250738585072014e-308]
+        edges = [0.0, np.inf]
+        for b in bases:
+            edges.append(b)
+            below = above = b
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                edges += [below, above]
+        z = np.array(edges)
+        z = np.concatenate([z, -z, [np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64)]])
+        _assert_tails_equal_ndtr(z)
+        _assert_tails_equal_ndtr(np.stack([z, z[::-1]])[:, ::2])  # any shape, strided
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_equals_scipy_ndtr_on_any_float(self, values):
+        _assert_tails_equal_ndtr(np.array(values, dtype=np.float64))
+
+    def test_psi_terms_are_the_two_tails_clipped(self):
+        rng = np.random.default_rng(7)
+        xi = rng.uniform(0.1, 0.9, (8, 6, 6))
+        sigma = rng.uniform(0.01, 3.0, (8, 6, 6))
+        sigma[0, 1, 2] = np.nan
+        values, comp = psi_terms(xi, sigma, -40.0)
+        lower, upper = normal_tails(xi * -40.0 / sigma)
+        for got, tail in ((values, lower), (comp, upper)):
+            ref = tail.copy()
+            mask = ~np.isnan(tail)
+            ref[mask] = np.clip(tail[mask], PSI_FLOOR, 1.0 - 1e-16)  # the non-NaN cells only
+            assert got.tobytes() == ref.tobytes()
+        assert np.nanmax(values) == 1.0 - 1e-16 and np.nanmin(comp) == PSI_FLOOR  # both clips bite
 
 
 def _subpanel(d, rows, x=None, y=None):
