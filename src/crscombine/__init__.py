@@ -61,7 +61,6 @@ from .estimation import (
 )
 from .power import (
     PowerEstimate,
-    power_exact,
     power_from_limit,
     power_k1,
     power_mc,

@@ -40,11 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crstest import k_budget
 from .data import Grouping, Hypothesis, PanelDataset, _assignment_table, _paired, _perm_table
 from .errors import BoundError, IdentificationError
 from .estimation import LimitParams, PsiMatrix, group_stats, psi_from_scales, psi_terms
-from .power import PowerEstimate, _k1_estimate, power_tally
+from .power import PowerEstimate, _k1_estimate, _resolve_method, power_tally
 from .regression import RegressionSpec
 
 # the exhaustive oracle's guard: its Monte Carlo evaluator scores all q-bar!
@@ -335,9 +334,9 @@ def combine_exhaustive_psi(
         raise BoundError(
             f"exhaustive search refuses q-bar={qbar} > {EXHAUSTIVE_MAX_QBAR}"
         )
-    if method == "auto":
-        method = "k1" if k_budget(1 << (qbar - 1), alpha) == 1 else "mc"
-    if method != "k1":
+    if method != "k1":  # an explicit 'k1' is combine_k1's oracle, at any alpha
+        method = _resolve_method(qbar, alpha, method)
+    if method == "mc":
         tally, estimate = _pairing_tally(psi, delta, alpha, method, reps, seed)
     rows = np.arange(qbar)
     perms = _perm_table(qbar)
@@ -418,8 +417,6 @@ def combine_heuristic_psi(
     at once.  By default the climb starts from ``combine_k1`` (from the
     first pairing at delta = 0).
     """
-    if power_method == "auto":
-        power_method = "k1" if k_budget(1 << (psi.qbar - 1), alpha) == 1 else "mc"
     tally, estimate = _pairing_tally(psi, delta, alpha, power_method, reps, seed)
     rows = np.arange(psi.qbar)
     if start is not None:

@@ -583,7 +583,7 @@ def psi_from_scales(
         control_ids = tuple(range(1, xi.shape[0] + 1))
     if treated_ids is None:
         treated_ids = tuple(range(xi.shape[0] + 1, xi.shape[0] + xi.shape[1] + 1))
-    values, comp = psi_terms(xi, sigma, delta)
+    values, comp = _psi_tails(xi, sigma, delta)  # PsiMatrix clips them
     return PsiMatrix(
         values=values, comp=comp, delta=float(delta),
         control_ids=control_ids, treated_ids=treated_ids, xi=xi, sigma=sigma,
@@ -594,9 +594,14 @@ def psi_terms(xi: np.ndarray, sigma: np.ndarray, delta: float):
     """``(Psi, 1 - Psi)`` of (xi, sigma) arrays of any shape, as ``PsiMatrix``
     holds them: each term from its own tail of the normal cdf
     (``normal_tails``), clipped away from 0 and 1, NaN where xi or sigma is."""
+    return _clip_psi(*_psi_tails(xi, sigma, delta))
+
+
+def _psi_tails(xi: np.ndarray, sigma: np.ndarray, delta: float):
+    """``psi_terms`` before the clip."""
     with np.errstate(invalid="ignore"):
         z = xi * delta / sigma
-    return _clip_psi(*normal_tails(z))
+    return normal_tails(z)
 
 
 def _clip_psi(values: np.ndarray, comp: np.ndarray):

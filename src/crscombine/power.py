@@ -2,7 +2,7 @@
 
 In the limit experiment the group scores are independent draws Z_g + xi_g *
 delta with Z_g ~ N(0, sigma_g^2).  The rejection probability pi(delta, alpha)
-of the test applied to these scores is the local asymptotic power.  Three
+of the test applied to these scores is the local asymptotic power.  Two
 evaluators are provided:
 
 - ``power_k1``: closed form for rejection budget K = 1, where rejection means
@@ -16,16 +16,13 @@ evaluators are provided:
   by q, with the observed value replaced by its threshold, the smallest
   value whose quotient equals its own, so its decisions are those on the
   quotients.
-- ``power_exact``: for q <= 4, the kernel's rejection count under the label
-  'exact_enum'.  The ordering enumeration the name once ran summed disjoint
-  half-space terms on one shared set of draws to exactly that count; the
-  name, its label and its q <= 4 guard are kept.
 
-``power_scorer`` resolves a method once and returns one evaluator for many
-(xi, sigma, delta) at a fixed q; the Monte Carlo methods share one kernel.
-``power_tally`` splits it for the grouping searches: an object-free score per
-candidate (the kernel's integer rejection count) and a ``PowerEstimate`` only
-for the candidates a search keeps.
+``power_tally`` is the one place that resolves a method ('auto', 'k1' or
+'mc') and builds its evaluator: an object-free score per candidate (the
+closed form's terms, or the kernel's integer rejection count) and a
+``PowerEstimate`` only for the candidates a search keeps.  ``power_scorer``
+is that evaluator applied to one ``LimitParams`` at a time, for many (xi,
+sigma, delta) at a fixed q.
 Normal cdf values come from ``estimation.normal_tails``, a port of the Cephes
 erfc-based ``ndtr`` that equals ``scipy.special.ndtr`` bit for bit (absolute
 error below 1e-15), so independent implementations agree to ~1e-12.
@@ -34,19 +31,16 @@ error below 1e-15), so independent implementations agree to ~1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .crstest import k_budget, rejects, sign_changes
 from .data import Grouping, Hypothesis, PanelDataset
-from .errors import BoundError
 from .estimation import LimitParams, group_limit_params, normal_tails
 from .regression import RegressionSpec
 
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
-
-EXACT_MAX_Q = 4  # the 'exact' label's guard, kept from the old ordering enumeration
 
 _NORMAL_QUOTIENT = 2.0 ** -1021  # v0 / q at least this is normal, with a factor 2 to spare
 
@@ -56,7 +50,7 @@ class PowerEstimate:
     """A power value in [0, 1] with method and error metadata."""
 
     value: float
-    method: str  # 'closed_k1' | 'exact_enum' | 'monte_carlo'
+    method: str  # 'closed_k1' | 'monte_carlo'
     mc_reps: int | None = None
     mc_se: float | None = None
     components: tuple[float, float] | None = None  # (pi_left, pi_right)
@@ -72,22 +66,11 @@ def power_k1(lp: LimitParams, delta: float, alpha: float | None = None) -> Power
     """Closed-form local power when the rejection budget is K = 1.
 
     If ``alpha`` is given it must satisfy floor(alpha * 2^(q-1)) == 1; larger
-    budgets need the exact or Monte Carlo evaluators.
+    budgets need the Monte Carlo evaluator.
     """
     if alpha is not None:
-        _check_k1_budget(lp.q, alpha)
+        _resolve_method(lp.q, alpha, "k1")
     return _k1_estimate(_k1_terms(lp.xi * delta / lp.sigma))
-
-
-def _check_k1_budget(q: int, alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    k = k_budget(1 << (q - 1), alpha)
-    if k != 1:
-        raise ValueError(
-            f"alpha={alpha} gives rejection budget K={k} != 1 at q={q}; "
-            f"use power_exact or power_mc"
-        )
 
 
 def _k1_terms(z: np.ndarray) -> tuple[float, float, float]:
@@ -154,7 +137,7 @@ class SignFlipKernel:
     ``counts`` returns integers and validates nothing, so a search can compare
     its candidates by rejection count (value = count / reps exactly, since
     reps < 2^53) and build a ``PowerEstimate`` (``estimate_of``) only for the
-    candidates it keeps; ``estimate`` does both for one ``LimitParams``.
+    candidates it keeps.
     """
 
     def __init__(self, q: int, alpha: float, reps: int = 100_000, seed: int = 0):
@@ -200,14 +183,6 @@ class SignFlipKernel:
         return PowerEstimate(value=p, method="monte_carlo", mc_reps=self.reps, mc_se=se,
                              components=components)
 
-    def estimate(self, lp: LimitParams, delta: float) -> PowerEstimate:
-        """The rejection rate of the test at (xi, sigma, delta) on the kernel's
-        draws; at K = 1 the all-negative / all-positive score events are
-        tallied as the (pi_left, pi_right) components."""
-        if lp.q != self.q:
-            raise ValueError(f"kernel is for q={self.q} groups, got q={lp.q}")
-        return self.estimate_of(self.counts(lp.sigma[:, None], (lp.xi * delta)[:, None]))
-
 
 def power_mc(
     lp: LimitParams, delta: float, alpha: float, reps: int = 100_000, seed: int = 0
@@ -222,89 +197,67 @@ def power_mc(
     return power_scorer(lp.q, alpha, "mc", reps, seed)(lp, delta)
 
 
-def power_exact(
-    lp: LimitParams,
-    delta: float,
-    alpha: float,
-    term_reps: int = 200_000,
-    seed: int = 0,
-) -> PowerEstimate:
-    """Local power for q <= 4: the sign-flip kernel's rejection count at
-    (seed, term_reps), labelled 'exact_enum' and without components.
-
-    The ordering enumeration this name once ran split the rejection event
-    into disjoint half-space intersections on one shared set of draws, so its
-    terms summed to exactly this count (``tests/test_power.py`` keeps it as
-    the reference).  The name, the label and the q <= 4 guard (``BoundError``)
-    are kept; as for the kernel, ``term_reps`` must be at least 1000.
-    """
-    return power_scorer(lp.q, alpha, "exact", term_reps, seed)(lp, delta)
+# benchmarks/tracing.py looks up every traced name as owner.__dict__[name], so
+# the alias below stays until the benchmark drops that layer
+power_exact = power_mc
 
 
 def power_scorer(q: int, alpha: float, method: str = "auto", reps: int = 100_000,
                  seed: int = 0):
     """``score(lp, delta) -> PowerEstimate`` for limit experiments with q groups.
 
-    ``method`` is one of 'auto', 'k1', 'exact', 'mc'.  'auto' picks the closed
-    form when the rejection budget is 1, 'exact' when q <= 4, and 'mc'
-    otherwise.  'exact' and 'mc' build one ``SignFlipKernel`` and score every
-    call on its draws, so each estimate equals ``power_mc`` at (seed, reps).
+    ``method`` is one of 'auto', 'k1', 'mc'; 'auto' picks the closed form when
+    the rejection budget is 1 and Monte Carlo otherwise.  It is ``power_tally``
+    applied to one ``LimitParams`` at a time, so 'mc' scores every call on one
+    ``SignFlipKernel`` and each estimate equals ``power_mc`` at (seed, reps).
+    A ``LimitParams`` with other than q groups raises ``ValueError``.
     """
-    method = _resolve_method(q, alpha, method)
-    if method == "k1":
-        return lambda lp, delta: power_k1(lp, delta, alpha)
-    kernel = _kernel(q, alpha, method, reps, seed)
-    if method == "mc":
-        return kernel.estimate
-    return lambda lp, delta: _as_exact(kernel.estimate(lp, delta))
+    tally, estimate = power_tally(q, alpha, method, reps, seed)
+
+    def score(lp: LimitParams, delta: float) -> PowerEstimate:
+        if lp.q != q:
+            raise ValueError(f"scorer is for q={q} groups, got q={lp.q}")
+        return estimate(tally(lp.sigma[:, None], (lp.xi * delta)[:, None]))
+
+    return score
 
 
 def power_tally(q: int, alpha: float, method: str = "auto", reps: int = 100_000,
                 seed: int = 0):
-    """``(tally, estimate)``: ``power_scorer`` split for searches over many
-    candidates with q groups.
+    """``(tally, estimate)``: the evaluator of ``method`` ('auto', 'k1' or
+    'mc') for searches over many candidates with q groups.
 
     ``tally(sigma, shift)`` scores one candidate from its sigma and xi * delta,
     given as (q, 1) columns, without validating them or building any object.
     It returns a tuple whose first entry orders candidates as their power
-    does: the kernel's integer ``(rejections, left, right)`` for 'mc' and
-    'exact', ``(value, pi_left, pi_right)`` for 'k1'.  ``estimate(t)`` builds
-    the ``PowerEstimate`` that ``power_scorer`` returns for that candidate.
-    The caller validates the parameters as ``LimitParams`` does.
+    does: ``(value, pi_left, pi_right)`` for 'k1' and the kernel's integer
+    ``(rejections, left, right)`` for 'mc'.  ``estimate(t)`` builds the
+    candidate's ``PowerEstimate``.  The caller validates the parameters as
+    ``LimitParams`` does.
     """
-    method = _resolve_method(q, alpha, method)
-    if method == "k1":
-        _check_k1_budget(q, alpha)
+    if _resolve_method(q, alpha, method) == "k1":
         return lambda sigma, shift: _k1_terms(shift / sigma), _k1_estimate
-    kernel = _kernel(q, alpha, method, reps, seed)
-    if method == "mc":
-        return kernel.counts, kernel.estimate_of
-    return kernel.counts, lambda t: _as_exact(kernel.estimate_of(t))
+    kernel = SignFlipKernel(q, alpha, reps=reps, seed=seed)
+    return kernel.counts, kernel.estimate_of
 
 
 def _resolve_method(q: int, alpha: float, method: str) -> str:
+    """'k1' or 'mc', the evaluator ``method`` names at q groups and level
+    alpha: 'auto' picks 'k1' when the rejection budget is 1, and an explicit
+    'k1' must have budget 1."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if method == "auto":
-        if k_budget(1 << (q - 1), alpha) == 1:
-            return "k1"
-        return "exact" if q <= EXACT_MAX_Q else "mc"
-    if method not in ("k1", "exact", "mc"):
+    if method not in ("auto", "k1", "mc"):
         raise ValueError(f"unknown power method {method!r}")
+    if method == "mc":
+        return method
+    k = k_budget(1 << (q - 1), alpha)
+    if method == "auto":
+        return "k1" if k == 1 else "mc"
+    if k != 1:
+        raise ValueError(f"alpha={alpha} gives rejection budget K={k} != 1 at q={q}; "
+                         f"use power_mc")
     return method
-
-
-def _kernel(q: int, alpha: float, method: str, reps: int, seed: int) -> SignFlipKernel:
-    if method == "exact" and q > EXACT_MAX_Q:
-        raise BoundError(
-            f"exact enumeration supports q <= {EXACT_MAX_Q} (got q={q}); "
-            f"use the Monte Carlo evaluator instead"
-        )
-    return SignFlipKernel(q, alpha, reps=reps, seed=seed)
-
-
-def _as_exact(est: PowerEstimate) -> PowerEstimate:
-    return replace(est, method="exact_enum", components=None)
 
 
 def power_of_grouping(
@@ -319,9 +272,9 @@ def power_of_grouping(
 ) -> PowerEstimate:
     """Plug-in local power of a grouping: estimate (xi, sigma), then evaluate.
 
-    ``method`` is one of 'auto', 'k1', 'exact', 'mc'.  'auto' picks the closed
-    form when the rejection budget is 1, 'exact' when q <= 4, and Monte Carlo
-    otherwise (see ``power_scorer``).
+    ``method`` is one of 'auto', 'k1', 'mc'.  'auto' picks the closed form
+    when the rejection budget is 1 and Monte Carlo otherwise (see
+    ``power_scorer``).
     """
     spec = spec or RegressionSpec(outcome=d.y_name)
     lp = group_limit_params(d, g, h, spec, model)

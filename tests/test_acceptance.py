@@ -20,13 +20,13 @@ from crscombine import (
     combine_heuristic_psi,
     combine_k1,
     gen_calibrated,
-    power_exact,
     power_k1,
     power_mc,
     psi_from_scales,
     rejection_curve,
 )
 from crscombine.regression import RegressionSpec
+from test_power import reference_power_exact
 
 CANONICAL_PAIRING = Grouping.from_pairs(
     [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)]
@@ -86,7 +86,8 @@ def test_criterion_2_closed_form_vs_simulation():
 
 
 def test_criterion_3_ordering_enumeration():
-    """Exact ordering enumeration agrees with Monte Carlo (and the closed form at K=1)."""
+    """The ordering enumeration counts what Monte Carlo counts on its draws, and
+    agrees with independent simulation (and the closed form at K=1)."""
     cases = [(3, 0.3, 1), (3, 0.5, 2), (4, 0.15, 1), (4, 0.25, 2)]
     rng = np.random.default_rng(303)
     ok = True
@@ -95,7 +96,9 @@ def test_criterion_3_ordering_enumeration():
         q, alpha, k = cases[i % 4]
         delta = float(rng.uniform(-2.0, 2.0))
         lp = random_limit(rng, q)
-        ex = power_exact(lp, delta, alpha, term_reps=200_000, seed=32_300 + i)
+        ex = reference_power_exact(lp, delta, alpha, term_reps=200_000, seed=32_300 + i)
+        same = power_mc(lp, delta, alpha, reps=200_000, seed=32_300 + i)
+        ok &= (same.value, same.mc_se, same.mc_reps) == (ex.value, ex.mc_se, ex.mc_reps)
         mc = power_mc(lp, delta, alpha, reps=200_000, seed=92_300 + i)
         comb = math.hypot(ex.mc_se, mc.mc_se)
         diff = abs(ex.value - mc.value)
@@ -104,8 +107,8 @@ def test_criterion_3_ordering_enumeration():
         if k == 1:
             k1 = power_k1(lp, delta, alpha)
             ok &= abs(ex.value - k1.value) <= 3 * ex.mc_se + 1e-12
-    report("ordering enumeration vs simulation, q in {3,4}, K in {1,2} (<= 3 combined se)",
-           ok, f"worst diff={worst:.5f}")
+    report("ordering enumeration equals simulation on its draws, and vs fresh draws "
+           "q in {3,4}, K in {1,2} (<= 3 combined se)", ok, f"worst diff={worst:.5f}")
 
 
 def test_criterion_4_interval_program_exactness():

@@ -244,10 +244,10 @@ def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
         assert b"".join(lines) == (DATA / f"combine_{name}_intervals.csv").read_bytes()
 
 
-# name -> (grouping, alpha): K = 2 at q = 4 (exact_enum) and K = 3 at q = 6
-# (monte_carlo), both scored on the sign-flip kernel
+# name -> (grouping, alpha): K = 2 at q = 4 and K = 3 at q = 6, both scored
+# on the sign-flip kernel
 GOLDEN_POWER = {
-    "exact_enum": ("{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "0.25"),
+    "q4_k2": ("{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "0.25"),
     "monte_carlo": ("7:1,8:2,9:3,10:4,11:5,12:6", "0.1"),
 }
 
@@ -308,7 +308,16 @@ class TestPowerCommand:
     def test_missing_inputs_is_data_error(self, tmp_path):
         assert dispatch(["power", "--deltas", "0", "--seed", "1"]) == 1
 
-    @pytest.mark.parametrize("method", ["auto", "exact", "mc"])
+    def test_exact_method_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert dispatch([
+            "power", "--xi", "0.5,0.5,0.5,0.5", "--sigma", "1,2,0.5,1.5",
+            "--alpha", "0.25", "--deltas", "0.7", "--power-method", "exact",
+            "--seed", "1", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["auto", "k1", "mc"])
     def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, capsys, method):
         out = tmp_path / "p.csv"
         code = dispatch([

@@ -955,6 +955,16 @@ def test_no_identified_pairing_is_an_identification_error(search):
         search(unidentified_column_psi())
 
 
+@pytest.mark.parametrize("search", [combine_heuristic_psi, combine_exhaustive_psi])
+@pytest.mark.parametrize("method", ["auto", "mc", "exact"])
+def test_power_method_goes_through_the_one_resolver(search, method):
+    # a NaN alpha is the named alpha error on every method, and 'exact' is no method
+    psi, delta = random_psi(np.random.default_rng(24), 4)
+    match = "unknown power method" if method == "exact" else "alpha must lie strictly"
+    with pytest.raises(ValueError, match=match):
+        search(psi, delta, 0.25 if method == "exact" else float("nan"), method, reps=1_000)
+
+
 @pytest.mark.parametrize("search", [
     lambda: combine_k1(psi_from_scales(np.full((3, 3), np.nan), np.ones((3, 3)), -1.0), -1.0),
     lambda: combine_k1(psi_from_scales(np.full((3, 3), np.nan), np.ones((3, 3)), 1.0), 1.0),

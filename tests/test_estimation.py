@@ -337,6 +337,23 @@ class TestNormalTails:
             assert got.tobytes() == ref.tobytes()
         assert np.nanmax(values) == 1.0 - 1e-16 and np.nanmin(comp) == PSI_FLOOR  # both clips bite
 
+    @pytest.mark.parametrize("delta", [-40.0, 40.0])
+    def test_psi_from_scales_holds_the_clipped_tails(self, delta):
+        # one clip, inside PsiMatrix; clipping is idempotent, so the bytes are
+        # those of psi_terms, which clips the same tails
+        rng = np.random.default_rng(8)
+        xi = rng.uniform(0.1, 0.9, (6, 6))
+        sigma = rng.uniform(0.01, 3.0, (6, 6))
+        xi[2, 3] = sigma[4, 0] = np.nan
+        psi = psi_from_scales(xi, sigma, delta)
+        values, comp = psi_terms(xi, sigma, delta)
+        assert psi.values.tobytes() == values.tobytes()
+        assert psi.comp.tobytes() == comp.tobytes()
+        both = np.concatenate([psi.values, psi.comp])
+        assert np.nanmax(both) == 1.0 - 1e-16 and np.nanmin(both) == PSI_FLOOR  # both ends clip
+        for m in (psi.values, psi.comp):
+            assert np.array_equal(np.isnan(m), np.isnan(xi) | np.isnan(sigma))
+
 
 def _subpanel(d, rows, x=None, y=None):
     """The given rows of a panel, in the given order."""

@@ -1,8 +1,10 @@
-"""Local asymptotic power: closed form, exact enumeration, Monte Carlo.
+"""Local asymptotic power: closed form and Monte Carlo.
 
 ``EnumerationPlan``, ``_draw_scores`` and ``reference_power_exact`` are the
-ordering enumeration ``power_exact`` ran before it became the sign-flip
-kernel's count, kept verbatim as the reference it must still equal.
+ordering enumeration of an earlier q <= 4 evaluator, kept verbatim as a
+reference: it splits the rejection event into disjoint terms on one shared
+set of draws, so it counts exactly the rejections ``power_mc`` counts on
+those draws.
 """
 
 import itertools
@@ -20,15 +22,16 @@ from crscombine import (
     Grouping,
     LimitParams,
     PowerEstimate,
-    power_exact,
     power_from_limit,
     power_k1,
     power_mc,
     power_of_grouping,
 )
 from crscombine.crstest import k_budget, sign_changes
-from crscombine.power import EXACT_MAX_Q, MC_BLOCK, SignFlipKernel, _normal_blocks, power_scorer
+from crscombine.power import MC_BLOCK, SignFlipKernel, _normal_blocks, power_scorer
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
+
+EXACT_MAX_Q = 4  # the reference enumeration's guard
 
 
 @dataclass(frozen=True)
@@ -242,14 +245,24 @@ class TestPowerMc:
         with pytest.raises(ValueError):
             power_mc(unit_params(2), 0.0, 0.5, reps=10, seed=0)
 
+    def test_q3_null_k1(self):
+        est = power_mc(unit_params(3), 0.0, 0.26, reps=100_000, seed=2)
+        assert abs(est.value - 0.25) <= 3 * est.mc_se
 
-class TestPowerExact:
-    def test_cost_guard(self):
-        with pytest.raises(BoundError):
-            EnumerationPlan(q=5, alpha=0.1)
-        with pytest.raises(BoundError):
-            power_exact(unit_params(5), 0.0, 0.1)
+    def test_q3_matches_closed_form_k1(self):
+        lp = LimitParams(xi=np.array([0.5, 0.6, 0.4]), sigma=np.array([1.0, 2.0, 0.7]))
+        mc = power_mc(lp, -1.2, 0.26, reps=150_000, seed=2)
+        k1 = power_k1(lp, -1.2)
+        assert abs(mc.value - k1.value) <= 3 * mc.mc_se
 
+    def test_q4_k2_independent_draws_agree(self):
+        lp = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
+        a = power_mc(lp, 1.0, 0.25, reps=150_000, seed=3)
+        b = power_mc(lp, 1.0, 0.25, reps=300_000, seed=4)
+        assert abs(a.value - b.value) <= 3 * np.hypot(a.mc_se, b.mc_se)
+
+
+class TestReferenceEnumeration:
     def test_plan_counts(self):
         plan = EnumerationPlan(q=4, alpha=0.25)
         assert plan.L == 7
@@ -257,34 +270,6 @@ class TestPowerExact:
         assert len(list(plan.subsets(1))) == 1
         assert len(list(plan.subsets(2))) == 7
         assert len(list(plan.sign_patterns())) == 128
-
-    def test_q3_null_k1(self):
-        est = power_exact(unit_params(3), 0.0, 0.26, term_reps=100_000, seed=2)
-        assert abs(est.value - 0.25) <= 3 * est.mc_se
-
-    def test_matches_closed_form_k1(self):
-        lp = LimitParams(xi=np.array([0.5, 0.6, 0.4]), sigma=np.array([1.0, 2.0, 0.7]))
-        ex = power_exact(lp, -1.2, 0.26, term_reps=150_000, seed=2)
-        k1 = power_k1(lp, -1.2)
-        assert abs(ex.value - k1.value) <= 3 * ex.mc_se
-
-    def test_q4_k2_matches_mc(self):
-        lp = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
-        ex = power_exact(lp, 1.0, 0.25, term_reps=150_000, seed=3)
-        mc = power_mc(lp, 1.0, 0.25, reps=300_000, seed=4)
-        assert abs(ex.value - mc.value) <= 3 * np.hypot(ex.mc_se, mc.mc_se)
-
-    def test_seeded_determinism(self):
-        lp = unit_params(4)
-        a = power_exact(lp, 0.8, 0.25, term_reps=20_000, seed=11)
-        b = power_exact(lp, 0.8, 0.25, term_reps=20_000, seed=11)
-        assert a.value == b.value
-
-    def test_reps_floor(self):
-        # the kernel's floor: the enumeration accepted any term_reps
-        with pytest.raises(ValueError, match="at least 1000"):
-            power_exact(unit_params(4), 0.8, 0.25, term_reps=999, seed=11)
-        assert power_exact(unit_params(4), 0.8, 0.25, term_reps=1000, seed=11).mc_reps == 1000
 
 
 def enumeration_instances():
@@ -309,20 +294,21 @@ def enumeration_instances():
                     i += 1
 
 
-def test_power_exact_equals_reference_enumeration():
+def test_power_mc_equals_reference_enumeration():
+    # the reference's label and components (None) are its own; the counts agree
     n = 0
     for lp, delta, alpha, reps, seed in enumeration_instances():
         want = reference_power_exact(lp, delta, alpha, term_reps=reps, seed=seed)
-        got = power_exact(lp, delta, alpha, term_reps=reps, seed=seed)
-        for field in ("value", "mc_se", "mc_reps", "method", "components"):
+        got = power_mc(lp, delta, alpha, reps=reps, seed=seed)
+        for field in ("value", "mc_se", "mc_reps"):
             assert getattr(got, field) == getattr(want, field), (field, lp, delta, alpha, reps)
         n += 1
     assert n >= 200
 
 
 @pytest.mark.parametrize("q, alpha, method", [
-    (4, 0.14, "auto"), (4, 0.14, "k1"), (4, 0.25, "auto"), (4, 0.25, "exact"),
-    (4, 0.25, "mc"), (3, 0.5, "exact"), (6, 0.1, "auto"), (6, 0.1, "mc"),
+    (4, 0.14, "auto"), (4, 0.14, "k1"), (4, 0.25, "auto"),
+    (4, 0.25, "mc"), (6, 0.1, "auto"), (6, 0.1, "mc"),
 ])
 def test_one_scorer_delta_grid_matches_power_from_limit(q, alpha, method):
     rng = np.random.default_rng(q * 100 + int(alpha * 100))
@@ -333,19 +319,30 @@ def test_one_scorer_delta_grid_matches_power_from_limit(q, alpha, method):
                                                     reps=5000, seed=9)
 
 
+def test_exact_is_not_a_power_method():
+    with pytest.raises(ValueError, match="unknown power method 'exact'"):
+        power_scorer(4, 0.25, "exact")
+
+
+@pytest.mark.parametrize("method", ["auto", "k1", "mc"])
+def test_scorer_refuses_another_group_count(method):
+    score = power_scorer(4, 0.14, method, reps=1000)
+    with pytest.raises(ValueError, match="scorer is for q=4 groups, got q=3"):
+        score(LimitParams(xi=np.full(3, 0.5), sigma=np.ones(3)), 1.0)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
 def test_alpha_outside_unit_interval_is_rejected(alpha):
     lp = LimitParams(xi=np.full(4, 0.5), sigma=np.array([1.0, 2.0, 0.5, 1.5]))
     for call in (lambda: power_k1(lp, 0.7, alpha=alpha),
                  lambda: power_mc(lp, 0.7, alpha, reps=1000),
-                 lambda: power_exact(lp, 0.7, alpha, term_reps=1000),
                  lambda: power_from_limit(lp, 0.7, alpha, reps=1000),
                  lambda: SignFlipKernel(4, alpha, reps=1000)):
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
             call()
 
 
-@pytest.mark.parametrize("method", ["auto", "k1", "exact", "mc"])
+@pytest.mark.parametrize("method", ["auto", "k1", "mc"])
 def test_nan_alpha_is_rejected_before_the_budget(method):
     # 'auto' resolves its method through the rejection budget, which cannot
     # floor a NaN; the named error must come first on every method
@@ -362,22 +359,6 @@ def test_limit_params_reject_non_finite_values(field, bad):
     values[field][1] = bad
     with pytest.raises(ValueError, match=f"all {field} must be finite"):
         LimitParams(**values)
-
-
-def test_exact_and_mc_agree_on_twenty_random_instances():
-    rng = np.random.default_rng(77)
-    alphas = {3: (0.3, 0.5), 4: (0.15, 0.25)}
-    for i in range(20):
-        q = 3 + i % 2
-        alpha = alphas[q][(i // 2) % 2]
-        delta = float(rng.uniform(-2.0, 2.0))
-        xi = rng.uniform(0.2, 0.9, q)
-        xi /= np.linalg.norm(xi)
-        sigma = rng.uniform(0.5, 2.0, q)
-        lp = LimitParams(xi=xi, sigma=sigma)
-        ex = power_exact(lp, delta, alpha, term_reps=50_000, seed=7_700 + i)
-        mc = power_mc(lp, delta, alpha, reps=50_000, seed=77_700 + i)
-        assert abs(ex.value - mc.value) <= 3 * np.hypot(ex.mc_se, mc.mc_se) + 1e-12
 
 
 class TestMonotoneComponents:
