@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import secrets
 import sys
@@ -166,7 +167,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``dispatch``.  Parsing leaves it unchanged: no flag appends to a shared
+    default or keeps state between calls."""
     parser = argparse.ArgumentParser(
         prog="crscombine",
         description="Randomization inference with few clusters: test, combine, power, simulate.",

@@ -40,9 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Grouping, Hypothesis, PanelDataset, _assignment_table, _paired, _perm_table
+from .data import (Grouping, Hypothesis, PanelBlock, PanelDataset, _assignment_table, _paired,
+                   _perm_table)
 from .errors import BoundError, IdentificationError
-from .estimation import LimitParams, PsiMatrix, group_stats, psi_from_scales, psi_terms
+from .estimation import (LimitParams, PsiMatrix, group_block_stats, group_stats, member_matrix,
+                         psi_from_scales, psi_terms)
 from .power import PowerEstimate, _k1_estimate, _resolve_method, power_tally
 from .regression import RegressionSpec
 
@@ -327,15 +329,16 @@ def combine_exhaustive_psi(
     With a Monte Carlo evaluator every identified pairing is scored as a
     rejection count on one kernel, after the cells those pairings use are
     validated once (``LimitParams``'s errors); only the winner's
-    ``PowerEstimate`` is built.
+    ``PowerEstimate`` is built.  The method goes through the one resolver
+    (``power._resolve_method``): alpha must lie in (0, 1), and an explicit
+    'k1' needs rejection budget K = 1.
     """
     qbar = psi.qbar
     if qbar > EXHAUSTIVE_MAX_QBAR:
         raise BoundError(
             f"exhaustive search refuses q-bar={qbar} > {EXHAUSTIVE_MAX_QBAR}"
         )
-    if method != "k1":  # an explicit 'k1' is combine_k1's oracle, at any alpha
-        method = _resolve_method(qbar, alpha, method)
+    method = _resolve_method(qbar, alpha, method)
     if method == "mc":
         tally, estimate = _pairing_tally(psi, delta, alpha, method, reps, seed)
     rows = np.arange(qbar)
@@ -493,6 +496,17 @@ def combine_unequal(
     assignments pick disjoint subsets covering the larger side.  Ties break
     as in ``combine_k1``.
 
+    The candidate groups are fit in one ``group_block_stats`` call on the
+    panel, from per-cluster moments.  The groups it hands to ``group_stats``
+    (all of them under fixed effects or ``hac``; ill-conditioned or exactly
+    fitting ones) get the reference's numbers, and an unidentified candidate
+    raises the reference's error.  Only the q-bar chosen groups are then
+    refit by ``group_stats``, and the estimate is their K = 1 power,
+    multiplied in row order.  Moment fits differ from ``lstsq`` in the last
+    digits only, so the grouping and the estimate are bit for bit those of a
+    search fit entirely by ``group_stats``, unless a near tie makes the two
+    choose differently.
+
     Returns ``(grouping, estimate)``.  Raises BoundError, before any fit, on
     a shape with more than 10! coverings (5 controls against 10 treated).
     """
@@ -523,17 +537,20 @@ def combine_unequal(
     full = (1 << len(big)) - 1
     # BoundError before any fit; band_winners finds this table cached (same key)
     _assignment_table(masks, full, qbar)
-    _, xi, sigma = group_stats(d, ({j} | m for j in small for m in subsets), h, spec, model)
-    shape = (qbar, len(subsets))
-    psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta,
-                          control_ids=small, treated_ids=tuple(range(len(subsets))))
+    sets = [{j} | m for j in small for m in subsets]
+    _, xi, sigma = group_block_stats(PanelBlock(d, d.x[None], d.y[None]),
+                                     member_matrix(d.clusters, sets), h, spec, model)
+    values, comp = psi_terms(xi.reshape(1, qbar, -1), sigma.reshape(1, qbar, -1), delta)
+    best_choice = _k1_search(values, comp, delta, A, masks, full)[0][0]
 
-    best_choice = _k1_search(psi.values[None], psi.comp[None], delta, A, masks, full)[0][0]
-    groups = []
-    for i, j in enumerate(small):
-        m = subsets[int(best_choice[i])]
-        groups.append((m, frozenset({j})) if flip else (frozenset({j}), m))
-    return Grouping(tuple(groups)), _closed_k1(psi, best_choice)
+    chosen = [subsets[int(k)] for k in best_choice]
+    # the reported power is the reference's: the chosen groups refit by lstsq,
+    # one column of Psi cells multiplied in row order
+    _, xi, sigma = group_stats(d, ({j} | m for j, m in zip(small, chosen)), h, spec, model)
+    psi = psi_from_scales(xi[:, None], sigma[:, None], delta)
+    groups = [(m, frozenset({j})) if flip else (frozenset({j}), m)
+              for j, m in zip(small, chosen)]
+    return Grouping(tuple(groups)), _closed_k1(psi, np.zeros(qbar, dtype=np.int64))
 
 
 def default_delta(d: PanelDataset, positive: bool = True) -> float:

@@ -8,15 +8,17 @@ power; the randomization test itself never uses these variance estimates.
 
 ``group_stats`` is the one ``lstsq`` fit per member set: its score, its size
 ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  The
-test, the plug-in power of a grouping, the unequal-count search and the CLI
-read it, and ``pairwise_group_stats`` runs it on every candidate {control,
-treated} pair.  ``group_block_stats`` gives the same numbers for any member
-sets of a block of panels from per-cluster sufficient statistics, because a
-group's pooled normal equations are the sum of its clusters' ones; a group
-it cannot reproduce closely (see there) is handed to ``group_stats``.
+test and the plug-in power of a grouping read it, and ``pairwise_group_stats``
+runs it on every candidate {control, treated} pair for the paired searches.
+``group_block_stats`` gives the same numbers for any member sets of a block of
+panels from per-cluster sufficient statistics, because a group's pooled
+normal equations are the sum of its clusters' ones; a group it cannot
+reproduce closely (see there) is handed to ``group_stats``.
 ``pairwise_block_stats`` is its candidate-pair case (``pairwise_moment_stats``
-on one panel).  The Monte Carlo engine fits every policy's groups that way;
-the CLI keeps the reference so its output files stay the same to the byte.
+on one panel).  The Monte Carlo engine fits every policy's groups that way,
+and the unequal-count search its candidate groups; that search refits the
+groups it chooses with ``group_stats``, so the power it reports is the
+reference's.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ from crscombine import (
     psi_matrix,
     write_panel,
 )
+from crscombine import cli
 from crscombine.cli import dispatch
-from crscombine.simulate import DgpSpec, gen_dgp
+from crscombine.simulate import CalibrationParams, DgpSpec, gen_calibrated, gen_dgp
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "sixclusters.csv")
@@ -74,6 +75,25 @@ class TestTestCommand:
             "--grouping", "1:4,2:5,3:6,{2}:{5}", "--c", "0,1", "--seed", "0",
         ])
         assert code == 1
+
+
+def test_the_shared_parser_keeps_no_state_between_dispatches(tmp_path, capsys):
+    # one parser per process; a usage error halfway through a subcommand's
+    # flags, then that subcommand, writes the files of a first dispatch
+    out, diag = tmp_path / "g.json", tmp_path / "intervals.csv"
+    argv = ["combine", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--c", "0,1", "--seed", "1", "--out", str(out), "--diagnostics", str(diag)]
+    usage_error = ["combine", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+                   "--c", "0,1", "--method", "heuristic", "--delta-sign", "-", "--A", "x"]
+    cli.build_parser.cache_clear()
+    assert dispatch(argv) == 0
+    first = out.read_bytes(), diag.read_bytes()
+    cli.build_parser.cache_clear()
+    assert dispatch(usage_error) == 2
+    parser = cli.build_parser()
+    assert dispatch(argv) == 0
+    assert (out.read_bytes(), diag.read_bytes()) == first
+    assert cli.build_parser() is parser
 
 
 class TestCombineCommand:
@@ -197,11 +217,25 @@ class TestCombineCommand:
         assert payload["power"]["value"] == est.value
 
 
+# 9 clusters over 40 periods: c switches on in clusters 1-6 (the treated side)
+# and l in clusters 7-9 (the controls)
+CALIBRATED = CalibrationParams(
+    beta_hat=np.array([0.5, 1.2, -0.8]),
+    mu_hat={j: 0.25 * (j - 1) for j in range(1, 10)},
+    rho_hat={j: 0.55 for j in range(1, 10)},
+    nu_hat={j: 1.0 + 0.05 * j for j in range(1, 10)},
+    T=40,
+    treatment_onsets={j: (8 + 3 * j, 0) if j <= 6 else (0, 5 * j - 25) for j in range(1, 10)},
+)
+
+
 @pytest.fixture(scope="module")
 def dgp2_panels(tmp_path_factory):
-    """One dgp2 draw (h = 4, seed 1) and its cut to controls 7-9, treated 1-6."""
+    """One dgp2 draw (h = 4, seed 1), its cut to controls 7-9, treated 1-6, and
+    one ``gen_calibrated`` draw (seed 1) of ``CALIBRATED``."""
     d = gen_dgp(DgpSpec("dgp2", h=4), seed=1)
     root = tmp_path_factory.mktemp("dgp2")
+    write_panel(gen_calibrated(CALIBRATED, seed=1), root / "calibrated.csv")
     write_panel(d, root / "dgp2.csv")
     keep = np.isin(d.cluster, range(1, 10))
     write_panel(PanelDataset(cluster=d.cluster[keep], time=d.time[keep], y=d.y[keep],
@@ -224,6 +258,10 @@ GOLDEN_COMBINE = {
     "exhaustive_mc": ("dgp2", DGP2_CONTROLS,
                       ["--method", "exhaustive", "--alpha", "0.1", "--reps", "2000"], False),
     "unequal": ("dgp2_unequal", "7,8,9", [], False),
+    # cluster fixed effects: every candidate group is fit by lstsq
+    "unequal_fe": ("calibrated", "7,8,9",
+                   ["--c", "0,1,0", "--formula", "y ~ const + c + l + fe(cluster)",
+                    "--delta", "-8"], False),
 }
 
 
@@ -233,8 +271,10 @@ def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
     # tests/data holds each output without its JSON meta block or CSV "#" lines
     panel, controls, flags, diagnostics = GOLDEN_COMBINE[name]
     out, diag = tmp_path / "g.json", tmp_path / "intervals.csv"
+    if "--c" not in flags:
+        flags = ["--c", DGP2_C, *flags]
     argv = ["combine", "--data", str(dgp2_panels / f"{panel}.csv"), "--controls", controls,
-            "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", *flags, "--out", str(out)]
+            "--treated", DGP2_TREATED, "--seed", "1", *flags, "--out", str(out)]
     assert dispatch(argv + (["--diagnostics", str(diag)] if diagnostics else [])) == 0
     payload = read_json(out)
     payload.pop("meta")

@@ -31,15 +31,18 @@ from crscombine.combine import (
     _INTERVAL_TOL,
     _INTERVAL_TOL as TOL,
     _branch_coeffs,
+    _closed_k1,
     _interval_plan,
     _k1_power_of_perm,
+    _k1_search,
     _perm_of_grouping,
     band_winners,
     k1_picks,
 )
-from crscombine.data import MAX_ASSIGNMENTS, _assignment_table, _paired
-from crscombine.estimation import psi_matrix
-from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
+from crscombine.data import MAX_ASSIGNMENTS, PanelBlock, _assignment_table, _paired
+from crscombine.estimation import _moment_fit, group_stats, member_matrix, psi_matrix
+from crscombine.simulate import (CalibrationParams, DgpSpec, dgp_hypothesis, gen_calibrated,
+                                 gen_dgp)
 
 
 # The exact solver of single programs before they became band_winners calls,
@@ -743,6 +746,43 @@ def partition_bb_reference(obj, side, subset_masks, full_mask, lo, hi, max_size)
     return choice, float(obj[rows, choice].sum()), float(side[rows, choice].sum())
 
 
+def unequal_reference(d, h, spec, model, delta, A=200):
+    """``combine_unequal`` on ``group_stats`` alone: every candidate group fit
+    by lstsq, ``_k1_search`` on their Psi and the power from the same cells."""
+    controls, treated = tuple(sorted(d.controls)), tuple(sorted(d.treated))
+    flip = len(controls) > len(treated)
+    small, big = (treated, controls) if flip else (controls, treated)
+    subsets = enumerate_side_subsets(big, len(small))
+    masks = [sum(1 << big.index(j) for j in m) for m in subsets]
+    _, xi, sigma = group_stats(d, ({j} | m for j in small for m in subsets), h, spec, model)
+    shape = (len(small), len(subsets))
+    psi = psi_from_scales(xi.reshape(shape), sigma.reshape(shape), delta)
+    cols = _k1_search(psi.values[None], psi.comp[None], delta, A, masks,
+                      (1 << len(big)) - 1)[0][0]
+    groups = [(subsets[k], frozenset({j})) if flip else (frozenset({j}), subsets[k])
+              for j, k in zip(small, cols)]
+    return Grouping(tuple(groups)), _closed_k1(psi, cols)
+
+
+def near_degenerate_unequal_panel(seed):
+    """Controls {1, 2}, treated {3, 4, 5} with covariates (const, d, w).
+
+    w = d + e_j * noise: e_j = 1e-5 in clusters 1, 3 and 4, so a group of
+    only those clusters has a Gram condition number near 1e10; clusters 1 and
+    5 have no outcome noise, so group {1, 5} fits exactly."""
+    rng = np.random.default_rng(seed)
+    noise = {1: 0.0, 2: 1.0, 3: 0.7, 4: 0.8, 5: 0.0}
+    tilt = {1: 1e-5, 2: 1.0, 3: 1e-5, 4: 1e-5, 5: 1.0}
+    cluster = np.repeat(np.arange(1, 6), 12)
+    d = np.isin(cluster, (3, 4, 5)).astype(float)
+    w = d + np.array([tilt[j] for j in cluster]) * rng.standard_normal(cluster.size)
+    y = 1.0 + 0.5 * d + 0.3 * w + np.array([noise[j] for j in cluster]) * rng.standard_normal(
+        cluster.size)
+    return PanelDataset(cluster=cluster, time=np.tile(np.arange(1, 13), 5), y=y,
+                        x=np.column_stack([np.ones_like(d), d, w]), x_names=("const", "d", "w"),
+                        controls={1, 2}, treated={3, 4, 5})
+
+
 class TestCombineUnequal:
     def test_subset_enumeration_matches_reference(self):
         subs = enumerate_side_subsets((3, 4, 5), 2)
@@ -863,8 +903,10 @@ class TestCombineUnequal:
         import crscombine.combine as combine_mod
 
         def no_fit(*args, **kwargs):
-            raise AssertionError("group_stats was called")
+            raise AssertionError("a group was fit")
 
+        # the candidates are fit by the moment engine, the chosen groups by lstsq
+        monkeypatch.setattr(combine_mod, "group_block_stats", no_fit)
         monkeypatch.setattr(combine_mod, "group_stats", no_fit)
         # 5 controls against 10 treated: 5! * S(10, 5) = 5,103,000 > 10! coverings
         d = make_unequal_panel(effects={j: 1.0 for j in range(1, 16)},
@@ -899,6 +941,67 @@ class TestCombineUnequal:
                 combine_unequal(d, h, model="iid", delta=-1.0)
         finally:
             combine_mod.UNEQUAL_MAX_SUBSETS = old
+
+    @staticmethod
+    def assert_same_as_reference(d, h, spec, model, delta):
+        g, est = combine_unequal(d, h, spec, model, delta=delta)
+        g_ref, est_ref = unequal_reference(d, h, spec, model, delta)
+        assert g == g_ref
+        assert est.value.hex() == est_ref.value.hex()
+        assert est == est_ref
+
+    @pytest.mark.parametrize("model", ["iid", "ar1"])
+    def test_moment_fits_choose_the_reference_grouping(self, model):
+        # randomized shapes, effects and sides, both signs of delta: the same
+        # grouping and, from the refit chosen groups, the same power bit for bit
+        rng = np.random.default_rng(2207)
+        for trial in range(12):
+            n_small, n_big = int(rng.integers(2, 4)), int(rng.integers(4, 6))
+            small = tuple(range(1, n_small + 1))
+            big = tuple(range(n_small + 1, n_small + n_big + 1))
+            effects = {j: float(rng.uniform(0.3, 2.0)) for j in small + big}
+            controls, treated = (big, small) if trial % 2 else (small, big)
+            d = make_unequal_panel(seed=trial, effects=effects, controls=controls,
+                                   treated=treated)
+            delta = float(rng.uniform(1.0, 6.0)) * (-1.0) ** (trial // 2)
+            h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.5, delta=delta)
+            self.assert_same_as_reference(d, h, RegressionSpec(), model, delta)
+
+    @pytest.mark.parametrize("model", ["iid", "ar1"])
+    @pytest.mark.filterwarnings("ignore:group .*non-positive")
+    def test_near_degenerate_groups_take_the_reference_fit(self, model):
+        # some candidate groups fail the Gram condition or the quadratic-form
+        # check and are refit by group_stats, the others stay on the moments
+        d = near_degenerate_unequal_panel(seed=3)
+        h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.0, alpha=0.5, delta=-2.0)
+        spec = RegressionSpec()
+        sets = [{j} | m for j in (1, 2) for m in enumerate_side_subsets((3, 4, 5), 2)]
+        _, fast = _moment_fit(PanelBlock(d, d.x[None], d.y[None]),
+                              member_matrix(d.clusters, sets), h, spec, model)
+        assert 0 < fast.sum() < fast.size
+        for delta in (-2.0, 2.0):
+            self.assert_same_as_reference(d, h, spec, model, delta)
+
+    def test_fixed_effects_take_the_reference_fit(self):
+        # fe(cluster) sends every candidate group to group_stats
+        params = CalibrationParams(
+            beta_hat=np.array([0.5, 1.2, -0.8]),
+            mu_hat={j: 0.25 * (j - 1) for j in range(1, 8)},
+            rho_hat={j: 0.55 for j in range(1, 8)},
+            nu_hat={j: 1.0 + 0.05 * j for j in range(1, 8)},
+            T=24,
+            treatment_onsets={j: (4 + 3 * j, 0) if j <= 4 else (0, 3 * j - 10)
+                              for j in range(1, 8)},
+        )
+        spec = RegressionSpec.parse("y ~ const + c + l + fe(cluster)")
+        h = Hypothesis(c=[0.0, 1.0, 0.0], lam=1.2, alpha=0.5)
+        for seed in range(3):
+            d = gen_calibrated(params, seed=seed)
+            assert (sorted(d.controls), sorted(d.treated)) == ([5, 6, 7], [1, 2, 3, 4])
+            assert _moment_fit(PanelBlock(d, d.x[None], d.y[None]),
+                               member_matrix(d.clusters, [{5, 1}]), h, spec, "ar1") is None
+            for delta in (-4.0, 4.0):
+                self.assert_same_as_reference(d, h, spec, "ar1", delta)
 
 
 class TestCombineExhaustiveData:
@@ -956,13 +1059,20 @@ def test_no_identified_pairing_is_an_identification_error(search):
 
 
 @pytest.mark.parametrize("search", [combine_heuristic_psi, combine_exhaustive_psi])
-@pytest.mark.parametrize("method", ["auto", "mc", "exact"])
-def test_power_method_goes_through_the_one_resolver(search, method):
-    # a NaN alpha is the named alpha error on every method, and 'exact' is no method
+@pytest.mark.parametrize("method, alpha, match", [
+    ("auto", float("nan"), "alpha must lie strictly"),
+    ("mc", float("nan"), "alpha must lie strictly"),
+    ("exact", 0.25, "unknown power method"),
+    ("k1", 1.5, "alpha must lie strictly"),
+    ("k1", 0.25, "rejection budget K=2 != 1 at q=4"),
+], ids=["auto", "mc", "exact", "k1_alpha_above_one", "k1_budget_two"])
+def test_power_method_goes_through_the_one_resolver(search, method, alpha, match):
+    # an alpha outside (0, 1) is the named alpha error on every method, 'exact'
+    # is no method, and an explicit 'k1' needs rejection budget 1 (q = 4,
+    # alpha = 1/4 gives K = 2), in the exhaustive oracle as in the 2-opt climb
     psi, delta = random_psi(np.random.default_rng(24), 4)
-    match = "unknown power method" if method == "exact" else "alpha must lie strictly"
     with pytest.raises(ValueError, match=match):
-        search(psi, delta, 0.25 if method == "exact" else float("nan"), method, reps=1_000)
+        search(psi, delta, alpha, method, reps=1_000)
 
 
 @pytest.mark.parametrize("search", [
