@@ -139,7 +139,7 @@ def _load_dataset(args) -> "PanelDataset":
 def _regression_spec(args, d) -> RegressionSpec:
     if args.formula:
         spec = RegressionSpec.parse(args.formula)
-        spec.check_against(d)
+        spec.columns(d)  # checks the formula against the data
         return spec
     return RegressionSpec(outcome=d.y_name)
 

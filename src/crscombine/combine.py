@@ -43,7 +43,7 @@ import numpy as np
 from .data import (Grouping, Hypothesis, PanelBlock, PanelDataset, _assignment_table, _paired,
                    _perm_table)
 from .errors import BoundError, IdentificationError
-from .estimation import (LimitParams, PsiMatrix, group_block_stats, group_stats, member_matrix,
+from .estimation import (LimitParams, PsiMatrix, _group_block_stats, group_stats, member_matrix,
                          psi_from_scales, psi_terms)
 from .power import PowerEstimate, _k1_estimate, _resolve_method, power_tally
 from .regression import RegressionSpec
@@ -500,9 +500,11 @@ def combine_unequal(
     panel, from per-cluster moments.  The groups it hands to ``group_stats``
     (all of them under fixed effects or ``hac``; ill-conditioned or exactly
     fitting ones) get the reference's numbers, and an unidentified candidate
-    raises the reference's error.  Only the q-bar chosen groups are then
-    refit by ``group_stats``, and the estimate is their K = 1 power,
-    multiplied in row order.  Moment fits differ from ``lstsq`` in the last
+    raises the reference's error.  Of the q-bar chosen groups, only those the
+    moment path settled are then refit by ``group_stats``; the others keep
+    their candidate cells, which are already ``group_stats`` numbers.  The
+    estimate is the chosen groups' K = 1 power, multiplied in row order.
+    Moment fits differ from ``lstsq`` in the last
     digits only, so the grouping and the estimate are bit for bit those of a
     search fit entirely by ``group_stats``, unless a near tie makes the two
     choose differently.
@@ -538,15 +540,18 @@ def combine_unequal(
     # BoundError before any fit; band_winners finds this table cached (same key)
     _assignment_table(masks, full, qbar)
     sets = [{j} | m for j in small for m in subsets]
-    _, xi, sigma = group_block_stats(PanelBlock(d, d.x[None], d.y[None]),
-                                     member_matrix(d.clusters, sets), h, spec, model)
+    (_, xi, sigma), fast = _group_block_stats(PanelBlock(d, d.x[None], d.y[None]),
+                                              member_matrix(d.clusters, sets), h, spec, model)
     values, comp = psi_terms(xi.reshape(1, qbar, -1), sigma.reshape(1, qbar, -1), delta)
     best_choice = _k1_search(values, comp, delta, A, masks, full)[0][0]
 
     chosen = [subsets[int(k)] for k in best_choice]
-    # the reported power is the reference's: the chosen groups refit by lstsq,
+    # the reported power is the reference's: the chosen groups that took the
+    # moment path refit by lstsq (the others already are group_stats cells),
     # one column of Psi cells multiplied in row order
-    _, xi, sigma = group_stats(d, ({j} | m for j, m in zip(small, chosen)), h, spec, model)
+    cells = np.arange(qbar) * len(subsets) + best_choice
+    xi, sigma, refit = xi[0, cells], sigma[0, cells], np.flatnonzero(fast[0, cells])
+    _, xi[refit], sigma[refit] = group_stats(d, (sets[cells[i]] for i in refit), h, spec, model)
     psi = psi_from_scales(xi[:, None], sigma[:, None], delta)
     groups = [(m, frozenset({j})) if flip else (frozenset({j}), m)
               for j, m in zip(small, chosen)]

@@ -107,10 +107,21 @@ class PanelDataset:
         ids, counts = np.unique(self.cluster, return_counts=True)
         return {int(j): int(c) for j, c in zip(ids, counts)}
 
+    @cached_property
+    def cluster_rows(self) -> dict[int, np.ndarray]:
+        """Each cluster's row indices in load order, from one stable argsort;
+        the arrays are read-only."""
+        order = np.argsort(self.cluster, kind="stable")
+        order.setflags(write=False)
+        starts = np.flatnonzero(np.diff(self.cluster[order])) + 1
+        return {int(self.cluster[rows[0]]): rows for rows in np.split(order, starts)}
+
     def rows_of(self, members: Iterable[int]) -> np.ndarray:
-        """Row indices of the given clusters, in original row order."""
-        members = np.asarray(sorted(set(int(j) for j in members)), dtype=np.int64)
-        return np.flatnonzero(np.isin(self.cluster, members))
+        """Row indices of the given clusters, in original row order: their
+        ``cluster_rows`` merged.  Ids absent from the panel add no rows."""
+        parts = [self.cluster_rows[j] for j in set(int(j) for j in members)
+                 if j in self.cluster_rows]
+        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
 
     def covariate_index(self, name: str) -> int:
         try:

@@ -7,18 +7,23 @@ residual AR(1) fit).  The working model only ranks candidate groupings by
 power; the randomization test itself never uses these variance estimates.
 
 ``group_stats`` is the one ``lstsq`` fit per member set: its score, its size
-ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  The
-test and the plug-in power of a grouping read it, and ``pairwise_group_stats``
-runs it on every candidate {control, treated} pair for the paired searches.
+ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  It is
+one loop over any list of member sets.  What does not depend on the set is
+done once per call: the spec, ``c`` and the model are checked, and the
+panel's per-cluster rows are cached on it.  Each set then runs the one
+``lstsq`` core and the one sigma core, which ``ols_within_group`` and
+``estimate_sigma`` wrap for a single fit.  The test and the plug-in power of
+a grouping read it, and ``pairwise_group_stats`` runs it once over every
+candidate {control, treated} pair for the paired searches.
 ``group_block_stats`` gives the same numbers for any member sets of a block of
 panels from per-cluster sufficient statistics, because a group's pooled
-normal equations are the sum of its clusters' ones; a group it cannot
-reproduce closely (see there) is handed to ``group_stats``.
+normal equations are the sum of its clusters' ones; the groups it cannot
+reproduce closely (see there) go to ``group_stats``, in one call per panel.
 ``pairwise_block_stats`` is its candidate-pair case (``pairwise_moment_stats``
 on one panel).  The Monte Carlo engine fits every policy's groups that way,
 and the unequal-count search its candidate groups; that search refits the
-groups it chooses with ``group_stats``, so the power it reports is the
-reference's.
+chosen groups that took the moment path with ``group_stats``, so the power
+it reports is the reference's.
 """
 
 from __future__ import annotations
@@ -137,7 +142,8 @@ class PsiMatrix:
 
 
 def ols_within_group(d: PanelDataset, members: Iterable[int], spec: RegressionSpec) -> GroupFit:
-    """Pooled OLS over the rows of the given member clusters.
+    """Pooled OLS over the rows of the given member clusters (``group_stats``'
+    lstsq core on one group).
 
     Raises
     ------
@@ -147,24 +153,13 @@ def ols_within_group(d: PanelDataset, members: Iterable[int], spec: RegressionSp
     """
     members = frozenset(int(j) for j in members)
     rows = d.rows_of(members)
-    if rows.size == 0:
-        raise IdentificationError(f"group {sorted(members)} has no observations")
-    y, X, n_cov = design_matrix(d, rows, spec)
-    n_g, p = X.shape
-    if n_g < p:
-        raise IdentificationError(
-            f"group {sorted(members)}: {p} parameters but only {n_g} observations"
-        )
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=RANK_RTOL)
-    if rank < p:
-        raise IdentificationError(
-            f"group {sorted(members)}: design is rank deficient "
-            f"(rank {rank} < {p}); the target parameter is not identified"
-        )
-    residuals = y - X @ coef
+    fit = _ols(d, rows, members, spec)
+    if isinstance(fit, str):
+        raise IdentificationError(fit)
+    X, n_cov, coef, residuals = fit
     return GroupFit(
         beta_hat=coef[:n_cov],
-        n_g=n_g,
+        n_g=X.shape[0],
         residuals=residuals,
         members=members,
         design=X,
@@ -173,21 +168,35 @@ def ols_within_group(d: PanelDataset, members: Iterable[int], spec: RegressionSp
     )
 
 
+def _ols(d: PanelDataset, rows: np.ndarray, members: frozenset[int], spec: RegressionSpec,
+         columns: list[int] | None = None):
+    """The lstsq core: ``(X, n_cov, coef, residuals)`` of the member set on
+    ``rows``, or the message of the ``IdentificationError`` it is not
+    identified with.  ``columns`` as in ``design_matrix``."""
+    if rows.size == 0:
+        return f"group {sorted(members)} has no observations"
+    y, X, n_cov = design_matrix(d, rows, spec, columns)
+    n_g, p = X.shape
+    if n_g < p:
+        return f"group {sorted(members)}: {p} parameters but only {n_g} observations"
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=RANK_RTOL)
+    if rank < p:
+        return (f"group {sorted(members)}: design is rank deficient "
+                f"(rank {rank} < {p}); the target parameter is not identified")
+    return X, n_cov, coef, y - X @ coef
+
+
 def score_stat(fit: GroupFit, h: Hypothesis) -> float:
     """Group score sqrt(n_g) * (c'beta_hat - lambda)."""
     if h.c.shape[0] != fit.beta_hat.shape[0]:
         raise SchemaError(
             f"c has length {h.c.shape[0]} but the fit reports {fit.beta_hat.shape[0]} coefficients"
         )
-    return float(np.sqrt(fit.n_g) * (h.c @ fit.beta_hat - h.lam))
+    return _score(fit.n_g, fit.beta_hat, h)
 
 
-def _segment_indices(segments: np.ndarray) -> list[np.ndarray]:
-    """Per-cluster row indices in load order (time order within a cluster).
-
-    Works whether or not a cluster's rows are contiguous in the group.
-    """
-    return [np.flatnonzero(segments == j) for j in np.unique(segments)]
+def _score(n_g: int, beta: np.ndarray, h: Hypothesis) -> float:
+    return float(np.sqrt(n_g) * (h.c @ beta - h.lam))
 
 
 def _ar1_longrun_variance(residuals: np.ndarray, groups: list[np.ndarray]) -> float:
@@ -238,6 +247,13 @@ def _bartlett_middle(moments: np.ndarray, groups: list[np.ndarray], lag: int) ->
     return mid
 
 
+def _hac_default_lag(n: int) -> int:
+    """floor(n^(1/3)) in integers, exact at perfect cubes (the float cube root
+    of 64 is 3.9999999999999996)."""
+    lag = round(n ** (1.0 / 3.0))
+    return lag - 1 if lag**3 > n else lag
+
+
 def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None = None) -> float:
     """Scale of a group's limiting score under a working dependence model.
 
@@ -246,13 +262,13 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None
 
     - ``iid``: M = s_u^2 * X'X/n with s_u^2 the residual variance;
     - ``hac``: M = Bartlett-kernel long-run variance of the moment series
-      x_t * u_t, default lag floor(n_g^(1/3));
+      x_t * u_t, default lag floor(n_g^(1/3)) (``_hac_default_lag``);
     - ``ar1``: M = (X'X/n) * nu^2/(1-rho)^2 from a least-squares AR(1) fit of
       the residuals (the scalar long-run variance replaces s_u^2).
 
     Serial models never pair observations across cluster boundaries.  A
     non-positive variance estimate is floored at ``SIGMA_FLOOR`` with a
-    warning.
+    warning.  This checks its arguments and runs ``group_stats``' sigma core.
     """
     if model not in WORKING_MODELS:
         raise ValueError(f"unknown working model {model!r}; choose one of {WORKING_MODELS}")
@@ -260,35 +276,44 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None
     p = fit.design.shape[1]
     if c.shape[0] > p:
         raise SchemaError(f"c has length {c.shape[0]} but the design has {p} columns")
-    c_full = np.zeros(p)
-    c_full[: c.shape[0]] = c
-    n = fit.n_g
+    segments = [np.flatnonzero(fit.segments == j) for j in np.unique(fit.segments)]
+    return _sigma(fit.design, fit.residuals, segments, model, c, fit.members, hac_lag)
+
+
+def _sigma(X: np.ndarray, residuals: np.ndarray, segments: list[np.ndarray], model: str,
+           c: np.ndarray, members: frozenset[int], hac_lag: int | None = None) -> float:
+    """The sigma core: ``estimate_sigma`` of the fit (X, residuals) under a
+    known ``model`` and a ``c`` of at most p entries.  ``segments`` holds, per
+    member cluster in id order, the positions of its rows in X, which are in
+    load order, the time order within a cluster, whether or not a cluster's
+    rows are contiguous."""
+    n, p = X.shape
     if model in ("hac", "ar1") and n < 3:
         raise ValueError(f"serial working model {model!r} needs at least 3 observations")
-
-    gram = fit.design.T @ fit.design / n
+    c_full = np.zeros(p)
+    c_full[: c.shape[0]] = c
+    gram = X.T @ X / n
     bread = np.linalg.solve(gram, c_full)
-    groups = _segment_indices(fit.segments)
 
     if model == "iid":
         dof = max(n - p, 1)
-        s2 = float(fit.residuals @ fit.residuals) / dof
+        s2 = float(residuals @ residuals) / dof
         var = s2 * float(c_full @ bread)
     elif model == "ar1":
-        lrv = _ar1_longrun_variance(fit.residuals, groups)
+        lrv = _ar1_longrun_variance(residuals, segments)
         var = lrv * float(c_full @ bread)
     else:
-        lag = int(np.floor(n ** (1.0 / 3.0))) if hac_lag is None else int(hac_lag)
-        moments = fit.design * fit.residuals[:, None]
-        mid = _bartlett_middle(moments, groups, lag)
+        lag = _hac_default_lag(n) if hac_lag is None else int(hac_lag)
+        moments = X * residuals[:, None]
+        mid = _bartlett_middle(moments, segments, lag)
         var = float(bread @ mid @ bread)
 
     if not var > SIGMA_FLOOR**2:
         warnings.warn(
-            f"group {sorted(fit.members)}: non-positive {model} variance estimate; "
+            f"group {sorted(members)}: non-positive {model} variance estimate; "
             f"flooring sigma at {SIGMA_FLOOR}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         return SIGMA_FLOOR
     return float(np.sqrt(var))
@@ -300,25 +325,60 @@ def group_stats(
     h: Hypothesis,
     spec: RegressionSpec | None = None,
     model: str | None = "ar1",
+    allow_unidentified: bool = False,
 ) -> np.ndarray:
     """(score, xi, sigma) of each member set, from one pooled fit per set.
 
     Returns a ``(3, len(groups))`` array: the score sqrt(n_g) * (c'beta_hat -
     lambda), the size ratio xi = sqrt(n_g / n) and the working-model scale
-    sigma, which stays NaN when ``model`` is None.  A rank-deficient set raises
-    ``IdentificationError``; a ``c`` that does not match the covariates raises
-    ``SchemaError``.
+    sigma, which stays NaN when ``model`` is None.
+
+    One loop fits every set.  The spec, ``c`` and the model are checked once,
+    before any fit: a spec that does not match the data or a ``c`` that does
+    not match the covariates raises ``SchemaError``, an unknown model
+    ``ValueError``.  Each set then takes its rows from the panel's cached
+    per-cluster rows (``rows_of``), the lstsq core of ``ols_within_group`` and
+    the sigma core of ``estimate_sigma``, so its numbers are theirs bit for
+    bit.  A rank-deficient set raises ``IdentificationError`` when it is
+    reached, unless ``allow_unidentified``: then its column is NaN.  A serial
+    model on a set of fewer than 3 rows raises ``ValueError`` either way.
     """
-    spec = spec or RegressionSpec(outcome=d.y_name)
-    groups = list(groups)
-    stats = np.full((3, len(groups)), np.nan)
-    for i, members in enumerate(groups):
-        fit = ols_within_group(d, members, spec)
-        stats[0, i] = score_stat(fit, h)
-        stats[1, i] = np.sqrt(fit.n_g / d.n)
-        if model is not None:
-            stats[2, i] = estimate_sigma(fit, model, h.c)
+    stats, failed = _fit_groups(d, list(groups), h, spec, model, stop=not allow_unidentified)
+    if failed:
+        raise IdentificationError(failed[1])
     return stats
+
+
+def _fit_groups(d, groups, h, spec, model, stop):
+    """``group_stats``' loop: ``(stats, failed)``, where ``failed`` is None or
+    ``(i, message)`` for the first unidentified set i when ``stop`` ends the
+    loop there."""
+    spec = spec or RegressionSpec(outcome=d.y_name)
+    stats = np.full((3, len(groups)), np.nan)
+    if not groups:
+        return stats, None
+    columns = spec.columns(d)
+    if h.c.shape[0] != len(columns):
+        raise SchemaError(
+            f"c has length {h.c.shape[0]} but the fit reports {len(columns)} coefficients")
+    if model is not None and model not in WORKING_MODELS:
+        raise ValueError(f"unknown working model {model!r}; choose one of {WORKING_MODELS}")
+    for i, members in enumerate(groups):
+        members = frozenset(int(j) for j in members)
+        rows = d.rows_of(members)
+        fit = _ols(d, rows, members, spec, columns)
+        if isinstance(fit, str):
+            if stop:
+                return stats, (i, fit)
+            continue
+        X, n_cov, coef, residuals = fit
+        stats[0, i] = _score(X.shape[0], coef[:n_cov], h)
+        stats[1, i] = np.sqrt(X.shape[0] / d.n)
+        if model is not None:
+            segments = [rows.searchsorted(d.cluster_rows[j]) for j in sorted(members)
+                        if j in d.cluster_rows]
+            stats[2, i] = _sigma(X, residuals, segments, model, h.c, members)
+    return stats, None
 
 
 def group_limit_params(
@@ -337,27 +397,24 @@ def pairwise_group_stats(
     model: str | None = "ar1",
     allow_unidentified: bool = False,
 ):
-    """Fit every candidate {control, treated} pair once.
+    """Fit every candidate {control, treated} pair once: ``group_stats`` over
+    the q-bar^2 pairs.
 
     Returns ``(control_ids, treated_ids, score, xi, sigma)`` with q-bar x q-bar
-    arrays.  Rank-deficient pairs raise unless ``allow_unidentified``, in which
-    case their entries are NaN (they are later excluded from assignment by
-    forcing the corresponding indicator to zero).  ``model=None`` skips the
-    scale estimates (sigma stays NaN) when only scores are needed.
+    arrays.  Rank-deficient pairs raise, at the first one reached, unless
+    ``allow_unidentified``, in which case their entries are NaN (they are
+    later excluded from assignment by forcing the corresponding indicator to
+    zero).  ``model=None`` skips the scale estimates (sigma stays NaN) when
+    only scores are needed.
     """
-    spec = spec or RegressionSpec(outcome=d.y_name)
     control_ids = tuple(sorted(d.controls))
     treated_ids = tuple(sorted(d.treated))
-    stats = np.full((3, len(control_ids), len(treated_ids)), np.nan)
-    for a, j in enumerate(control_ids):
-        for b, r in enumerate(treated_ids):
-            try:
-                stats[:, a, b] = group_stats(d, [{j, r}], h, spec, model)[:, 0]
-            except IdentificationError:
-                if not allow_unidentified:
-                    raise IdentificationError(
-                        f"candidate pair (control {j}, treated {r}) is not identified") from None
-    return (control_ids, treated_ids, *stats)
+    pairs = [(j, r) for j in control_ids for r in treated_ids]
+    stats, failed = _fit_groups(d, pairs, h, spec, model, stop=not allow_unidentified)
+    if failed:
+        j, r = pairs[failed[0]]
+        raise IdentificationError(f"candidate pair (control {j}, treated {r}) is not identified")
+    return (control_ids, treated_ids, *stats.reshape(3, len(control_ids), len(treated_ids)))
 
 
 def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
@@ -467,8 +524,8 @@ def group_block_stats(
     (less where c'beta is near lambda); the tests pin 1e-9.
 
     Everything this path cannot reproduce that closely goes to ``group_stats``,
-    one group of one panel at a time, so errors, warnings and the rank rule are
-    the reference's; an unidentified group is NaN under ``allow_unidentified``:
+    in one call per panel, so errors, warnings and the rank rule are the
+    reference's; an unidentified group is NaN under ``allow_unidentified``:
 
     - every group, for fixed effects, ``model='hac'`` (or an unknown model),
       a ``c`` that does not match the covariates, or a serial model with a
@@ -479,6 +536,12 @@ def group_block_stats(
       |v|'|Z|'|Z||v| (cancellation, e.g. an exact fit), or when its variance is
       at most ``SIGMA_FLOOR**2`` (the reference floors it with a warning).
     """
+    return _group_block_stats(block, members, h, spec, model, allow_unidentified)[0]
+
+
+def _group_block_stats(block, members, h, spec, model, allow_unidentified=False):
+    """``group_block_stats`` and its (R, G) mask of the groups the moment
+    path settled; the others are ``group_stats`` numbers."""
     d = block.layout
     spec = spec or RegressionSpec(outcome=d.y_name)
     members = np.asarray(members, dtype=np.float64)
@@ -489,16 +552,11 @@ def group_block_stats(
                    or (np.full((3,) + shape, np.nan), np.zeros(shape, bool)))
     sets = np.broadcast_to(members, shape + members.shape[-1:])
     for r in np.unique(np.nonzero(~fast)[0]):
-        panel = block.panel(r)
-        for g in np.flatnonzero(~fast[r]):
-            group = [d.clusters[k] for k in np.flatnonzero(sets[r, g])]
-            try:
-                stats[:, r, g] = group_stats(panel, [group], h, spec, model)[:, 0]
-            except IdentificationError:
-                if not allow_unidentified:
-                    raise
-                stats[:, r, g] = np.nan
-    return stats
+        refit = np.flatnonzero(~fast[r])
+        stats[:, r, refit] = group_stats(
+            block.panel(r), [[d.clusters[k] for k in np.flatnonzero(sets[r, g])] for g in refit],
+            h, spec, model, allow_unidentified)
+    return stats, fast
 
 
 def _moment_fit(block, members, h, spec, model):
@@ -508,8 +566,7 @@ def _moment_fit(block, members, h, spec, model):
     if spec.cluster_fe or spec.time_fe or model not in (None, "iid", "ar1"):
         return None
     d = block.layout
-    spec.check_against(d)
-    idx = [d.covariate_index(name) for name in spec.resolve_covariates(d)]
+    idx = spec.columns(d)
     p = len(idx)
     sizes, moments = _cluster_moments(
         d.cluster, np.concatenate([block.x[..., idx], block.y[..., None]], axis=-1))

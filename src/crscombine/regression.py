@@ -65,12 +65,14 @@ class RegressionSpec:
                 raise SchemaError(f"covariate {name!r} not in dataset columns {d.x_names}")
         return self.covariates
 
-    def check_against(self, d: PanelDataset) -> None:
+    def columns(self, d: PanelDataset) -> list[int]:
+        """Indices in ``d.x`` of the covariates, in spec order, after checking
+        the outcome and every covariate name against the data."""
         if self.outcome != d.y_name:
             raise SchemaError(
                 f"formula outcome {self.outcome!r} does not match dataset outcome {d.y_name!r}"
             )
-        self.resolve_covariates(d)
+        return [d.covariate_index(name) for name in self.resolve_covariates(d)]
 
 
 def _dummies(labels: np.ndarray, drop_first: bool) -> np.ndarray:
@@ -82,24 +84,29 @@ def _dummies(labels: np.ndarray, drop_first: bool) -> np.ndarray:
     return (labels[:, None] == levels[None, :]).astype(np.float64)
 
 
-def design_matrix(d: PanelDataset, rows: np.ndarray, spec: RegressionSpec):
+def design_matrix(d: PanelDataset, rows: np.ndarray, spec: RegressionSpec,
+                  columns: list[int] | None = None):
     """Build the response and full design for the given rows.
 
     Returns ``(y, X_full, n_cov)`` where the first ``n_cov`` columns of
     ``X_full`` are the covariates in spec order and the rest are fixed-effect
-    dummies.  Dummy encoding keeps the column space right whether or not a
+    dummies; without fixed effects ``X_full`` is the gathered covariates
+    themselves.  Dummy encoding keeps the column space right whether or not a
     constant column is present: the first fixed-effect factor keeps all its
     levels unless some covariate is constant (and nonzero) on these rows, and
     any further factor drops its first level.
+
+    ``columns`` are the covariates' indices in ``d.x`` as ``spec.columns(d)``
+    returns them after checking the spec against the data; None runs that
+    check here.  ``estimation.group_stats`` checks once per call and passes
+    them for every group.
     """
-    if spec.outcome != d.y_name:
-        raise SchemaError(
-            f"formula outcome {spec.outcome!r} does not match dataset outcome {d.y_name!r}"
-        )
-    cov_names = spec.resolve_covariates(d)
-    idx = [d.covariate_index(name) for name in cov_names]
-    X = d.x[np.ix_(rows, idx)]
+    if columns is None:
+        columns = spec.columns(d)
+    X = d.x[rows[:, None], columns]
     y = d.y[rows]
+    if not (spec.cluster_fe or spec.time_fe):
+        return y, X, len(columns)
 
     has_intercept_like = any(
         X[:, k].size > 0 and np.ptp(X[:, k]) == 0.0 and X[0, k] != 0.0
@@ -113,5 +120,4 @@ def design_matrix(d: PanelDataset, rows: np.ndarray, spec: RegressionSpec):
     if spec.time_fe:
         blocks.append(_dummies(d.time[rows], drop_first=spans_constant))
         spans_constant = True
-    X_full = np.hstack(blocks)
-    return y, X_full, len(cov_names)
+    return y, np.hstack(blocks), len(columns)

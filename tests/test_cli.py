@@ -249,6 +249,9 @@ def dgp2_panels(tmp_path_factory):
 GOLDEN_COMBINE = {
     "bilp_pos": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "+"], True),
     "bilp_neg": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "-"], True),
+    # the other working models; every pair has n_g = 40 rows
+    "bilp_hac": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "hac"], True),
+    "bilp_iid": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "iid"], True),
     "heuristic": ("dgp2", DGP2_CONTROLS, ["--method", "heuristic", "--reps", "2000"], False),
     "exhaustive": ("dgp2", DGP2_CONTROLS, ["--method", "exhaustive", "--reps", "2000"], False),
     "loglinear": ("dgp2", DGP2_CONTROLS, ["--method", "loglinear", "--reps", "2000"], False),
@@ -282,6 +285,27 @@ def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
     if diagnostics:
         lines = [ln for ln in diag.read_bytes().splitlines(True) if not ln.startswith(b"#")]
         assert b"".join(lines) == (DATA / f"combine_{name}_intervals.csv").read_bytes()
+
+
+# name -> test flags: K = 2 at q = 4, two groups of four clusters and two pairs
+GOLDEN_TEST = {
+    "q4_k2": ["--grouping", "{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "--alpha", "0.25",
+              "--lambda", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TEST))
+def test_test_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
+    # tests/data holds each output without its JSON meta block
+    out = tmp_path / "t.json"
+    assert dispatch([
+        "test", "--data", str(dgp2_panels / "dgp2.csv"), "--controls", DGP2_CONTROLS,
+        "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", *GOLDEN_TEST[name],
+        "--out", str(out),
+    ]) == 0
+    payload = read_json(out)
+    payload.pop("meta")
+    assert json.dumps(payload, indent=2) + "\n" == (DATA / f"test_{name}.json").read_text()
 
 
 # name -> (grouping, alpha): K = 2 at q = 4 and K = 3 at q = 6, both scored

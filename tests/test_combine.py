@@ -40,9 +40,10 @@ from crscombine.combine import (
     k1_picks,
 )
 from crscombine.data import MAX_ASSIGNMENTS, PanelBlock, _assignment_table, _paired
-from crscombine.estimation import _moment_fit, group_stats, member_matrix, psi_matrix
-from crscombine.simulate import (CalibrationParams, DgpSpec, dgp_hypothesis, gen_calibrated,
-                                 gen_dgp)
+from crscombine.estimation import (SIGMA_FLOOR, _moment_fit, group_stats, member_matrix,
+                                   psi_matrix)
+from crscombine.simulate import (CalibrationParams, DgpSpec, calibrate, dgp_hypothesis,
+                                 gen_calibrated, gen_dgp)
 
 
 # The exact solver of single programs before they became band_winners calls,
@@ -906,7 +907,7 @@ class TestCombineUnequal:
             raise AssertionError("a group was fit")
 
         # the candidates are fit by the moment engine, the chosen groups by lstsq
-        monkeypatch.setattr(combine_mod, "group_block_stats", no_fit)
+        monkeypatch.setattr(combine_mod, "_group_block_stats", no_fit)
         monkeypatch.setattr(combine_mod, "group_stats", no_fit)
         # 5 controls against 10 treated: 5! * S(10, 5) = 5,103,000 > 10! coverings
         d = make_unequal_panel(effects={j: 1.0 for j in range(1, 16)},
@@ -1002,6 +1003,52 @@ class TestCombineUnequal:
                                member_matrix(d.clusters, [{5, 1}]), h, spec, "ar1") is None
             for delta in (-4.0, 4.0):
                 self.assert_same_as_reference(d, h, spec, "ar1", delta)
+
+    def test_chosen_reference_cells_are_not_refit(self, monkeypatch):
+        # one draw of demos/05_calibrated_simulation.py: fe(cluster) sends all
+        # 3 x 25 candidate groups to lstsq, and the 3 chosen groups keep those
+        # fits instead of being fit again
+        import crscombine.estimation as estimation_mod
+
+        truth = CalibrationParams(
+            beta_hat=np.array([0.5, 1.2, -0.8]),
+            mu_hat={j: 0.25 * (j - 1) for j in range(1, 9)},
+            rho_hat={j: 0.55 for j in range(1, 9)},
+            nu_hat={j: 1.0 + 0.05 * j for j in range(1, 9)},
+            T=160,
+            treatment_onsets={j: (max(120 - 20 * j, 0), max(120 - 30 * (9 - j), 0))
+                              for j in range(1, 9)},
+        )
+        spec = RegressionSpec(outcome="y", covariates=("const", "c", "l"), cluster_fe=True)
+        params = calibrate(gen_calibrated(truth, target="C", delta_shift=0.0, seed=1), spec)
+        d = gen_calibrated(params, target="C", delta_shift=1.0, seed=1000)
+        h = Hypothesis(c=[0.0, 1.0, 0.0], lam=float(params.beta_hat[1]), alpha=0.25)
+        delta = 2.0 * np.sqrt(d.n)
+        fitted = []
+        ols = estimation_mod._ols
+        monkeypatch.setattr(estimation_mod, "_ols",
+                            lambda *args: fitted.append(args[2]) or ols(*args))
+        g, est = combine_unequal(d, h, spec, model="ar1", delta=delta, A=60)
+        monkeypatch.undo()
+        assert len(fitted) == len(set(fitted)) == 75
+        g_ref, est_ref = unequal_reference(d, h, spec, "ar1", delta, A=60)
+        assert g == g_ref
+        assert est.value.hex() == est_ref.value.hex()
+
+    @pytest.mark.parametrize("model", ["iid", "ar1"])
+    def test_a_floored_chosen_group_warns_once(self, model):
+        # group {1, 5} fits exactly, is floored, and wins at both signs of delta
+        d = near_degenerate_unequal_panel(seed=3)
+        h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.0, alpha=0.5)
+        for delta in (-2.0, 2.0):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g, _ = combine_unequal(d, h, model=model, delta=delta)
+            messages = [str(w.message) for w in caught]
+            assert g.to_literal() == "1:5,2:{3,4}"
+            assert messages.count(f"group [1, 5]: non-positive {model} variance estimate; "
+                                  f"flooring sigma at {SIGMA_FLOOR}") == 1
+            assert len(messages) == len(set(messages))
 
 
 class TestCombineExhaustiveData:
