@@ -42,9 +42,9 @@ print(f"exhaustive oracle: {oracle_grouping.to_literal()}  power {oracle.value:.
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # the baseline warns about its own quality
-    baseline = combine_loglinear(psi)
-ll_power, _, _ = _k1_power_of_perm(psi, _perm_of_grouping(psi, baseline.grouping))
-print(f"log-linear baseline: {baseline.grouping.to_literal()}  power {ll_power:.4f}")
+    baseline, _ = combine_loglinear(psi)
+ll_power, _, _ = _k1_power_of_perm(psi, _perm_of_grouping(psi, baseline))
+print(f"log-linear baseline: {baseline.to_literal()}  power {ll_power:.4f}")
 
 rng = np.random.default_rng(0)
 rand_powers = []

@@ -9,7 +9,6 @@ target parameter is not identified within individual clusters.
 __version__ = "0.1.0"
 
 from .combine import (
-    AssignmentSolution,
     combine_exhaustive_psi,
     combine_heuristic_psi,
     combine_k1,
@@ -19,7 +18,6 @@ from .combine import (
     enumerate_side_subsets,
 )
 from .crstest import (
-    SignChangeSet,
     TestOutcome,
     critical_value,
     k_budget,
@@ -54,7 +52,6 @@ from .estimation import (
     group_stats,
     ols_within_group,
     pairwise_group_stats,
-    pairwise_moment_stats,
     psi_from_scales,
     psi_matrix,
     score_stat,

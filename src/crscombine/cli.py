@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import secrets
 import sys
 from dataclasses import dataclass
@@ -66,18 +67,24 @@ def _float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _finite(values: list[float], text: str) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
+    return values
+
+
 def _grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("grid must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("grid step must be positive")
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
-    return _float_list(text)
+    """Parse 'start:stop:step' (inclusive) or a comma list of finite numbers."""
+    if ":" not in text:
+        return _finite(_float_list(text), text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("grid must be start:stop:step")
+    start, stop, step = _finite([float(p) for p in parts], text)
+    if step <= 0:
+        raise argparse.ArgumentTypeError("grid step must be positive")
+    n = int(round((stop - start) / step))
+    return [start + i * step for i in range(n + 1)]
 
 
 def _header_lines(cfg: RunConfig) -> list[str]:
@@ -289,8 +296,7 @@ def _cmd_combine(args, cfg: RunConfig) -> int:
         ctrl, trt = sorted(d.controls), sorted(d.treated)
         g = Grouping.from_pairs(zip(ctrl, (trt[i] for i in rng.permutation(len(trt)))))
     elif args.method == "loglinear":
-        sol = combine_loglinear(psi_matrix(d, h, spec, args.model))
-        g = sol.grouping
+        g, _ = combine_loglinear(psi_matrix(d, h, spec, args.model))
     elif args.method == "exhaustive":
         psi = psi_matrix(d, h, spec, args.model)
         g, estimate = combine_exhaustive_psi(psi, delta, args.alpha,

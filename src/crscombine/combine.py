@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,16 +72,6 @@ def _interval_plan(side_vals: np.ndarray, A: int) -> np.ndarray:
     eps0 = [min(max(float(low) ** qbar, EPS0_FLOOR), top * (1.0 - 1e-12))
             for low in np.fmin.reduce(side_vals, axis=(1, 2))]
     return np.linspace(eps0, top, A + 1, axis=-1)
-
-
-@dataclass(frozen=True)
-class AssignmentSolution:
-    """A 0/1 assignment with its objective value and side-constraint sum."""
-
-    z: np.ndarray
-    grouping: Grouping
-    objective: float
-    side_sum: float
 
 
 def _branch_coeffs(values: np.ndarray, comp: np.ndarray, delta: float):
@@ -360,7 +349,7 @@ def combine_exhaustive_psi(
     return psi.grouping_for(best_cols), estimate(best)
 
 
-def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
+def combine_loglinear(psi: PsiMatrix) -> tuple[Grouping, float]:
     """Single-program baseline: maximize sum of log Psi + log(1 - Psi).
 
     A plain assignment problem without the side constraint.  It weights the
@@ -368,7 +357,9 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     worse than picking a pairing at random.
 
     It is ``band_winners`` with one band and a zero side term, so it scores
-    all q-bar! pairings.  Raises BoundError above q-bar = 10, and
+    all q-bar! pairings; ties go to the lexicographically first pairing.
+    Returns ``(grouping, objective)``, the objective summed over the chosen
+    pairs in row order.  Raises BoundError above q-bar = 10, and
     IdentificationError when every pairing uses an excluded pair.
     """
     warnings.warn(
@@ -382,11 +373,8 @@ def combine_loglinear(psi: PsiMatrix) -> AssignmentSolution:
     obj = np.add(*_branch_coeffs(psi.values, psi.comp, -1.0))
     choice, _ = band_winners(obj[None], np.zeros_like(obj)[None], *_paired(psi.qbar),
                              np.array([[-1.0, 1.0]]))
-    rows, cols = np.arange(psi.qbar), choice[0, 0]
-    z = np.zeros((psi.qbar, psi.qbar), dtype=np.int64)
-    z[rows, cols] = 1
-    return AssignmentSolution(z=z, grouping=psi.grouping_for(cols),
-                              objective=float(obj[rows, cols].sum()), side_sum=0.0)
+    cols = choice[0, 0]
+    return psi.grouping_for(cols), float(obj[np.arange(psi.qbar), cols].sum())
 
 
 def combine_heuristic_psi(
@@ -485,7 +473,6 @@ def combine_unequal(
     model: str = "ar1",
     delta: float | None = None,
     A: int = 200,
-    partitions: list[frozenset[int]] | None = None,
 ):
     """K = 1 combination with unequal control/treated counts.
 
@@ -525,14 +512,12 @@ def combine_unequal(
     qbar = len(small)
     # enumerate_side_subsets' count, sizes 1 to len(big) - qbar + 1, known before
     # any subset is built
-    n_subsets = (len(partitions) if partitions is not None else
-                 sum(math.comb(len(big), size) for size in range(1, len(big) - qbar + 2)))
+    n_subsets = sum(math.comb(len(big), size) for size in range(1, len(big) - qbar + 2))
     if n_subsets > UNEQUAL_MAX_SUBSETS:
         raise BoundError(
             f"{n_subsets} candidate subsets exceed the guard of {UNEQUAL_MAX_SUBSETS}"
         )
-    subsets = [frozenset(m) for m in
-               (partitions if partitions is not None else enumerate_side_subsets(big, qbar))]
+    subsets = enumerate_side_subsets(big, qbar)
 
     big_index = {j: b for b, j in enumerate(sorted(big))}
     masks = tuple(sum(1 << big_index[j] for j in m) for m in subsets)

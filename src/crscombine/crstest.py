@@ -10,7 +10,7 @@ randomization values (the nonrandomized version: ties never reject).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,52 +23,28 @@ MAX_Q = 24  # memory guard: 2^(q-1) sign vectors are materialized
 CACHE_MAX_Q = 16  # sign sets up to this size (512 KiB) are built once and shared
 
 
-@dataclass(frozen=True)
-class SignChangeSet:
-    """The unique sign-change vectors for q groups.
-
-    ``unique`` holds the 2^(q-1) vectors with first entry +1 in binary
-    counting order on entries 2..q, so the identity vector comes first and the
-    enumeration is reproducible.  ``nonidentity`` drops the identity.
-    """
-
-    q: int
-    unique: np.ndarray = field(repr=False)
-
-    @property
-    def n_unique(self) -> int:
-        return int(self.unique.shape[0])
-
-    @property
-    def L(self) -> int:
-        return self.n_unique - 1
-
-    @property
-    def nonidentity(self) -> np.ndarray:
-        return self.unique[1:]
-
-    def k_budget(self, alpha: float) -> int:
-        """K = floor(alpha * 2^(q-1)), the rejection budget."""
-        return k_budget(self.n_unique, alpha)
-
-
 def k_budget(n_unique: int, alpha: float) -> int:
+    """K = floor(alpha * n_unique), the rejection budget over n_unique =
+    2^(q-1) sign vectors."""
     # tiny epsilon so alpha values like 0.3 * 10 = 2.999... floor correctly
     return int(np.floor(alpha * n_unique + 1e-9))
 
 
-def sign_changes(q: int) -> SignChangeSet:
-    """Enumerate the 2^(q-1) sign vectors with first entry +1.
+def sign_changes(q: int) -> np.ndarray:
+    """The 2^(q-1) sign vectors with first entry +1, as a read-only
+    (2^(q-1), q) int8 array.
 
-    The array is read-only, so sets up to ``CACHE_MAX_Q`` groups are built
-    once and shared; larger ones are rebuilt rather than kept resident.
+    Rows run in binary counting order on entries 2..q, so the identity
+    vector comes first and the enumeration is reproducible; ``[1:]`` drops
+    it.  Sets up to ``CACHE_MAX_Q`` groups are built once and shared;
+    larger ones are rebuilt rather than kept resident.
     """
     if not 1 <= q <= MAX_Q:
         raise BoundError(f"q={q} outside supported range [1, {MAX_Q}]")
     return _cached_sign_changes(q) if q <= CACHE_MAX_Q else _build_sign_changes(q)
 
 
-def _build_sign_changes(q: int) -> SignChangeSet:
+def _build_sign_changes(q: int) -> np.ndarray:
     m = 1 << (q - 1)
     if q == 1:
         unique = np.ones((1, 1), dtype=np.int8)
@@ -80,18 +56,20 @@ def _build_sign_changes(q: int) -> SignChangeSet:
         unique[:, 0] = 1
         unique[:, 1:] = (1 - 2 * bits).astype(np.int8)
     unique.setflags(write=False)
-    return SignChangeSet(q=q, unique=unique)
+    return unique
 
 
 _cached_sign_changes = functools.lru_cache(maxsize=None)(_build_sign_changes)
 
 
-def randomization_stats(scores: np.ndarray, s: SignChangeSet) -> np.ndarray:
-    """T(g) = |(1/q) sum_j g_j * score_j| for each unique sign vector."""
+def randomization_stats(scores: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """T(g) = |(1/q) sum_j g_j * score_j| for each row g of ``signs``
+    (``sign_changes(q)``)."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (s.q,):
-        raise ValueError(f"expected {s.q} scores, got shape {scores.shape}")
-    return np.abs(s.unique @ scores) / s.q
+    q = signs.shape[1]
+    if scores.shape != (q,):
+        raise ValueError(f"expected {q} scores, got shape {scores.shape}")
+    return np.abs(signs @ scores) / q
 
 
 def rejects(values: np.ndarray, k: int, axis: int = -1):
@@ -157,16 +135,16 @@ class TestOutcome:
 def test_from_scores(scores: np.ndarray, alpha: float) -> TestOutcome:
     """Run the sign-change test on a precomputed score vector."""
     scores = np.asarray(scores, dtype=np.float64)
-    s = sign_changes(scores.shape[0])
-    values = randomization_stats(scores, s)
-    k = s.k_budget(alpha)
+    signs = sign_changes(scores.shape[0])
+    values = randomization_stats(scores, signs)
+    k = k_budget(len(signs), alpha)
     return TestOutcome(
         statistic=float(values[0]),
         randomization_values=values,
         critical_value=critical_value(values, alpha),
-        reject=bool(rejects(values, min(k, s.n_unique - 1))),
+        reject=bool(rejects(values, min(k, len(signs) - 1))),
         k_budget=k,
-        q=s.q,
+        q=signs.shape[1],
         alpha=alpha,
         scores=scores,
     )

@@ -170,6 +170,11 @@ class Hypothesis:
         object.__setattr__(self, "c", _frozen_array(np.atleast_1d(self.c), np.float64))
         if self.c.ndim != 1 or not np.any(self.c != 0.0):
             raise ValueError("c must be a nonzero vector")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("c must be finite")
+        for name, value in (("lambda", self.lam), ("delta", self.delta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
@@ -180,8 +185,8 @@ class Grouping:
 
     Each group is a ``(control_members, treated_members)`` pair of frozensets.
     In paired mode every group has exactly one control and one treated member.
-    Groups are stored sorted by their smallest control id, which makes tuple
-    comparison of :meth:`sort_key` a lexicographic order on groupings.
+    Groups are stored sorted by their sorted control ids, then treated ids,
+    so two groupings of the same partition compare and hash equal.
     """
 
     groups: tuple[tuple[frozenset[int], frozenset[int]], ...]
@@ -204,9 +209,6 @@ class Grouping:
     def members(self, i: int) -> frozenset[int]:
         ctrl, trt = self.groups[i]
         return ctrl | trt
-
-    def sort_key(self):
-        return tuple((tuple(sorted(c)), tuple(sorted(t))) for c, t in self.groups)
 
     def to_literal(self) -> str:
         """Render as ``c1:t1,c2:t2`` / ``c1:{t1,t2}`` grouping literal."""

@@ -19,11 +19,11 @@ candidate {control, treated} pair for the paired searches.
 panels from per-cluster sufficient statistics, because a group's pooled
 normal equations are the sum of its clusters' ones; the groups it cannot
 reproduce closely (see there) go to ``group_stats``, in one call per panel.
-``pairwise_block_stats`` is its candidate-pair case (``pairwise_moment_stats``
-on one panel).  The Monte Carlo engine fits every policy's groups that way,
-and the unequal-count search its candidate groups; that search refits the
-chosen groups that took the moment path with ``group_stats``, so the power
-it reports is the reference's.
+``pairwise_block_stats`` is its candidate-pair case; on one panel ``d`` it
+runs on ``PanelBlock(d, d.x[None], d.y[None])``.  The Monte Carlo engine fits
+every policy's groups that way, and the unequal-count search its candidate
+groups; that search refits the chosen groups that took the moment path with
+``group_stats``, so the power it reports is the reference's.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class LimitParams:
 
     xi: np.ndarray
     sigma: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         xi = np.atleast_1d(np.asarray(self.xi, dtype=np.float64))
@@ -102,8 +101,9 @@ class PsiMatrix:
     """Per-candidate-pair normal cdf terms Psi[j, r] = Phi(-xi_jr * delta / sigma_jr).
 
     Rows index control clusters (sorted), columns treated clusters (sorted).
-    ``comp`` holds 1 - Psi computed from the complementary cdf directly, so
-    both tails stay accurate; both matrices are clipped away from exact 0/1.
+    ``comp`` is required: it holds 1 - Psi computed from the complementary
+    cdf directly (``psi_from_scales``), never as 1 - values, so both tails
+    stay accurate.  Both matrices are clipped away from exact 0/1.
     NaN entries mark candidate pairs excluded for rank deficiency (only when
     built with ``allow_unidentified=True``).
     """
@@ -114,15 +114,11 @@ class PsiMatrix:
     treated_ids: tuple[int, ...]
     xi: np.ndarray
     sigma: np.ndarray
-    comp: np.ndarray = None  # type: ignore[assignment]
+    comp: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        comp = self.comp
-        if comp is None:
-            comp = 1.0 - values
-        comp = np.asarray(comp, dtype=np.float64)
-        values, comp = _clip_psi(values, comp)
+        values, comp = _clip_psi(np.asarray(self.values, dtype=np.float64),
+                                 np.asarray(self.comp, dtype=np.float64))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "control_ids", tuple(int(j) for j in self.control_ids))
@@ -247,14 +243,14 @@ def _bartlett_middle(moments: np.ndarray, groups: list[np.ndarray], lag: int) ->
     return mid
 
 
-def _hac_default_lag(n: int) -> int:
+def _hac_lag(n: int) -> int:
     """floor(n^(1/3)) in integers, exact at perfect cubes (the float cube root
     of 64 is 3.9999999999999996)."""
     lag = round(n ** (1.0 / 3.0))
     return lag - 1 if lag**3 > n else lag
 
 
-def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None = None) -> float:
+def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray) -> float:
     """Scale of a group's limiting score under a working dependence model.
 
     All three models share the sandwich c'(X'X/n)^{-1} M (X'X/n)^{-1} c and
@@ -262,7 +258,7 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None
 
     - ``iid``: M = s_u^2 * X'X/n with s_u^2 the residual variance;
     - ``hac``: M = Bartlett-kernel long-run variance of the moment series
-      x_t * u_t, default lag floor(n_g^(1/3)) (``_hac_default_lag``);
+      x_t * u_t, lag floor(n_g^(1/3)) (``_hac_lag``);
     - ``ar1``: M = (X'X/n) * nu^2/(1-rho)^2 from a least-squares AR(1) fit of
       the residuals (the scalar long-run variance replaces s_u^2).
 
@@ -277,11 +273,11 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray, hac_lag: int | None
     if c.shape[0] > p:
         raise SchemaError(f"c has length {c.shape[0]} but the design has {p} columns")
     segments = [np.flatnonzero(fit.segments == j) for j in np.unique(fit.segments)]
-    return _sigma(fit.design, fit.residuals, segments, model, c, fit.members, hac_lag)
+    return _sigma(fit.design, fit.residuals, segments, model, c, fit.members)
 
 
 def _sigma(X: np.ndarray, residuals: np.ndarray, segments: list[np.ndarray], model: str,
-           c: np.ndarray, members: frozenset[int], hac_lag: int | None = None) -> float:
+           c: np.ndarray, members: frozenset[int]) -> float:
     """The sigma core: ``estimate_sigma`` of the fit (X, residuals) under a
     known ``model`` and a ``c`` of at most p entries.  ``segments`` holds, per
     member cluster in id order, the positions of its rows in X, which are in
@@ -303,9 +299,8 @@ def _sigma(X: np.ndarray, residuals: np.ndarray, segments: list[np.ndarray], mod
         lrv = _ar1_longrun_variance(residuals, segments)
         var = lrv * float(c_full @ bread)
     else:
-        lag = _hac_default_lag(n) if hac_lag is None else int(hac_lag)
         moments = X * residuals[:, None]
-        mid = _bartlett_middle(moments, segments, lag)
+        mid = _bartlett_middle(moments, segments, _hac_lag(n))
         var = float(bread @ mid @ bread)
 
     if not var > SIGMA_FLOOR**2:
@@ -386,8 +381,7 @@ def group_limit_params(
 ) -> LimitParams:
     """Fit every group of a grouping and estimate its (xi, sigma)."""
     _, xi, sigma = group_stats(d, (g.members(i) for i in range(g.q)), h, spec, model)
-    labels = tuple("+".join(str(j) for j in sorted(g.members(i))) for i in range(g.q))
-    return LimitParams(xi=xi, sigma=sigma, labels=labels)
+    return LimitParams(xi=xi, sigma=sigma)
 
 
 def pairwise_group_stats(
@@ -446,22 +440,6 @@ def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
     parts += [np.add.reduceat(prod, starts), absolute]
     moments = np.stack(parts, axis=1).reshape(R, first.size, 5, width, width)
     return np.diff(np.r_[first, n]), moments
-
-
-def pairwise_moment_stats(
-    d: PanelDataset,
-    h: Hypothesis,
-    spec: RegressionSpec | None = None,
-    model: str | None = "ar1",
-    allow_unidentified: bool = False,
-):
-    """``pairwise_group_stats`` from per-cluster moments: ``pairwise_block_stats``
-    on a block of one panel.  ``group_block_stats`` describes the method, its
-    accuracy and the pairs it hands to the reference path.
-    """
-    control_ids, treated_ids, score, xi, sigma = pairwise_block_stats(
-        PanelBlock(d, d.x[None], d.y[None]), h, spec, model, allow_unidentified)
-    return control_ids, treated_ids, score[0], xi[0], sigma[0]
 
 
 def pairwise_block_stats(

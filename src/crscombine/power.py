@@ -145,15 +145,16 @@ class SignFlipKernel:
             raise ValueError("reps must be at least 1000")
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        s = sign_changes(q)
+        signs = sign_changes(q)
+        n_u = len(signs)
         self.q = q
         self.reps = reps
-        self.k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
-        self._signs = s.unique.astype(np.float64)  # (n_u, q)
+        self.k = min(k_budget(n_u, alpha), n_u - 1)
+        self._signs = signs.astype(np.float64)  # (n_u, q)
         self._z = [np.ascontiguousarray(z.T) for z in _normal_blocks(q, reps, seed)]
         n = self._z[0].shape[1]
         self._w = np.empty((q, n))
-        self._values = np.empty((s.n_unique, n))
+        self._values = np.empty((n_u, n))
 
     def counts(self, sigma: np.ndarray, shift: np.ndarray) -> tuple[int, int, int]:
         """``(rejections, left, right)`` over the kernel's draws at one (sigma,

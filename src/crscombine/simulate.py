@@ -26,8 +26,8 @@ pairs), its K = 1 pairings are searched at once (``combine.k1_picks``; at
 K > 1 they are the starts of the per-replication 2-opt climbs), and one
 ``crstest.rejects`` call decides it.  Replication r draws only from
 ``SeedSequence((seed, r))`` (and its own derived streams), so no result
-depends on the block size.  ``gen_dgp``, ``pairwise_moment_stats`` and
-``combine_k1`` are the same code on a block of one.
+depends on the block size.  ``gen_dgp`` and ``combine_k1`` are the same code
+on a block of one.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ def rejection_curve(
     seed: int,
     grouping: Grouping | None = None,
     model: str = "ar1",
-    reg: RegressionSpec | None = None,
     A: int = 200,
     heuristic_reps: int = 5_000,
 ) -> RejectionCurve:
@@ -262,7 +261,7 @@ def rejection_curve(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "fixed" and grouping is None:
         raise ValueError("the fixed policy needs a grouping")
-    reg = reg or RegressionSpec()
+    reg = RegressionSpec()  # the DGP regression: y on every covariate
     qbar = spec.q // 2
     q = qbar
     clusters = sorted(spec.control_ids | spec.treated_ids)
@@ -277,9 +276,9 @@ def rejection_curve(
         members = member_matrix(clusters, [(j, r) for j in sorted(spec.control_ids)
                                            for r in sorted(spec.treated_ids)])
         members = members.reshape(qbar, qbar, -1)
-    s = sign_changes(q)
-    signs_t = s.unique.astype(np.float64).T  # (q, 2^(q-1))
-    k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
+    signs_t = sign_changes(q).astype(np.float64).T  # (q, 2^(q-1))
+    n_u = signs_t.shape[1]
+    k = min(k_budget(n_u, alpha), n_u - 1)
     h0 = dgp_hypothesis(alpha)
     delta_mag = 2.0 * math.sqrt(spec.q * spec.T)
     kb = k_budget(1 << (qbar - 1), alpha)
@@ -317,7 +316,7 @@ def rejection_curve(
                 counts += _rejections(score_rows[:, None, :], signs_t, k)
             else:  # all_omegas
                 score = pairwise_block_stats(block, h0, reg, model=None)[2]
-                step = max(1, _DECIDE_CELLS // (block.R * s.n_unique))
+                step = max(1, _DECIDE_CELLS // (block.R * n_u))
                 for lo in range(0, perms.shape[0], step):
                     counts[lo:lo + step] += _rejections(
                         score[:, rows_idx, perms[lo:lo + step]], signs_t, k)
@@ -372,8 +371,6 @@ class CalibrationParams:
     treatment_onsets: dict[int, tuple[int, int]]
     x_names: tuple[str, ...] = ("const", "c", "l")
     y_name: str = "y"
-    delta_shift: float = 0.0
-    nu_scale: dict[int, float] | None = None
 
     def __post_init__(self):
         for j, nu in self.nu_hat.items():
@@ -467,7 +464,7 @@ def _nu_multiplier(pos: int, nu_spec: int) -> float:
 def gen_calibrated(
     params: CalibrationParams,
     target: str = "C",
-    delta_shift: float | None = None,
+    delta_shift: float = 0.0,
     nu_spec: int = 1,
     seed: int = 0,
 ) -> PanelDataset:
@@ -482,7 +479,7 @@ def gen_calibrated(
     """
     if target not in ("C", "L"):
         raise ValueError("target must be 'C' or 'L'")
-    shift = params.delta_shift if delta_shift is None else float(delta_shift)
+    shift = float(delta_shift)
     rng = np.random.default_rng(seed)
     clusters = sorted(params.mu_hat)
     T = params.T
@@ -500,10 +497,7 @@ def gen_calibrated(
     y = np.empty(n)
     treated: set[int] = set()
     for pos, j in enumerate(clusters, start=1):
-        mult = _nu_multiplier(pos, nu_spec)
-        if params.nu_scale is not None:
-            mult *= params.nu_scale.get(j, 1.0)
-        nu_j = params.nu_hat[j] * mult
+        nu_j = params.nu_hat[j] * _nu_multiplier(pos, nu_spec)
         rho_j = float(np.clip(params.rho_hat[j], -1.0 + 1e-6, 1.0 - 1e-6))
         u = np.empty(T)
         prev = rng.standard_normal() * nu_j / math.sqrt(1.0 - rho_j**2)

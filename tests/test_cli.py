@@ -519,3 +519,76 @@ def test_seed_drawn_and_echoed_when_absent(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "seed:" in err
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite hypothesis value is a data error and a NaN or
+    infinite grid value a usage error; neither writes an output file."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--c", "nan,1"], "c must be finite"),
+        (["--c", "0,inf"], "c must be finite"),
+        (["--c", "0,1", "--lambda", "nan"], "lambda must be finite"),
+        (["--c", "0,1", "--lambda", "inf"], "lambda must be finite"),
+    ], ids=["c_nan", "c_inf", "lambda_nan", "lambda_inf"])
+    def test_test_command(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "res.json"
+        code = dispatch([
+            "test", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--grouping", "1:4,2:5,3:6", "--alpha", "0.25", "--seed", "1",
+            "--out", str(out), *extra,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--delta", "nan"], "delta must be finite"),
+        (["--delta", "inf"], "delta must be finite"),
+        (["--lambda", "nan"], "lambda must be finite"),
+    ], ids=["delta_nan", "delta_inf", "lambda_nan"])
+    def test_combine_command(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "res.json"
+        code = dispatch([
+            "combine", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--c", "0,1", "--seed", "1", "--out", str(out), *extra,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_power_data_mode_lambda(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--data", FIXTURE, "--controls", "1,2,3", "--treated", "4,5,6",
+            "--grouping", "1:4,2:5,3:6", "--c", "0,1", "--lambda", "nan",
+            "--alpha", "0.25", "--deltas", "1", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: lambda must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "1,nan", "-1,inf", "nan:1:1", "0:inf:1", "0:1:nan",
+                                      "1e999"])
+    def test_power_deltas(self, tmp_path, capsys, grid):
+        out = tmp_path / "p.csv"
+        code = dispatch([
+            "power", "--xi", "0.5,0.5", "--sigma", "1,1", "--alpha", "0.5",
+            "--deltas", grid, "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"argument --deltas: grid values must be finite, got {grid!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "0:nan:1"])
+    def test_simulate_betas(self, tmp_path, capsys, grid):
+        out = tmp_path / "curves.csv"
+        code = dispatch([
+            "simulate", "--dgp", "2", "--h", "4", "--betas", grid, "--policy", "crs_random",
+            "--reps", "100", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"argument --betas: grid values must be finite, got {grid!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()

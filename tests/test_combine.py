@@ -157,10 +157,6 @@ def random_psi(rng, qbar, delta=None, n_excluded=0):
     return psi_from_scales(xi, sigma, delta), delta
 
 
-def solution_cols(sol):
-    return np.nonzero(sol.z)[1]
-
-
 def interval_program(psi, interval, delta):
     """The program of one raw-scale interval, solved by band_winners with one
     band: ``(cols, objective, side_sum)``, or None when no assignment is
@@ -194,14 +190,14 @@ def loglinear_matching_bb(psi):
     """combine_loglinear, checked against _solve_assignment_bb on its objective."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = combine_loglinear(psi)
+        grouping, objective = combine_loglinear(psi)
     with np.errstate(divide="ignore", invalid="ignore"):
         obj = np.log(psi.values) + np.log(psi.comp)
     obj = np.where(np.isnan(obj), -np.inf, obj)
-    cols, objective, _ = _solve_assignment_bb(obj, np.zeros_like(obj), -1.0, 1.0)
-    np.testing.assert_array_equal(solution_cols(sol), cols)
-    assert (sol.objective, sol.side_sum) == (objective, 0.0)
-    return sol
+    cols, ref_objective, _ = _solve_assignment_bb(obj, np.zeros_like(obj), -1.0, 1.0)
+    np.testing.assert_array_equal(_perm_of_grouping(psi, grouping), cols)
+    assert objective == ref_objective
+    return grouping, objective
 
 
 def brute_force_interval(psi, interval, delta):
@@ -408,7 +404,8 @@ class TestBandWinnersScatterPass:
 
 class TestCombineK1:
     def test_hand_case_qbar2(self):
-        psi = PsiMatrix(values=np.array([[0.6, 0.7], [0.8, 0.9]]), delta=-1.0,
+        values = np.array([[0.6, 0.7], [0.8, 0.9]])
+        psi = PsiMatrix(values=values, comp=1.0 - values, delta=-1.0,
                         control_ids=(1, 2), treated_ids=(3, 4),
                         xi=np.ones((2, 2)), sigma=np.ones((2, 2)))
         g, est, diag = combine_k1(psi, -1.0, A=50)
@@ -505,8 +502,9 @@ class TestCombineK1:
         ordinary, _ = random_psi(rng, 4, delta=-1.0)
         underflow, _ = random_psi(rng, 4, delta=60.0)
         nan_cells, _ = random_psi(rng, 5, delta=2.0, n_excluded=3)
-        halves = PsiMatrix(values=np.full((3, 3), 0.5), delta=-1.0, control_ids=(1, 2, 3),
-                           treated_ids=(4, 5, 6), xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
+        halves = PsiMatrix(values=np.full((3, 3), 0.5), comp=np.full((3, 3), 0.5), delta=-1.0,
+                           control_ids=(1, 2, 3), treated_ids=(4, 5, 6),
+                           xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
         for psi, A in ((ordinary, 200), (underflow, 37), (nan_cells, 1), (halves, 10)):
             delta = psi.delta
             qbar = psi.qbar
@@ -546,8 +544,9 @@ class TestCombineK1:
     def test_side_term_above_one_half_is_a_runtime_error(self):
         # only a hand-built Psi has side products above 2^-q-bar, the top of
         # every plan; no band can hold them
-        psi = PsiMatrix(values=np.full((3, 3), 0.7), delta=1.0, control_ids=(1, 2, 3),
-                        treated_ids=(4, 5, 6), xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
+        psi = PsiMatrix(values=np.full((3, 3), 0.7), comp=np.full((3, 3), 1.0 - 0.7), delta=1.0,
+                        control_ids=(1, 2, 3), treated_ids=(4, 5, 6),
+                        xi=np.ones((3, 3)), sigma=np.ones((3, 3)))
         with pytest.raises(RuntimeError, match="side product above 2\\^-q-bar"):
             combine_k1(psi, 1.0)
 
@@ -592,12 +591,12 @@ class TestCombineLoglinear:
     def test_all_half_entries_tie(self):
         psi = psi_from_scales(np.ones((3, 3)) * 0.4, np.ones((3, 3)), 0.0)
         with pytest.warns(UserWarning):
-            sol = combine_loglinear(psi)
-        assert sol.objective == pytest.approx(3 * math.log(0.25))
+            _, objective = combine_loglinear(psi)
+        assert objective == pytest.approx(3 * math.log(0.25))
         for qbar in range(2, 8):
             flat = psi_from_scales(np.ones((qbar, qbar)) * 0.4, np.ones((qbar, qbar)), 1.0)
-            sol = loglinear_matching_bb(flat)
-            np.testing.assert_array_equal(solution_cols(sol), np.arange(qbar))
+            grouping, _ = loglinear_matching_bb(flat)
+            np.testing.assert_array_equal(_perm_of_grouping(flat, grouping), np.arange(qbar))
 
     def test_matches_loglinear_oracle(self):
         # q-bar 2 to 7, both signs of delta, some pairs excluded; the answer is
@@ -607,13 +606,13 @@ class TestCombineLoglinear:
             qbar = 2 + trial % 6
             psi, delta = random_psi(rng, qbar, delta=(-1.0 if trial // 6 % 2 else 1.0)
                                     * float(rng.uniform(0.3, 2.0)), n_excluded=trial // 12)
-            sol = loglinear_matching_bb(psi)
+            _, objective = loglinear_matching_bb(psi)
             coeff = np.log(psi.values) + np.log(psi.comp)
             best = np.nanmax([
                 float(coeff[np.arange(qbar), list(p)].sum())
                 for p in itertools.permutations(range(qbar))
             ])
-            assert sol.objective == pytest.approx(best, abs=1e-9)
+            assert objective == pytest.approx(best, abs=1e-9)
 
     def test_separating_instance_where_loglinear_loses(self):
         # frozen instance: the log-linear argmax differs from the true K=1
@@ -626,9 +625,9 @@ class TestCombineLoglinear:
         g_k1, e_k1, _ = combine_k1(psi, delta, A=400)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = combine_loglinear(psi)
-        ll_power, _, _ = _k1_power_of_perm(psi, _perm_of_grouping(psi, sol.grouping))
-        assert sol.grouping != g_k1
+            g_ll, _ = combine_loglinear(psi)
+        ll_power, _, _ = _k1_power_of_perm(psi, _perm_of_grouping(psi, g_ll))
+        assert g_ll != g_k1
         assert e_k1.value > ll_power + 1e-6
 
 

@@ -26,24 +26,28 @@ from test_estimation import make_cluster_treatment_panel
 
 class TestSignChanges:
     def test_q2(self):
-        s = sign_changes(2)
-        np.testing.assert_array_equal(s.unique, [[1, 1], [1, -1]])
+        np.testing.assert_array_equal(sign_changes(2), [[1, 1], [1, -1]])
 
     def test_q5_count(self):
-        assert sign_changes(5).n_unique == 16
+        assert sign_changes(5).shape == (16, 5)
 
     def test_q1_edge(self):
         s = sign_changes(1)
-        np.testing.assert_array_equal(s.unique, [[1]])
-        assert s.L == 0
+        np.testing.assert_array_equal(s, [[1]])
+        assert len(s[1:]) == 0
 
     def test_identity_first_and_order_deterministic(self):
         s = sign_changes(4)
-        np.testing.assert_array_equal(s.unique[0], [1, 1, 1, 1])
-        np.testing.assert_array_equal(s.unique[1], [1, 1, 1, -1])
-        assert s.n_unique == 8
-        assert len({tuple(r) for r in s.unique}) == 8
-        assert np.all(s.unique[:, 0] == 1)
+        np.testing.assert_array_equal(s[0], [1, 1, 1, 1])
+        np.testing.assert_array_equal(s[1], [1, 1, 1, -1])
+        assert len(s) == 8
+        assert len({tuple(r) for r in s}) == 8
+        assert np.all(s[:, 0] == 1)
+
+    def test_read_only_int8_and_shared(self):
+        s = sign_changes(6)
+        assert s.dtype == np.int8 and not s.flags.writeable
+        assert sign_changes(6) is s
 
     def test_out_of_range(self):
         with pytest.raises(BoundError):
@@ -67,7 +71,7 @@ class TestRandomizationStats:
         values = randomization_stats(np.full(q, a), sign_changes(q))
         assert values[0] == pytest.approx(a)
         # flipping exactly one entry gives |a (q - 2) / q|
-        one_flip = [i for i, g in enumerate(sign_changes(q).unique)
+        one_flip = [i for i, g in enumerate(sign_changes(q))
                     if np.sum(g == -1) == 1]
         for i in one_flip:
             assert values[i] == pytest.approx(abs(a * (q - 2) / q))
@@ -79,7 +83,7 @@ class TestRandomizationStats:
         s = sign_changes(q)
         for _ in range(20):
             scores = rng.standard_normal(q)
-            for g in s.unique:
+            for g in s:
                 t_pos = abs(np.dot(g, scores)) / q
                 t_neg = abs(np.dot(-g, scores)) / q
                 assert t_pos == t_neg

@@ -10,6 +10,7 @@ import pytest
 from crscombine import (
     BoundError,
     Grouping,
+    Hypothesis,
     ParseError,
     PartitionError,
     SchemaError,
@@ -119,8 +120,7 @@ def test_enumerate_pairings_q3():
     pairings = enumerate_pairings({1, 2, 3}, {4, 5, 6})
     assert len(pairings) == 6
     assert pairings[0] == Grouping.from_pairs([(1, 4), (2, 5), (3, 6)])
-    keys = {p.sort_key() for p in pairings}
-    assert len(keys) == 6
+    assert len(set(pairings)) == 6
 
 
 def test_enumerate_pairings_singleton():
@@ -164,3 +164,20 @@ def test_grouping_literal_roundtrip():
     text = g.to_literal()
     assert Grouping.from_literal(text) == g
     assert Grouping.from_literal("1:4,2:5") == Grouping.from_pairs([(1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"c": [0.0, 0.0]}, "c must be a nonzero vector"),
+    ({"c": [math.nan, 1.0]}, "c must be finite"),
+    ({"c": [0.0, -math.inf]}, "c must be finite"),
+    ({"lam": math.nan}, "lambda must be finite"),
+    ({"lam": math.inf}, "lambda must be finite"),
+    ({"delta": math.nan}, "delta must be finite"),
+    ({"delta": -math.inf}, "delta must be finite"),
+    ({"alpha": math.nan}, "alpha must lie strictly between 0 and 1"),
+    ({"alpha": 1.0}, "alpha must lie strictly between 0 and 1"),
+])
+def test_hypothesis_rejects_invalid_values(kwargs, message):
+    args = dict(c=[0.0, 1.0], lam=0.0, alpha=0.05, delta=1.0) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Hypothesis(**args)

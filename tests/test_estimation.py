@@ -20,7 +20,6 @@ from crscombine import (
     group_stats,
     ols_within_group,
     pairwise_group_stats,
-    pairwise_moment_stats,
     psi_from_scales,
     psi_matrix,
     score_stat,
@@ -379,6 +378,14 @@ def _agreement_panels():
         yield i, d
 
 
+def moment_pair_stats(d, h, spec=None, model="ar1", allow_unidentified=False):
+    """The moment path's candidate-pair fits of one panel: ``pairwise_block_stats``
+    on a block of ``d`` alone, with the replication axis dropped."""
+    control_ids, treated_ids, score, xi, sigma = pairwise_block_stats(
+        PanelBlock(d, d.x[None], d.y[None]), h, spec, model, allow_unidentified)
+    return control_ids, treated_ids, score[0], xi[0], sigma[0]
+
+
 def _assert_same_stats(fast, ref, rtol=1e-9):
     assert fast[:2] == ref[:2]
     np.testing.assert_array_equal(fast[3], ref[3])  # xi exactly, NaN where unidentified
@@ -434,7 +441,7 @@ class TestPairwiseMomentStats:
         h = dgp_hypothesis(0.05)
         for i, d in _agreement_panels():
             model = ("ar1", "iid", None)[i % 3] if i % 5 else "ar1"
-            _assert_same_stats(pairwise_moment_stats(d, h, model=model),
+            _assert_same_stats(moment_pair_stats(d, h, model=model),
                                pairwise_group_stats(d, h, model=model))
 
     def test_nonzero_lambda_and_other_contrast(self):
@@ -442,7 +449,7 @@ class TestPairwiseMomentStats:
         c = np.array([0.0, 0.5, 1.0, -0.25, 0.0, 0.0])
         h = Hypothesis(c=c, lam=0.3, alpha=0.05)
         for model in ("ar1", "iid"):
-            _assert_same_stats(pairwise_moment_stats(d, h, model=model),
+            _assert_same_stats(moment_pair_stats(d, h, model=model),
                                pairwise_group_stats(d, h, model=model))
 
     def _rank_deficient_panel(self):
@@ -455,11 +462,11 @@ class TestPairwiseMomentStats:
     def test_rank_deficient_pairs_decided_as_reference(self, model):
         d = self._rank_deficient_panel()
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.25)
-        fast = pairwise_moment_stats(d, h, model=model, allow_unidentified=True)
+        fast = moment_pair_stats(d, h, model=model, allow_unidentified=True)
         ref = pairwise_group_stats(d, h, model=model, allow_unidentified=True)
         _assert_same_stats(fast, ref)
         assert np.isnan(fast[2][:, 0]).all() and np.isfinite(fast[2][:, 1]).all()
-        for stats in (pairwise_moment_stats, pairwise_group_stats):
+        for stats in (moment_pair_stats, pairwise_group_stats):
             with pytest.raises(IdentificationError, match=r"control 1, treated 3"):
                 stats(d, h, model=model)
 
@@ -474,7 +481,7 @@ class TestPairwiseMomentStats:
         x[rows, 5] = x[rows, 4] + scale * rng.standard_normal(rows.size)
         d = _subpanel(d, np.arange(d.n), x=x)
         h = dgp_hypothesis(0.05)
-        fast = pairwise_moment_stats(d, h, allow_unidentified=True)
+        fast = moment_pair_stats(d, h, allow_unidentified=True)
         ref = pairwise_group_stats(d, h, allow_unidentified=True)
         _assert_same_stats(fast, ref)
         for k in (2, 3, 4):  # the ill-conditioned pairs get the reference's own numbers
@@ -482,7 +489,7 @@ class TestPairwiseMomentStats:
         assert np.isfinite(fast[2][:2, 0]).all() == identified
         assert np.isfinite(fast[2][2:]).all() and np.isfinite(fast[2][:, 1:]).all()
         if not identified:
-            for stats in (pairwise_moment_stats, pairwise_group_stats):
+            for stats in (moment_pair_stats, pairwise_group_stats):
                 with pytest.raises(IdentificationError, match=r"control 7, treated 1"):
                     stats(d, h)
 
@@ -494,7 +501,7 @@ class TestPairwiseMomentStats:
     def test_degenerate_variance_floors_sigma_with_the_reference_warning(self, panel, model):
         d, h = _floored_panels()[panel]
         with pytest.warns(RuntimeWarning, match="flooring") as fast_warnings:
-            fast = pairwise_moment_stats(d, h, model=model)
+            fast = moment_pair_stats(d, h, model=model)
         with pytest.warns(RuntimeWarning, match="flooring") as ref_warnings:
             ref = pairwise_group_stats(d, h, model=model)
         assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in ref_warnings]
@@ -510,7 +517,7 @@ class TestPairwiseMomentStats:
         d = _panel_with_residuals(u)
         h = Hypothesis(c=[1.0], lam=0.0, alpha=0.25)
         out = []
-        for stats in (pairwise_moment_stats, pairwise_group_stats):
+        for stats in (moment_pair_stats, pairwise_group_stats):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 out.append((stats(d, h), [str(w.message) for w in caught]))
@@ -525,7 +532,7 @@ class TestPairwiseMomentStats:
         d = gen_dgp(DgpSpec(variant="dgp1", h=4), seed=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairwise_moment_stats(d, dgp_hypothesis(0.05))
+            moment_pair_stats(d, dgp_hypothesis(0.05))
 
     @pytest.mark.parametrize("formula, model", [
         ("y ~ d + x1 + x2 + x3 + fe(cluster) + fe(time)", "ar1"),
@@ -537,7 +544,7 @@ class TestPairwiseMomentStats:
         spec = RegressionSpec.parse(formula)
         cov = spec.resolve_covariates(d)
         h = Hypothesis(c=np.eye(len(cov))[cov.index("d")], lam=0.0, alpha=0.05)
-        fast = pairwise_moment_stats(d, h, spec, model)
+        fast = moment_pair_stats(d, h, spec, model)
         ref = pairwise_group_stats(d, h, spec, model)
         assert fast[:2] == ref[:2]
         for k in (2, 3, 4):
@@ -546,7 +553,7 @@ class TestPairwiseMomentStats:
     def test_reference_errors_pass_through(self):
         d = make_cluster_treatment_panel(n_per=1, noise=0.5)  # pairs of two rows
         h = Hypothesis(c=[0.0, 1.0], lam=0.0, alpha=0.25)
-        for stats in (pairwise_moment_stats, pairwise_group_stats):
+        for stats in (moment_pair_stats, pairwise_group_stats):
             with pytest.raises(ValueError, match="3 observations"):
                 stats(d, h, model="ar1")
             with pytest.raises(ValueError, match="unknown working model"):
@@ -556,7 +563,7 @@ class TestPairwiseMomentStats:
 
 
 class TestPairwiseBlockStats:
-    """Each panel of a block gets its own ``pairwise_moment_stats``, bit for bit,
+    """Each panel of a block gets its own ``moment_pair_stats``, bit for bit,
     and ``group_block_stats``, of which the pairs are one case, gives each panel
     ``group_stats`` of any member sets."""
 
@@ -584,7 +591,7 @@ class TestPairwiseBlockStats:
         panels = self._panels()
         block = pairwise_block_stats(self._block(panels), h, model=model)
         for r, d in enumerate(panels):
-            alone = pairwise_moment_stats(d, h, model=model)
+            alone = moment_pair_stats(d, h, model=model)
             assert block[:2] == alone[:2]
             for k in (2, 3, 4):
                 assert block[k][r].tobytes() == alone[k].tobytes()

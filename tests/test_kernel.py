@@ -27,10 +27,9 @@ from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
 def reference_power_mc(lp, delta, alpha, reps, seed):
-    s = sign_changes(lp.q)
-    n_u = s.n_unique
+    signs = sign_changes(lp.q).astype(np.float64).T
+    n_u = signs.shape[1]
     k = min(k_budget(n_u, alpha), n_u - 1)
-    signs = s.unique.astype(np.float64).T
     rejections = left = right = 0
     shift = lp.xi * delta
     for block_idx, start in enumerate(range(0, reps, MC_BLOCK)):

@@ -99,8 +99,7 @@ def reference_power_exact(
     L, K = plan.L, plan.K
     if K == 0:
         return PowerEstimate(value=0.0, method="exact_enum", mc_reps=term_reps, mc_se=0.0)
-    s = sign_changes(lp.q)
-    gbar = s.nonidentity  # (L, q)
+    gbar = sign_changes(lp.q)[1:]  # (L, q)
     w = _draw_scores(lp, delta, term_reps, seed)
     if L == 0:
         # q = 1: reject only when the budget covers the whole set, impossible here

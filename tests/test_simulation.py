@@ -29,7 +29,6 @@ from crscombine import (
     gen_dgp,
     group_stats,
     pairwise_group_stats,
-    pairwise_moment_stats,
     psi_from_scales,
     rejection_curve,
     run_test,
@@ -40,6 +39,8 @@ from crscombine.combine import _perm_of_grouping, k1_picks
 from crscombine.crstest import k_budget, rejects, sign_changes
 from crscombine.data import PanelBlock, _perm_table
 from crscombine.simulate import DGP_X_NAMES, _derived_int_seed, _rep_seed
+
+from test_estimation import moment_pair_stats
 
 CANONICAL_PAIRING = Grouping.from_pairs(
     [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6)]
@@ -291,17 +292,16 @@ def _reference_gen_dgp(spec, seed):
 
 
 def _reference_counts(spec, beta_grid, policy, reps, alpha, seed, grouping=None,
-                      model="ar1", reg=None, A=200, heuristic_reps=5_000):
+                      model="ar1", A=200, heuristic_reps=5_000):
     """rejection_curve's per-replication loop before the block engine, kept as
     its reference: one panel, one set of fits, one search and one decision at
     a time.  Returns the rejection counts, one row per beta (one column per
     pairing for all_omegas)."""
-    reg = reg or RegressionSpec()
+    reg = RegressionSpec()
     qbar = spec.q // 2
     q = grouping.q if policy == "fixed" else qbar
-    s = sign_changes(q)
-    signs_t = s.unique.astype(np.float64).T  # (q, 2^(q-1))
-    k = min(k_budget(s.n_unique, alpha), s.n_unique - 1)
+    signs_t = sign_changes(q).astype(np.float64).T  # (q, 2^(q-1))
+    k = min(k_budget(signs_t.shape[1], alpha), signs_t.shape[1] - 1)
     h0 = dgp_hypothesis(alpha)
     delta_mag = 2.0 * math.sqrt(spec.q * spec.T)
     kb = k_budget(1 << (qbar - 1), alpha)
@@ -325,7 +325,7 @@ def _reference_counts(spec, beta_grid, policy, reps, alpha, seed, grouping=None,
                 score_rows = group_stats(d, groups, h0, reg, model=None)[0]
             elif policy == "crs_data":
                 delta = delta_mag if b >= 0 else -delta_mag
-                ctrl_ids, trt_ids, score, xi, sigma = pairwise_moment_stats(d, h0, reg, model)
+                ctrl_ids, trt_ids, score, xi, sigma = moment_pair_stats(d, h0, reg, model)
                 psi = psi_from_scales(xi, sigma, delta, ctrl_ids, trt_ids)
                 if kb <= 1:
                     g_star, _, _ = combine_k1(psi, delta, A=A)
@@ -336,7 +336,7 @@ def _reference_counts(spec, beta_grid, policy, reps, alpha, seed, grouping=None,
                     )
                 score_rows = score[rows_idx, _perm_of_grouping(psi, g_star)]
             else:  # all_omegas
-                score = pairwise_moment_stats(d, h0, reg, model=None)[2]
+                score = moment_pair_stats(d, h0, reg, model=None)[2]
                 score_rows = score[rows_idx[None, :], perms]
             counts += rejects(np.abs(score_rows @ signs_t) / q, k)
         out.append(counts)
@@ -355,7 +355,6 @@ def _capture_values(monkeypatch):
     return values
 
 
-FE_REG = RegressionSpec(cluster_fe=True)
 THREE_GROUPS = Grouping.from_literal("{7,8}:{1,2},{9,10}:{3,4},{11,12}:{5,6}")
 
 
@@ -387,15 +386,16 @@ class TestBlockEngine:
         (DgpSpec("dgp2", h=4), (-2.0, 2.0), "crs_data", 0.05, {}),
         (DgpSpec("dgp1", h=3, stationary_start=False), (1.5,), "crs_data", 0.05,
          {"model": "iid"}),
-        (DgpSpec("dgp3", h=2), (-1.0,), "crs_data", 0.05, {"reg": FE_REG}),
+        # hac sends every candidate pair to the group_stats fallback
+        (DgpSpec("dgp3", h=2), (-1.0,), "crs_data", 0.05, {"model": "hac"}),
         (DgpSpec("dgp2", h=3), (1.0,), "crs_data", 0.10, {"heuristic_reps": 1_000}),
         # the benchmark's sim_k3 design: K = 3, 2-opt from the block's K = 1 picks
         (DgpSpec("dgp2", h=4), (-2.0, 2.0), "crs_data", 0.10, {"heuristic_reps": 5_000}),
         (DgpSpec("dgp1", h=2, stationary_start=False), (-1.0, 1.5), "all_omegas", 0.05, {}),
         (DgpSpec("dgp3", h=4), (0.0, 2.0), "crs_random", 0.05, {}),
         (DgpSpec("dgp2", h=1), (1.5,), "fixed", 0.25, {"grouping": THREE_GROUPS}),
-        (DgpSpec("dgp2", h=1), (-1.5,), "fixed", 0.05,
-         {"grouping": CANONICAL_PAIRING, "reg": FE_REG}),
+        (DgpSpec("dgp2", h=1), (-1.5,), "crs_data", 0.10,
+         {"model": "hac", "heuristic_reps": 1_000}),
     ])
     def test_curves_equal_the_per_replication_loop(self, spec, betas, policy, alpha, kwargs):
         reps, seed = 101, 64
@@ -429,7 +429,7 @@ class TestBlockEngine:
         values = _capture_values(monkeypatch)
         rng = np.random.default_rng(qbar)
         perms = _perm_table(qbar)[:6000]
-        signs_t = sign_changes(qbar).unique.astype(np.float64).T
+        signs_t = sign_changes(qbar).astype(np.float64).T
         scores = rng.standard_normal((3, qbar, qbar)) * rng.uniform(0.1, 50.0, (3, 1, 1))
         rows = np.arange(qbar)
         for n_reps in (1, 3):
@@ -447,7 +447,7 @@ class TestBlockEngine:
         # crs_data, fixed and crs_random decide one row per replication: the
         # block's values are each replication's own 1-D product
         values = _capture_values(monkeypatch)
-        signs_t = sign_changes(q).unique.astype(np.float64).T
+        signs_t = sign_changes(q).astype(np.float64).T
         scores = np.random.default_rng(q).standard_normal((8, q)) * 10.0
         simulate._rejections(scores[:, None, :], signs_t, 1)
         for r in range(8):
@@ -539,14 +539,14 @@ class TestFastPairFitsInSimulation:
         decisions = np.concatenate(decisions)
         assert decisions.shape == (reps, perms.shape[0])
         signs = sign_changes(qbar)
-        k = min(k_budget(signs.n_unique, alpha), signs.n_unique - 1)
+        k = min(k_budget(len(signs), alpha), len(signs) - 1)
         h0 = dgp_hypothesis(alpha)
         for r in range(reps):
             d = gen_dgp(replace(spec, beta=1.5), _rep_seed(seed, r))
             score = pairwise_group_stats(d, h0, model=None)[2]
             np.testing.assert_array_equal(
                 decisions[r],
-                rejects(np.abs(score[np.arange(qbar), perms] @ signs.unique.T) / qbar, k))
+                rejects(np.abs(score[np.arange(qbar), perms] @ signs.T) / qbar, k))
         np.testing.assert_array_equal(curve.omega_rates,
                                       (decisions.sum(axis=0) / reps)[None, :])
 
