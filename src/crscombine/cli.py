@@ -3,7 +3,8 @@
 Subcommands: ``test``, ``combine``, ``power``, ``simulate``, ``calibrate``.
 Every run is replayable: the seed is always echoed, CSV outputs start with
 ``#`` comment lines recording the version, the full flag set, and the seed,
-and JSON outputs embed the same record under a ``meta`` key.
+and JSON outputs embed the same record under a ``meta`` key.  A library
+warning prints as one ``warning: <message>`` line on stderr.
 
 Exit codes: 0 success, 1 data/identification error, 2 usage error.
 """
@@ -17,6 +18,7 @@ import json
 import math
 import secrets
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -475,11 +477,19 @@ def dispatch(argv: list[str]) -> int:
         seed = secrets.randbelow(2**31)
         print(f"seed: {seed}", file=sys.stderr)
     cfg = RunConfig(subcommand=args.subcommand, argv=tuple(argv), seed=int(seed))
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return _COMMANDS[args.subcommand](args, cfg)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: its message alone, on one line."""
+    return f"warning: {message}\n"
 
 
 def main() -> None:

@@ -364,8 +364,8 @@ def combine_loglinear(psi: PsiMatrix) -> tuple[Grouping, float]:
     """
     warnings.warn(
         "the log-linear objective weights both power terms equally and can "
-        "perform worse than a random pairing; use combine_k1 for the real "
-        "procedure",
+        "perform worse than a random pairing; use combine_k1 (the CLI's "
+        "--method bilp) for the real procedure",
         UserWarning,
         stacklevel=2,
     )

@@ -384,9 +384,12 @@ def enumerate_pairings(controls: Iterable[int], treated: Iterable[int]) -> list[
 
 def _parse_int(cell: str, row_idx: int, col: str) -> int:
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError:
         raise ParseError(f"row {row_idx}: cannot parse {col}={cell!r} as an integer") from None
+    if not -2**63 <= value < 2**63:  # ids are stored as int64
+        raise ParseError(f"row {row_idx}: {col}={cell!r} is outside the 64-bit integer range")
+    return value
 
 
 def _parse_float(cell: str, row_idx: int, col: str) -> float:

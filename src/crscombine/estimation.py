@@ -494,9 +494,11 @@ def group_block_stats(
     sum of its clusters' Z'Z, lag-1 cross moments and first- and last-row
     outer products (Z = [X | y]): one product of ``members`` with them, which
     for a pair adds two clusters' moments to exact zeros and so is their plain
-    sum bit for bit.  A batched ``eigvalsh`` checks identification, a batched
-    ``solve`` gives beta, and the RSS, the AR(1) sums and c'(X'X/n)^{-1}c are
-    quadratic forms in v = [-beta, 1].  Panel r's results do not depend on the
+    sum bit for bit.  One batched Cholesky certifies that every Gram is
+    identified and well conditioned (a batched ``eigvalsh`` decides when it
+    cannot, with the same result: ``_gram_conditioned``), a batched ``solve``
+    gives beta, and the RSS, the AR(1) sums and c'(X'X/n)^{-1}c are quadratic
+    forms in v = [-beta, 1].  Panel r's results do not depend on the
     other panels.  xi is identical to the reference; on the simulation designs
     sigma agrees with it to about 1e-13 relative and the score to about 1e-11
     (less where c'beta is near lambda); the tests pin 1e-9.
@@ -540,7 +542,10 @@ def _group_block_stats(block, members, h, spec, model, allow_unidentified=False)
 def _moment_fit(block, members, h, spec, model):
     """``group_block_stats``' moment path: ``(stats, fast)`` with ``fast``
     marking the groups it settles, or None when the whole block must take the
-    reference path."""
+    reference path.  A group is settled when its Gram passes
+    ``_gram_conditioned`` (one Cholesky of the whole (R, G, p, p) stack, and
+    ``eigvalsh`` only when that fails) and its quadratic forms and variance
+    pass their checks."""
     if spec.cluster_fe or spec.time_fe or model not in (None, "iid", "ar1"):
         return None
     d = block.layout
@@ -555,8 +560,7 @@ def _moment_fit(block, members, h, spec, model):
     R, C = moments.shape[:2]
     m = (members @ moments.reshape(R, C, -1)).reshape(R, -1, 5, p + 1, p + 1)
     xx = m[..., 0, :p, :p]
-    eig = np.linalg.eigvalsh(xx)
-    fast = (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
+    fast = _gram_conditioned(xx)
     xx = np.where(fast[..., None, None], xx, np.eye(p))
     rhs = np.stack([m[..., 0, :p, p], np.broadcast_to(h.c, xx.shape[:-1])], axis=-1)
     sol = np.linalg.solve(xx, rhs)
@@ -585,6 +589,36 @@ def _moment_fit(block, members, h, spec, model):
         fast &= var > SIGMA_FLOOR**2
         sigma[fast] = np.sqrt(var[fast])
     return np.stack([score, xi, sigma]), fast
+
+
+def _gram_conditioned(xx: np.ndarray) -> np.ndarray:
+    """Mask of the (..., p, p) symmetric Grams ``xx`` with eigenvalues
+    lmin > 0 and lmax <= GRAM_COND_MAX * lmin, as ``eigvalsh`` reports them.
+
+    One batched Cholesky of xx - tau I, tau = 10 tr(xx) / GRAM_COND_MAX,
+    certifies the whole stack at once; ``eigvalsh`` decides only when it
+    cannot, and the mask is the same either way.
+    """
+    # Why a completed factorization gives eigvalsh's mask: with every entry
+    # of xx finite and tau a normal double (so nothing overflows and no
+    # underflow matters), Higham 2002, Thm 10.3, bounds the backward error
+    # of the factorization by O(p u) tr(xx), u the unit roundoff.  So
+    # lmin(xx) >= tau - O(p u) tr(xx) > 0, and since lmax <= tr(xx),
+    # cond(xx) <= GRAM_COND_MAX / 10 (1 + O(p u) GRAM_COND_MAX), about
+    # 1.0e7.  A backward-stable eigvalsh moves each eigenvalue by O(p u)
+    # lmax, far inside that factor-10 margin: it returns lmin > 0 and
+    # lmax / lmin < GRAM_COND_MAX for every Gram, the all-True mask.  A NaN
+    # off the diagonal does not stop the factorization, hence the finiteness
+    # test.
+    tau = 10.0 * np.trace(xx, axis1=-2, axis2=-1) / GRAM_COND_MAX
+    if np.isfinite(xx).all() and ((tau >= np.finfo(float).tiny) & (tau < np.inf)).all():
+        try:
+            np.linalg.cholesky(xx - tau[..., None, None] * np.eye(xx.shape[-1]))
+            return np.ones(xx.shape[:-2], bool)
+        except np.linalg.LinAlgError:
+            pass
+    eig = np.linalg.eigvalsh(xx)
+    return (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
 
 
 def psi_matrix(

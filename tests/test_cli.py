@@ -1,6 +1,9 @@
 """End-to-end CLI wiring: subcommands, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -330,6 +333,23 @@ def test_power_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
     assert b"".join(lines) == (DATA / f"power_{name}.csv").read_bytes()
 
 
+# name -> simulate flags, each run with --h 4 --betas -2:2:2 --reps 100 --seed 1
+GOLDEN_SIMULATE = {
+    "dgp1_crs_data_iid": ["--dgp", "1", "--policy", "crs_data", "--model", "iid"],
+    "dgp3_crs_data": ["--dgp", "3", "--policy", "crs_data"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SIMULATE))
+def test_simulate_outputs_equal_golden_files(tmp_path, name):
+    # tests/data holds each CSV without its "#" lines
+    out = tmp_path / "sim.csv"
+    assert dispatch(["simulate", "--h", "4", "--betas", "-2:2:2", "--reps", "100", "--seed", "1",
+                     *GOLDEN_SIMULATE[name], "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_bytes().splitlines(True) if not ln.startswith(b"#")]
+    assert b"".join(lines) == (DATA / f"simulate_{name}.csv").read_bytes()
+
+
 class TestPowerCommand:
     def test_inline_scales_k1_grid(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -519,6 +539,36 @@ def test_seed_drawn_and_echoed_when_absent(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "seed:" in err
+
+
+def test_oversized_cluster_id_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("cluster,y,x\n1,1.0,2.0\n99999999999999999999,1.0,3.0\n")
+    out = tmp_path / "t.json"
+    code = dispatch(["test", "--data", str(data), "--controls", "1", "--treated", "2",
+                     "--grouping", "1:2", "--c", "0,1", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: row 2: cluster='99999999999999999999' is "
+                                       "outside the 64-bit integer range\n")
+    assert not out.exists()
+
+
+def test_library_warning_prints_as_one_line(tmp_path):
+    # a fresh process, so the warning reaches stderr instead of pytest's
+    # recorder; the output file is the same as without the warning rendering
+    out = tmp_path / "g.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "crscombine.cli", "combine", "--data", FIXTURE,
+         "--controls", "1,2,3", "--treated", "4,5,6", "--c", "0,1", "--method", "loglinear",
+         "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert run.stderr == (
+        "warning: the log-linear objective weights both power terms equally and can "
+        "perform worse than a random pairing; use combine_k1 (the CLI's --method bilp) "
+        "for the real procedure\n")
+    assert read_json(out)["grouping"]["literal"] == "1:5,2:6,3:4"
 
 
 class TestNonFiniteInputs:

@@ -982,6 +982,18 @@ class TestCombineUnequal:
         for delta in (-2.0, 2.0):
             self.assert_same_as_reference(d, h, spec, model, delta)
 
+    @pytest.mark.parametrize("model", ["iid", "ar1"])
+    @pytest.mark.filterwarnings("ignore:group .*non-positive")
+    def test_near_degenerate_grams_are_decided_by_eigvalsh(self, monkeypatch, model):
+        # a Gram near condition 1e10 fails the Cholesky certificate, so the
+        # unequal-count search's moment fit falls back to eigvalsh
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        d = near_degenerate_unequal_panel(seed=3)
+        h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.0, alpha=0.5)
+        combine_unequal(d, h, model=model, delta=-2.0)
+        assert calls
+
     def test_fixed_effects_take_the_reference_fit(self):
         # fe(cluster) sends every candidate group to group_stats
         params = CalibrationParams(

@@ -73,6 +73,30 @@ def test_load_short_row_is_parse_error(tmp_path):
         load_panel(p, controls={1}, treated={2})
 
 
+@pytest.mark.parametrize("header, row, message", [
+    ("cluster,y,x", "99999999999999999999,1.0,3.0", "cluster='99999999999999999999'"),
+    ("cluster,y,x", "9223372036854775808,1.0,3.0", "cluster='9223372036854775808'"),
+    ("cluster,time,y,x", "2,-9223372036854775809,1.0,3.0", "time='-9223372036854775809'"),
+])
+def test_load_oversized_id_is_parse_error(tmp_path, header, row, message):
+    # ids are stored as int64; one outside its range names its row and cell
+    p = tmp_path / "big.csv"
+    first = "1,1,1.0,2.0" if "time" in header else "1,1.0,2.0"
+    p.write_text(f"{header}\n{first}\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_panel(p, controls={1}, treated={2})
+    assert str(err.value) == f"row 2: {message} is outside the 64-bit integer range"
+
+
+def test_load_int64_edge_ids(tmp_path):
+    p = tmp_path / "edge.csv"
+    p.write_text("cluster,time,y,x\n-9223372036854775808,1,1.0,2.0\n"
+                 "9223372036854775807,9223372036854775807,1.0,3.0\n")
+    d = load_panel(p, controls={-2**63}, treated={2**63 - 1})
+    assert d.cluster.tolist() == [-2**63, 2**63 - 1]
+    assert d.time.tolist() == [1, 2**63 - 1]
+
+
 def test_dgp_file_roundtrip_dimensions(tmp_path):
     d = gen_dgp(DgpSpec(variant="dgp1", h=1), seed=5)
     path = tmp_path / "dgp.csv"

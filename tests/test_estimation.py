@@ -2,6 +2,7 @@
 
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from crscombine import (
 )
 from crscombine.data import PanelBlock
 from crscombine.estimation import (
+    GRAM_COND_MAX,
     PSI_FLOOR,
     SIGMA_FLOOR,
     GroupFit,
+    _gram_conditioned,
     group_block_stats,
     member_matrix,
     normal_tails,
@@ -708,3 +711,108 @@ class TestPairwiseBlockStats:
             ref = group_stats(d, groups[r], h, spec, "ar1")
             for k in (0, 1, 2):
                 assert fast[k][r].tobytes() == ref[k].tobytes()
+
+
+def _near(x):
+    """Values within 1 % of x."""
+    return st.floats(0.99 * x, 1.01 * x)
+
+
+@st.composite
+def gram_stacks(draw):
+    """(size, p, p) or (1, size, p, p) stacks of symmetric Grams, p = 1-10:
+    set spectra (condition numbers 1-1e12, many within 1 % of GRAM_COND_MAX
+    or of the certificate's 1e7 margin), X'X of random and rank-deficient
+    designs, scaled by 1e-300 to 1e300, with at times a NaN off the diagonal
+    or an inf on it.  Most stacks hold a single Gram, which is where the
+    certificate meets its edge; some are empty."""
+    p = draw(st.integers(1, 10))
+    size = draw(st.sampled_from([0, 1, 1, 1, 2, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grams = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["geometric", "spike", "design", "rank_deficient"]))
+        if kind in ("geometric", "spike"):
+            cond = draw(st.one_of(st.floats(0.0, 12.0).map(lambda e: 10.0**e),
+                                  _near(GRAM_COND_MAX), _near(1e7)))
+            lam = (np.geomspace(1.0, 1.0 / cond, p) if kind == "geometric"
+                   else np.r_[1.0, np.full(p - 1, 1.0 / cond)])
+            q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            g = (q * lam) @ q.T
+        else:
+            x = rng.standard_normal((3 * p, p)) * 10.0 ** rng.uniform(-3.0, 3.0, p)
+            if kind == "rank_deficient":  # the last column repeats a mix of the others
+                x[:, -1] = x[:, :-1] @ rng.standard_normal(p - 1)
+            g = x.T @ x
+        with np.errstate(over="ignore", under="ignore"):
+            grams.append((g + g.T) / 2.0 * 10.0 ** draw(st.integers(-300, 300)))
+    xx = np.stack(grams) if grams else np.zeros((0, p, p))
+    fault = draw(st.sampled_from([None] * 4 + ["nan", "inf"])) if size else None
+    if fault == "inf":
+        i = draw(st.integers(0, p - 1))
+        xx[-1, i, i] = np.inf
+    elif fault == "nan" and p > 1:
+        i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        xx[-1, i, j] = xx[-1, j, i] = np.nan
+    return xx[None] if draw(st.booleans()) else xx
+
+
+def _eigvalsh_mask(xx, eigvalsh=np.linalg.eigvalsh):
+    """The mask ``_gram_conditioned`` certifies, decided by ``eigvalsh``."""
+    eig = eigvalsh(xx)
+    return (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
+
+
+def _outcome(mask, xx):
+    """A mask's bytes and shape, or the LinAlgError it raised."""
+    try:
+        with np.errstate(over="ignore"):  # GRAM_COND_MAX * lmin may overflow
+            out = mask(xx)
+    except np.linalg.LinAlgError as e:
+        return "LinAlgError", str(e)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestGramCertificate:
+    """``_gram_conditioned`` returns ``eigvalsh``'s mask, whether its Cholesky
+    certificate settles the stack or ``eigvalsh`` does."""
+
+    def test_certificate_gives_the_eigvalsh_mask(self):
+        eigvalsh = np.linalg.eigvalsh
+        fallbacks, certified_conds = [], []
+
+        @settings(max_examples=1500, deadline=None, derandomize=True)
+        @given(gram_stacks())
+        def check(xx):
+            calls = []
+            with mock.patch.object(np.linalg, "eigvalsh",
+                                   lambda a: calls.append(a) or eigvalsh(a)):
+                got = _outcome(_gram_conditioned, xx)
+            assert got == _outcome(_eigvalsh_mask, xx)
+            if calls:
+                fallbacks.append(xx)
+            elif xx.size:
+                # the certificate's margin: every Gram it passes has
+                # condition number below about GRAM_COND_MAX / 10
+                eig = eigvalsh(xx)
+                cond = eig[..., -1] / eig[..., 0]
+                assert (cond < 1.000001e7).all()
+                certified_conds.append(cond.max())
+
+        check()
+        assert len(certified_conds) > 100 and len(fallbacks) > 100
+        assert max(certified_conds) > 0.99e7  # certified within 1 % of its margin
+
+    @pytest.mark.parametrize("fault", ["nan_off_diagonal", "inf_on_diagonal"])
+    def test_non_finite_gram_falls_back_to_eigvalsh(self, fault):
+        xx = np.stack([np.eye(3), [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        if fault == "nan_off_diagonal":
+            xx[1, 0, 1] = xx[1, 1, 0] = np.nan
+        else:
+            xx[1, 2, 2] = np.inf
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        with mock.patch.object(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a)):
+            got = _outcome(_gram_conditioned, xx)
+        assert len(calls) == 1
+        assert got == _outcome(_eigvalsh_mask, xx)

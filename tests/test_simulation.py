@@ -557,16 +557,20 @@ class TestFastPairFitsInSimulation:
 ])
 def test_policies_fit_well_posed_draws_on_the_moment_path(monkeypatch, policy, grouping):
     # no group of these draws needs the lstsq fallback, so rejection_curve
-    # builds no panel and calls no group_stats
+    # builds no panel and calls no group_stats; and the Cholesky certificate
+    # settles every block's Grams, so eigvalsh never runs
     def refuse(*args, **kwargs):
         raise AssertionError("a group took the per-panel fallback")
 
+    eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(estimation, "group_stats", refuse)
     monkeypatch.setattr(PanelBlock, "panel", refuse)
+    monkeypatch.setattr(estimation.np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     curve = rejection_curve(DgpSpec("dgp2", h=4), (-2.0, 2.0), policy, reps=100,
                             alpha=0.25 if grouping is THREE_GROUPS else 0.05, seed=3,
                             grouping=grouping)
     assert len(curve.points) == 2
+    assert not calls
 
 
 def make_true_params(q=8, T=500, seed=5, rho_lo=0.75, rho_hi=0.9):
