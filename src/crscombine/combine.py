@@ -54,6 +54,7 @@ UNEQUAL_MAX_SUBSETS = 10_000
 EPS0_FLOOR = 1e-300          # floor of a plan's eps0; band 1 is open below it
 _INTERVAL_TOL = 1e-9         # absolute slack on log-scale interval membership
 _BLOCK_ROWS = 1 << 15        # assignment-table rows band_winners scores at a time
+_BLOCK_CELLS = 8 * _BLOCK_ROWS  # and (program, row) cells: more than 8 programs take fewer rows
 
 
 def _interval_plan(side_vals: np.ndarray, A: int) -> np.ndarray:
@@ -137,7 +138,10 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     log_eps[r, a-1] - tol <= side <= log_eps[r, a] + tol and keeps the largest
     obj, the lexicographically first on ties: band by band the answer of a
     depth-first branch and bound over the same program.  The table is read
-    once, block by block, and the sums run over all R programs together.
+    once, block by block, and the sums run over all R programs together.  A
+    block is ``_BLOCK_ROWS`` table rows, or fewer when R > 8, so that it
+    holds at most ``_BLOCK_CELLS`` (program, row) cells: its working set does
+    not grow with R.  The winners do not depend on the blocking.
 
     Each block is one scatter pass over the whole stack, with no sort: every
     (leaf, band) entry gets stack-wide ids (``_band_entries``), and only
@@ -163,8 +167,9 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
     best_obj = np.full(n_prog * n_bands, -np.inf)
     best = np.zeros((n_prog * n_bands, q), dtype=table.dtype)
     n_leaves = np.zeros(n_prog, dtype=np.int64)
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        choice = table[start:start + _BLOCK_ROWS]
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n_prog))
+    for start in range(0, table.shape[0], step):
+        choice = table[start:start + step]
         n_rows = choice.shape[0]
         obj_acc, side_acc = np.zeros((2, n_prog, n_rows))
         for i in range(q):
@@ -184,6 +189,8 @@ def band_winners(obj: np.ndarray, side: np.ndarray, masks, full: int,
         taken = np.flatnonzero(win < n_prog * n_rows)
         best_obj[taken] = obj_acc[win[taken]]
         best[taken] = choice[win[taken] % n_rows]
+        # free this block's arrays before the next block allocates its own
+        del obj_acc, side_acc, cell, band, better, val, tied
     if not n_leaves.all():
         raise IdentificationError("no identified pairing exists")
     return (best.astype(np.int64).reshape(n_prog, n_bands, q),

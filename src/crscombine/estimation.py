@@ -419,26 +419,39 @@ def _cluster_moments(cluster: np.ndarray, z: np.ndarray):
     k-th cluster in id order of panel r: Z'Z, Z'Z without the last row's outer
     product, Z'Z without the first row's, the lag-1 cross moment
     sum_t z_t z_{t-1}', and |Z|'|Z|.  Rows keep their load order within a
-    cluster, which is the time order.  One ``np.add.reduceat`` per moment runs
-    over all (panel, cluster) segments, summing each segment's rows in order.
+    cluster, which is the time order.
+
+    The pass is feature-major: the rows of all R panels, sorted by cluster,
+    are the columns of one (p+1, R n) array zt.  For each feature i, one
+    (p+1, R n) buffer holds z_i z_j for every row, then its absolute value
+    (|z_i z_j| = |z_i| |z_j| exactly), then the lag products z_{t,i}
+    z_{t-1,j}, and after each fill one ``np.add.reduceat`` along its last
+    axis sums every (panel, cluster) segment in order, straight into the
+    moments.  Each product is one multiplication, and each segment sum adds
+    the same values in the same order as a reduceat along the rows of the
+    (R n, p+1, p+1) array of all products, so the moments are that pass's
+    bits (``tests/test_moment_pass.py`` keeps it as the reference) from a
+    buffer p+1 times smaller.
     """
     order = np.argsort(cluster, kind="stable")
     cluster = cluster[order]
     R, n, width = z.shape
-    z = z[:, order].reshape(R * n, width)
+    zt = z[:, order].transpose(2, 0, 1).reshape(width, R * n)
     first = np.flatnonzero(np.r_[True, cluster[1:] != cluster[:-1]])
     starts = (n * np.arange(R)[:, None] + first).ravel()
     ends = np.r_[starts[1:], R * n] - 1
-    # one (R n, p+1, p+1) buffer holds the outer products, then their
-    # absolute values (|z_i z_j| = |z_i| |z_j| exactly), then the lag products
-    prod = z[:, :, None] * z[:, None, :]
-    gram = np.add.reduceat(prod, starts)
-    parts = [gram, gram - prod[ends], gram - prod[starts]]
-    absolute = np.add.reduceat(np.abs(prod, out=prod), starts)
-    np.multiply(z[1:, :, None], z[:-1, None, :], out=prod[:-1])
-    prod[ends] = 0.0  # a cluster's last row has no successor inside the cluster
-    parts += [np.add.reduceat(prod, starts), absolute]
-    moments = np.stack(parts, axis=1).reshape(R, first.size, 5, width, width)
+    moments = np.empty((R, first.size, 5, width, width))
+    out = moments.reshape(-1, 5, width, width).transpose(1, 2, 3, 0)  # a (5, p+1, p+1, R C) view
+    prod = np.empty_like(zt)
+    for i in range(width):
+        np.multiply(zt[i], zt, out=prod)
+        gram = np.add.reduceat(prod, starts, axis=1, out=out[0, i])
+        np.subtract(gram, prod[:, ends], out=out[1, i])
+        np.subtract(gram, prod[:, starts], out=out[2, i])
+        np.add.reduceat(np.abs(prod, out=prod), starts, axis=1, out=out[4, i])
+        np.multiply(zt[i, 1:], zt[:, :-1], out=prod[:, :-1])
+        prod[:, ends] = 0.0  # a cluster's last row has no successor inside the cluster
+        np.add.reduceat(prod, starts, axis=1, out=out[3, i])
     return np.diff(np.r_[first, n]), moments
 
 
@@ -554,11 +567,12 @@ def _moment_fit(block, members, h, spec, model):
     sizes, moments = _cluster_moments(
         d.cluster, np.concatenate([block.x[..., idx], block.y[..., None]], axis=-1))
     n_g = members @ sizes
-    if h.c.shape[0] != p or (model == "ar1" and n_g.min() < 3):
+    if h.c.shape[0] != p or (model == "ar1" and (n_g < 3).any()):
         return None
 
     R, C = moments.shape[:2]
     m = (members @ moments.reshape(R, C, -1)).reshape(R, -1, 5, p + 1, p + 1)
+    del moments  # the group sums are all that is left to read
     xx = m[..., 0, :p, :p]
     fast = _gram_conditioned(xx)
     xx = np.where(fast[..., None, None], xx, np.eye(p))
@@ -618,7 +632,8 @@ def _gram_conditioned(xx: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     eig = np.linalg.eigvalsh(xx)
-    return (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
+    with np.errstate(over="ignore"):  # GRAM_COND_MAX * lmin may overflow to inf, as intended
+        return (eig[..., 0] > 0.0) & (eig[..., -1] <= GRAM_COND_MAX * eig[..., 0])
 
 
 def psi_matrix(

@@ -18,7 +18,7 @@ cluster scale schedule sigma_j, governed by a heterogeneity level h in 1..4:
 "j mod 6" is taken literally with clusters numbered 1..12, so j = 6 and 12
 give 0, j = 7 gives 1, and so on.
 
-``rejection_curve`` runs its replications in blocks of ``_BLOCK_REPS``.  A
+``rejection_curve`` runs its replications in blocks of ``_BLOCK_REPS`` (16).  A
 block is drawn as arrays (``draw_block``), the groups of every policy are
 fitted for all panels at once from per-cluster moments
 (``estimation.group_block_stats``; ``pairwise_block_stats`` for the candidate
@@ -48,7 +48,7 @@ from .estimation import (group_block_stats, member_matrix, ols_within_group,
 from .regression import RegressionSpec
 
 DGP_X_NAMES = ("const", "i_post", "d", "x1", "x2", "x3")
-_BLOCK_REPS = 8        # replications drawn, fitted, searched and decided together
+_BLOCK_REPS = 16       # replications drawn, fitted, searched and decided together
 _DECIDE_CELLS = 1 << 18  # randomization values (2 MB) all_omegas decides at a time
 
 
@@ -234,7 +234,7 @@ def rejection_curve(
     pairing for ``all_omegas``), and one sign-change decision, sized by the
     number of groups scored, tests them.
 
-    Replications run in blocks of ``_BLOCK_REPS`` (8): replication r draws its
+    Replications run in blocks of ``_BLOCK_REPS`` (16): replication r draws its
     panel from ``SeedSequence((seed, r))`` alone, the ``crs_random`` pairing
     from ``SeedSequence((seed, r, 1))`` and the 2-opt draws from a seed derived
     from (seed, r, 2), so every count is that of a loop over single
@@ -247,13 +247,17 @@ def rejection_curve(
     ``rejects`` call decides a block, and ``all_omegas`` decides its pairings
     in steps of at most ``_DECIDE_CELLS`` randomization values (2 MB).
 
-    Memory per block of R replications of n rows and p covariates: on the
-    reference design (q = 12, T = 20, p = 6, R = 8) a ``crs_data`` block
-    peaks at about 1.4 MB of arrays.  The largest are the per-cluster moment
-    buffer, 8 R n (p+1)^2 bytes (0.75 MB), and the moments of G groups, one
-    (G, C) product, 40 R G (p+1)^2 bytes: 0.56 MB for the q-bar^2 candidate
-    pairs, 0.09 MB for the q-bar groups of ``fixed`` and ``crs_random``.  The
-    K = 1 search adds 16 R min(q-bar!, 32,768) bytes of sums.
+    Memory per block of R replications of n rows, p covariates and C
+    clusters: on the reference design (q = 12, T = 20, p = 6, R = 16) a
+    ``crs_data`` block peaks at about 1.7 MB of arrays.  The largest are the
+    moments of G groups, one (G, C) product, 40 R G (p+1)^2 bytes: 1.13 MB
+    for the q-bar^2 candidate pairs, 0.19 MB for the q-bar groups of
+    ``fixed`` and ``crs_random``.  The per-cluster moments take 40 R C
+    (p+1)^2 bytes (0.38 MB) and are freed once the group sums exist; the
+    moment pass builds them from one product buffer of 8 R n (p+1) bytes
+    (0.22 MB).  The K = 1 search adds 16 min(R q-bar!, 262,144) bytes of
+    sums: ``band_winners`` scores at most 2^18 (fit, pairing) cells at a
+    time.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")

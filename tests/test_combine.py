@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from crscombine import (
     psi_from_scales,
 )
 from crscombine.combine import (
+    _BLOCK_CELLS,
     _BLOCK_ROWS,
     _INTERVAL_TOL,
     _INTERVAL_TOL as TOL,
@@ -364,6 +366,18 @@ class TestBandWinnersScatterPass:
             choice, feasible = assert_scatter_matches_sorted(obj, side, *_paired(8), log_eps)
             np.testing.assert_array_equal(choice[0][feasible[0]][0], np.arange(8))
 
+    def test_a_stack_of_16_matches_the_sorted_pass(self):
+        # 16 plans over the 40,320-row q-bar = 8 table take row blocks of
+        # 16,384, the sorted pass blocks of 32,768; tied fits keep their
+        # first leaf across both sets of boundaries
+        assert _BLOCK_CELLS // 16 < _BLOCK_ROWS < 40_320
+        rng = np.random.default_rng(36)
+        for A in (7, 200):
+            obj, side, log_eps = random_plan_stack(rng, 16, 8, A, nan_share=0.1, flat=(0, 9))
+            choice, feasible = assert_scatter_matches_sorted(obj, side, *_paired(8), log_eps)
+            for r in (0, 9):
+                np.testing.assert_array_equal(choice[r][feasible[r]][0], np.arange(8))
+
     def test_leaves_on_a_band_edge_join_both_bands(self):
         # break points set to leaves' own side sums: each such leaf lies in the
         # band above and the band below
@@ -585,6 +599,26 @@ class TestCombineK1:
                 psi = psi_from_scales(xi[r], sigma[r], delta)
                 expected = _perm_of_grouping(psi, combine_k1(psi, delta, A=60)[0])
                 np.testing.assert_array_equal(cols[r], expected)
+
+    def test_a_larger_stack_holds_no_larger_pass(self):
+        # band_winners scores at most _BLOCK_CELLS (fit, row) cells at a time
+        # and frees each block's arrays before the next: at q-bar = 8 a stack
+        # of 16 fits peaks where one of 8 does, where without the cap it
+        # peaked twice as high.  What grows is the per-band arrays, about
+        # 100 bytes for each of R A bands (0.16 MB more at R = 16).
+        rng = np.random.default_rng(41)
+        xi = rng.uniform(0.05, 1.0, (16, 8, 8))
+        sigma = rng.uniform(0.1, 5.0, (16, 8, 8))
+        k1_picks(xi[:1], sigma[:1], -2.0)  # builds and caches the pairing table
+        peaks = {}
+        for R in (8, 16):
+            tracemalloc.start()
+            try:
+                k1_picks(xi[:R], sigma[:R], -2.0)
+                peaks[R] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= 1.02 * peaks[8]
 
 
 class TestCombineLoglinear:

@@ -652,6 +652,15 @@ class TestPairwiseBlockStats:
                 np.testing.assert_allclose(fast[r], ref[k], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("model", ["ar1", "iid", None])
+    @pytest.mark.parametrize("shape", [(0, 12), (2, 0, 12)])
+    def test_no_groups_give_an_empty_array(self, model, shape):
+        # under ar1 the check of the smallest group size used to take the
+        # minimum of no sizes and raise numpy's bare ValueError
+        block = draw_block(DgpSpec("dgp2", h=4), [1, 2])
+        stats = group_block_stats(block, np.zeros(shape), dgp_hypothesis(0.05), model=model)
+        assert (stats.shape, stats.dtype) == ((3, 2, 0), np.float64)
+
+    @pytest.mark.parametrize("model", ["ar1", "iid", None])
     def test_rank_deficient_group_raises_the_reference_error(self, model):
         # {8, 9} holds no treated cluster, so its d column is zero
         h = dgp_hypothesis(0.05)
@@ -802,6 +811,17 @@ class TestGramCertificate:
         check()
         assert len(certified_conds) > 100 and len(fallbacks) > 100
         assert max(certified_conds) > 0.99e7  # certified within 1 % of its margin
+
+    def test_huge_gram_beside_a_singular_one_warns_nothing(self):
+        # the singular Gram sends the stack to eigvalsh, where GRAM_COND_MAX
+        # times the huge Gram's lmin overflows to inf; the mask still holds
+        # (lmax <= inf) and no overflow warning escapes
+        xx = np.stack([1e302 * np.eye(3), np.ones((3, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gram_conditioned(xx)
+        assert (got.dtype, got.shape, got.tobytes()) == _outcome(_eigvalsh_mask, xx)
+        np.testing.assert_array_equal(got, [True, False])
 
     @pytest.mark.parametrize("fault", ["nan_off_diagonal", "inf_on_diagonal"])
     def test_non_finite_gram_falls_back_to_eigvalsh(self, fault):

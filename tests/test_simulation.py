@@ -406,9 +406,11 @@ class TestBlockEngine:
         if policy == "all_omegas":
             assert curve.omega_rates.tobytes() == rates.tobytes()
 
-    @pytest.mark.parametrize("block_reps", [1, 7])
+    @pytest.mark.parametrize("block_reps", [1, 7, 8, 33])
     def test_curves_do_not_depend_on_the_block_size(self, monkeypatch, block_reps):
-        # the default block of 8 does not divide 100 replications, nor does 7
+        # the default block of 16 does not divide 100 replications, nor do 7,
+        # 8 (the earlier default) and 33; all_omegas decides a block's 720
+        # pairings in one step at 1, 7 and 8, in two at 16, in three at 33
         spec, reps, seed = DgpSpec("dgp3", h=3), 100, 65
         runs = [("crs_data", (-1.0, 1.0), None), ("all_omegas", (1.0,), None),
                 ("crs_random", (1.0,), None), ("fixed", (1.0,), CANONICAL_PAIRING)]
@@ -536,7 +538,16 @@ class TestFastPairFitsInSimulation:
         curve = rejection_curve(spec, [1.5], "all_omegas", reps=reps, alpha=alpha, seed=seed)
         qbar = spec.q // 2
         perms = np.array(list(itertools.permutations(range(qbar))))
-        decisions = np.concatenate(decisions)
+        # a block decides its pairings in column steps of at most _DECIDE_CELLS
+        # values: stitch each block's steps back into its (R, q-bar!) decisions
+        blocks, steps = [], []
+        for step in decisions:
+            steps.append(step)
+            if sum(s.shape[1] for s in steps) == perms.shape[0]:
+                blocks.append(np.concatenate(steps, axis=1))
+                steps = []
+        assert not steps
+        decisions = np.concatenate(blocks)
         assert decisions.shape == (reps, perms.shape[0])
         signs = sign_changes(qbar)
         k = min(k_budget(len(signs), alpha), len(signs) - 1)
