@@ -401,6 +401,42 @@ def _parse_float(cell: str, row_idx: int, col: str) -> float:
         raise ParseError(f"row {row_idx}: cannot parse {col}={cell!r} as a number") from None
 
 
+def _parse_columns(rows: list[list[str]], n_cells: int, ci: int, ti: int | None,
+                   value_cols: list[int]):
+    """``(cluster, time, values)`` of the rows, one column kind at a time: the
+    ids by ``int`` into int64 arrays (time None without a time column), and
+    the (n, len(value_cols)) numbers by one ``float`` map over all their
+    cells into one array.  A short row or a bad cell raises ``ValueError`` or
+    ``OverflowError`` without naming it."""
+    if rows and min(map(len, rows)) < n_cells:
+        raise ValueError("short row")
+    cluster = np.array([int(row[ci]) for row in rows], dtype=np.int64)
+    time = None if ti is None else np.array([int(row[ti]) for row in rows], dtype=np.int64)
+    cells = [row[k] for row in rows for k in value_cols]
+    return cluster, time, np.array(list(map(float, cells))).reshape(len(rows), len(value_cols))
+
+
+def _parse_cells(rows: list[list[str]], n_cells: int, id_col: tuple[int, str],
+                 time_col: tuple[int, str] | None, value_cols: list[tuple[int, str]]):
+    """``_parse_columns`` cell by cell, in file order, raising ``ParseError``
+    at the first short row or bad cell with its row and column."""
+    n = len(rows)
+    cluster = np.empty(n, dtype=np.int64)
+    time = None if time_col is None else np.empty(n, dtype=np.int64)
+    values = np.empty((n, len(value_cols)), dtype=np.float64)
+    for r, row in enumerate(rows, start=1):
+        if len(row) < n_cells:
+            raise ParseError(
+                f"row {r}: expected {n_cells} cells per the header, got {len(row)}"
+            )
+        cluster[r - 1] = _parse_int(row[id_col[0]].strip(), r, id_col[1])
+        if time_col is not None:
+            time[r - 1] = _parse_int(row[time_col[0]].strip(), r, time_col[1])
+        for k, (idx, name) in enumerate(value_cols):
+            values[r - 1, k] = _parse_float(row[idx], r, name)
+    return cluster, time, values
+
+
 def load_panel(
     path,
     schema: Mapping[str, object] | None = None,
@@ -423,6 +459,13 @@ def load_panel(
     infer_treated_from : name of a 0/1 covariate column; treated clusters are
         those where the column varies or is ever 1.  The inferred split is
         part of the returned dataset so callers can echo it back.
+
+    ``csv`` reads the header and the rows, and blank rows are skipped.  The
+    ids are parsed by ``int`` and the outcome and covariates by one ``float``
+    map over all their cells (``_parse_columns``).  A file that fails there is
+    parsed again cell by cell (``_parse_cells``), whose ``ParseError`` names
+    the first bad row and cell: a short row, a missing value, a non-numeric
+    cell or an id outside the 64-bit range.
     """
     schema = dict(schema or {})
     path = Path(path)
@@ -433,7 +476,7 @@ def load_panel(
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in reader if "".join(row).strip()]  # skips blank rows
 
     def col_index(name: str) -> int:
         try:
@@ -457,28 +500,19 @@ def load_panel(
         raise SchemaError(f"{path}: schema must name at least one covariate column")
     xi = [col_index(c) for c in x_cols]
 
-    n = len(rows)
-    cluster = np.empty(n, dtype=np.int64)
-    time = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.float64)
-    x = np.empty((n, len(xi)), dtype=np.float64)
-    per_cluster_counter: dict[int, int] = {}
-    n_cells = len(header)
-    for r, row in enumerate(rows, start=1):
-        if len(row) < n_cells:
-            raise ParseError(
-                f"row {r}: expected {n_cells} cells per the header, got {len(row)}"
-            )
-        cid = _parse_int(row[ci].strip(), r, cluster_col)
-        cluster[r - 1] = cid
-        if ti is not None:
-            time[r - 1] = _parse_int(row[ti].strip(), r, str(time_col))
-        else:
-            per_cluster_counter[cid] = per_cluster_counter.get(cid, 0) + 1
-            time[r - 1] = per_cluster_counter[cid]
-        y[r - 1] = _parse_float(row[yi], r, y_col)
-        for k, idx in enumerate(xi):
-            x[r - 1, k] = _parse_float(row[idx], r, x_cols[k])
+    try:
+        cluster, time, values = _parse_columns(rows, len(header), ci, ti, [yi, *xi])
+    except (ValueError, OverflowError):
+        # the cell-by-cell parse names the first bad row and cell
+        cluster, time, values = _parse_cells(
+            rows, len(header), (ci, cluster_col), None if ti is None else (ti, str(time_col)),
+            list(zip([yi, *xi], [y_col, *x_cols])))
+    if time is None:
+        counter: dict[int, int] = {}
+        time = np.empty_like(cluster)
+        for r, cid in enumerate(cluster.tolist()):
+            time[r] = counter[cid] = counter.get(cid, 0) + 1
+    y, x = values[:, 0], values[:, 1:]
 
     if infer_treated_from is not None:
         if controls is not None or treated is not None:

@@ -7,14 +7,16 @@ residual AR(1) fit).  The working model only ranks candidate groupings by
 power; the randomization test itself never uses these variance estimates.
 
 ``group_stats`` is the one ``lstsq`` fit per member set: its score, its size
-ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  It is
-one loop over any list of member sets.  What does not depend on the set is
-done once per call: the spec, ``c`` and the model are checked, and the
-panel's per-cluster rows are cached on it.  Each set then runs the one
-``lstsq`` core and the one sigma core, which ``ols_within_group`` and
-``estimate_sigma`` wrap for a single fit.  The test and the plug-in power of
-a grouping read it, and ``pairwise_group_stats`` runs it once over every
-candidate {control, treated} pair for the paired searches.
+ratio xi = sqrt(n_g / n) and, under a working model, its scale sigma.  What
+does not depend on the set is done once per call: the spec, ``c`` and the
+model are checked, and the panel's per-cluster rows are cached on it.  Each
+set then takes the one ``lstsq`` core, which ``ols_within_group`` wraps for a
+single fit; the sets of one shape are stacked, and the rest of their fits,
+the sigma core (``_variances``, which ``estimate_sigma`` runs on a stack of
+one) included, takes one numpy call per step with the bits of a fit on its
+own.  The test and the plug-in power of a grouping read it, and
+``pairwise_group_stats`` runs it once over every candidate {control, treated}
+pair for the paired searches.
 ``group_block_stats`` gives the same numbers for any member sets of a block of
 panels from per-cluster sufficient statistics, because a group's pooled
 normal equations are the sum of its clusters' ones; the groups it cannot
@@ -152,11 +154,11 @@ def ols_within_group(d: PanelDataset, members: Iterable[int], spec: RegressionSp
     fit = _ols(d, rows, members, spec)
     if isinstance(fit, str):
         raise IdentificationError(fit)
-    X, n_cov, coef, residuals = fit
+    y, X, n_cov, coef = fit
     return GroupFit(
         beta_hat=coef[:n_cov],
         n_g=X.shape[0],
-        residuals=residuals,
+        residuals=y - X @ coef,
         members=members,
         design=X,
         coef_full=coef,
@@ -166,9 +168,9 @@ def ols_within_group(d: PanelDataset, members: Iterable[int], spec: RegressionSp
 
 def _ols(d: PanelDataset, rows: np.ndarray, members: frozenset[int], spec: RegressionSpec,
          columns: list[int] | None = None):
-    """The lstsq core: ``(X, n_cov, coef, residuals)`` of the member set on
-    ``rows``, or the message of the ``IdentificationError`` it is not
-    identified with.  ``columns`` as in ``design_matrix``."""
+    """The lstsq core: ``(y, X, n_cov, coef)`` of the member set on ``rows``,
+    or the message of the ``IdentificationError`` it is not identified with.
+    ``columns`` as in ``design_matrix``."""
     if rows.size == 0:
         return f"group {sorted(members)} has no observations"
     y, X, n_cov = design_matrix(d, rows, spec, columns)
@@ -179,7 +181,7 @@ def _ols(d: PanelDataset, rows: np.ndarray, members: frozenset[int], spec: Regre
     if rank < p:
         return (f"group {sorted(members)}: design is rank deficient "
                 f"(rank {rank} < {p}); the target parameter is not identified")
-    return X, n_cov, coef, y - X @ coef
+    return y, X, n_cov, coef
 
 
 def score_stat(fit: GroupFit, h: Hypothesis) -> float:
@@ -188,59 +190,7 @@ def score_stat(fit: GroupFit, h: Hypothesis) -> float:
         raise SchemaError(
             f"c has length {h.c.shape[0]} but the fit reports {fit.beta_hat.shape[0]} coefficients"
         )
-    return _score(fit.n_g, fit.beta_hat, h)
-
-
-def _score(n_g: int, beta: np.ndarray, h: Hypothesis) -> float:
-    return float(np.sqrt(n_g) * (h.c @ beta - h.lam))
-
-
-def _ar1_longrun_variance(residuals: np.ndarray, groups: list[np.ndarray]) -> float:
-    """nu^2 / (1 - rho)^2 from the within-cluster AR(1) fit of the residuals.
-
-    The denominator of rho = num / den is the sum of squared lagged residuals
-    (every residual but each cluster's last).  When it is at most machine
-    epsilon times the sum of all squared residuals, the lagged residuals are
-    below sqrt(eps) ~ 1.5e-8 of the residual norm, where the rounding error of
-    the fit can dominate them and rho is noise; the fit is then degenerate and
-    0 is returned, which ``estimate_sigma`` floors with its warning.
-    """
-    num = 0.0
-    den = 0.0
-    for idx in groups:
-        u = residuals[idx]
-        if u.size >= 2:
-            num += float(u[1:] @ u[:-1])
-            den += float(u[:-1] @ u[:-1])
-    if den <= np.finfo(np.float64).eps * float(residuals @ residuals):
-        return 0.0
-    rho = num / den
-    rho = float(np.clip(rho, -1.0 + 1e-6, 1.0 - 1e-6))
-    sq_sum = 0.0
-    count = 0
-    for idx in groups:
-        u = residuals[idx]
-        if u.size >= 2:
-            eps = u[1:] - rho * u[:-1]
-            sq_sum += float(eps @ eps)
-            count += eps.size
-    nu2 = sq_sum / count if count else 0.0
-    return nu2 / (1.0 - rho) ** 2
-
-
-def _bartlett_middle(moments: np.ndarray, groups: list[np.ndarray], lag: int) -> np.ndarray:
-    n = moments.shape[0]
-    mid = moments.T @ moments / n
-    for ell in range(1, lag + 1):
-        w = 1.0 - ell / (lag + 1.0)
-        gamma = np.zeros_like(mid)
-        for idx in groups:
-            m = moments[idx]
-            if m.shape[0] > ell:
-                gamma += m[ell:].T @ m[:-ell]
-        gamma /= n
-        mid += w * (gamma + gamma.T)
-    return mid
+    return float(np.sqrt(fit.n_g) * (h.c @ fit.beta_hat - h.lam))
 
 
 def _hac_lag(n: int) -> int:
@@ -260,58 +210,104 @@ def estimate_sigma(fit: GroupFit, model: str, c: np.ndarray) -> float:
     - ``hac``: M = Bartlett-kernel long-run variance of the moment series
       x_t * u_t, lag floor(n_g^(1/3)) (``_hac_lag``);
     - ``ar1``: M = (X'X/n) * nu^2/(1-rho)^2 from a least-squares AR(1) fit of
-      the residuals (the scalar long-run variance replaces s_u^2).
+      the residuals (the scalar long-run variance replaces s_u^2).  When the
+      lagged residuals are below sqrt(eps) of the residual norm, rho is
+      rounding noise and the estimate is 0.
 
     Serial models never pair observations across cluster boundaries.  A
     non-positive variance estimate is floored at ``SIGMA_FLOOR`` with a
-    warning.  This checks its arguments and runs ``group_stats``' sigma core.
+    warning.  This checks its arguments and runs ``group_stats``' sigma core
+    (``_variances``) on a stack of one fit.
     """
     if model not in WORKING_MODELS:
         raise ValueError(f"unknown working model {model!r}; choose one of {WORKING_MODELS}")
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    p = fit.design.shape[1]
+    n, p = fit.design.shape
     if c.shape[0] > p:
         raise SchemaError(f"c has length {c.shape[0]} but the design has {p} columns")
-    segments = [np.flatnonzero(fit.segments == j) for j in np.unique(fit.segments)]
-    return _sigma(fit.design, fit.residuals, segments, model, c, fit.members)
-
-
-def _sigma(X: np.ndarray, residuals: np.ndarray, segments: list[np.ndarray], model: str,
-           c: np.ndarray, members: frozenset[int]) -> float:
-    """The sigma core: ``estimate_sigma`` of the fit (X, residuals) under a
-    known ``model`` and a ``c`` of at most p entries.  ``segments`` holds, per
-    member cluster in id order, the positions of its rows in X, which are in
-    load order, the time order within a cluster, whether or not a cluster's
-    rows are contiguous."""
-    n, p = X.shape
     if model in ("hac", "ar1") and n < 3:
         raise ValueError(f"serial working model {model!r} needs at least 3 observations")
-    c_full = np.zeros(p)
-    c_full[: c.shape[0]] = c
-    gram = X.T @ X / n
-    bread = np.linalg.solve(gram, c_full)
-
-    if model == "iid":
-        dof = max(n - p, 1)
-        s2 = float(residuals @ residuals) / dof
-        var = s2 * float(c_full @ bread)
-    elif model == "ar1":
-        lrv = _ar1_longrun_variance(residuals, segments)
-        var = lrv * float(c_full @ bread)
-    else:
-        moments = X * residuals[:, None]
-        mid = _bartlett_middle(moments, segments, _hac_lag(n))
-        var = float(bread @ mid @ bread)
-
+    segments = [np.flatnonzero(fit.segments == j) for j in np.unique(fit.segments)]
+    var = _variances(fit.design[None], fit.residuals[None], np.concatenate(segments)[None],
+                     [s.size for s in segments], model, c)[0]
     if not var > SIGMA_FLOOR**2:
-        warnings.warn(
-            f"group {sorted(members)}: non-positive {model} variance estimate; "
-            f"flooring sigma at {SIGMA_FLOOR}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn(_floor_message(fit.members, model), RuntimeWarning, stacklevel=2)
         return SIGMA_FLOOR
     return float(np.sqrt(var))
+
+
+def _floor_message(members: frozenset[int], model: str) -> str:
+    return (f"group {sorted(members)}: non-positive {model} variance estimate; "
+            f"flooring sigma at {SIGMA_FLOOR}")
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[g] @ b[g] of each row of two (G, m) stacks: one ddot per row, the
+    call a @ b makes on 1-d arrays."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _variances(X: np.ndarray, U: np.ndarray, order: np.ndarray, sizes: Sequence[int],
+               model: str, c: np.ndarray) -> np.ndarray:
+    """The sigma core: the working-model variance (``estimate_sigma``) of each
+    fit of a stack, the (G, n, p) designs ``X`` with their (G, n) residuals
+    ``U``; sigma is its square root, floored by the caller.  ``c`` covers the
+    first coefficients.  ``order[g]`` lists fit g's rows cluster by cluster in
+    id order, each cluster's in load order, which is its time order; the
+    clusters' row counts ``sizes`` are the same for every fit of the stack.
+
+    Each product is one BLAS call per fit, the one a per-fit computation
+    makes on 1-d and 2-d arrays: numpy's stacked ``matmul`` runs ddot for a
+    row times a column, gemv for a matrix times a vector, syrk for X'X and
+    gemm otherwise, and the stacked ``solve`` runs gesv per matrix.  The
+    per-cluster terms add up in cluster order, and the steps a per-fit
+    computation takes on Python floats are the same IEEE operations here, so
+    every variance has the per-fit bits (``tests/test_group_loop.py`` keeps
+    that computation as the reference).
+    """
+    G, n, p = X.shape
+    c_full = np.zeros(p)
+    c_full[: c.shape[0]] = c
+    bread = np.linalg.solve(X.transpose(0, 2, 1) @ X / n,
+                            np.broadcast_to(c_full[:, None], (G, p, 1)))
+    c_bread = (c_full @ bread)[:, 0]
+    if model == "iid":
+        return _dots(U, U) / max(n - p, 1) * c_bread
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    segments = list(zip(starts, sizes))
+    if model == "ar1":
+        Us = np.take_along_axis(U, order, axis=1)
+        lagged = [(s, t) for s, t in segments if t >= 2]
+        num, den, sq_sum = np.zeros((3, G))
+        for s, t in lagged:
+            num = num + _dots(Us[:, s + 1:s + t], Us[:, s:s + t - 1])
+            den = den + _dots(Us[:, s:s + t - 1], Us[:, s:s + t - 1])
+        # a fit whose lagged residuals are below sqrt(eps) of the residual norm
+        # has rho of rounding noise and long-run variance 0; its lane computes
+        # on regardless, without warnings, as the loop's Python floats would
+        degenerate = den <= np.finfo(np.float64).eps * _dots(U, U)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho = np.clip(num / den, -1.0 + 1e-6, 1.0 - 1e-6)
+            for s, t in lagged:
+                eps = Us[:, s + 1:s + t] - rho[:, None] * Us[:, s:s + t - 1]
+                sq_sum = sq_sum + _dots(eps, eps)
+            count = sum(t - 1 for _, t in lagged)
+            # (1 - rho)^2 by Python's float power, the C library's pow
+            lrv = sq_sum / count / np.array([(1.0 - r) ** 2 for r in rho.tolist()])
+        return np.where(degenerate, 0.0, lrv) * c_bread
+    # hac: the Bartlett-kernel long-run variance of the moments x_t u_t
+    moments = X * U[:, :, None]
+    mid = moments.transpose(0, 2, 1) @ moments / n
+    ms = np.take_along_axis(moments, order[:, :, None], axis=1)
+    lag = _hac_lag(n)
+    for ell in range(1, lag + 1):
+        gamma = np.zeros((G, p, p))
+        for s, t in segments:
+            if t > ell:
+                gamma += ms[:, s + ell:s + t].transpose(0, 2, 1) @ ms[:, s:s + t - ell]
+        gamma /= n
+        mid += (1.0 - ell / (lag + 1.0)) * (gamma + gamma.transpose(0, 2, 1))
+    return (bread.transpose(0, 2, 1) @ mid @ bread)[:, 0, 0]
 
 
 def group_stats(
@@ -328,15 +324,18 @@ def group_stats(
     lambda), the size ratio xi = sqrt(n_g / n) and the working-model scale
     sigma, which stays NaN when ``model`` is None.
 
-    One loop fits every set.  The spec, ``c`` and the model are checked once,
-    before any fit: a spec that does not match the data or a ``c`` that does
-    not match the covariates raises ``SchemaError``, an unknown model
-    ``ValueError``.  Each set then takes its rows from the panel's cached
-    per-cluster rows (``rows_of``), the lstsq core of ``ols_within_group`` and
-    the sigma core of ``estimate_sigma``, so its numbers are theirs bit for
-    bit.  A rank-deficient set raises ``IdentificationError`` when it is
-    reached, unless ``allow_unidentified``: then its column is NaN.  A serial
-    model on a set of fewer than 3 rows raises ``ValueError`` either way.
+    The spec, ``c`` and the model are checked once, before any fit: a spec
+    that does not match the data or a ``c`` that does not match the
+    covariates raises ``SchemaError``, an unknown model ``ValueError``.  Each
+    set then takes its rows from the panel's cached per-cluster rows
+    (``rows_of``) and its ``lstsq`` fit from the core of ``ols_within_group``.
+    The fitted sets are stacked by shape, and the rest of each fit (residuals,
+    score and the sigma core of ``estimate_sigma``) runs once per stack with
+    the per-set computation's bits.  A rank-deficient set raises
+    ``IdentificationError`` when it is reached, and no later set is fit,
+    unless ``allow_unidentified``: then its column is NaN.  A serial model on a
+    set of fewer than 3 rows raises ``ValueError`` either way, and a floored
+    sigma warns, each where a set-by-set loop would.
     """
     stats, failed = _fit_groups(d, list(groups), h, spec, model, stop=not allow_unidentified)
     if failed:
@@ -345,9 +344,19 @@ def group_stats(
 
 
 def _fit_groups(d, groups, h, spec, model, stop):
-    """``group_stats``' loop: ``(stats, failed)``, where ``failed`` is None or
+    """``group_stats``' fit: ``(stats, failed)``, where ``failed`` is None or
     ``(i, message)`` for the first unidentified set i when ``stop`` ends the
-    loop there."""
+    fit there.
+
+    It runs in phases.  Each set's rows, design and ``lstsq`` fit (``_ols``)
+    come first, set by set; under ``stop`` no set past the first unidentified
+    one is fit, and no set past a serial model's first set of fewer than 3
+    rows either way.  The fitted sets are then bucketed by shape: (n_g, p) and
+    the row counts of their member clusters in id order, so that an irregular
+    set is a bucket of one.  Each bucket's residuals, scores and variances
+    (``_variances``) take one stacked call per step.  Last, a walk over the
+    sets in order raises and warns where a set-by-set loop would.
+    """
     spec = spec or RegressionSpec(outcome=d.y_name)
     stats = np.full((3, len(groups)), np.nan)
     if not groups:
@@ -358,21 +367,46 @@ def _fit_groups(d, groups, h, spec, model, stop):
             f"c has length {h.c.shape[0]} but the fit reports {len(columns)} coefficients")
     if model is not None and model not in WORKING_MODELS:
         raise ValueError(f"unknown working model {model!r}; choose one of {WORKING_MODELS}")
+    serial = model in ("hac", "ar1")
+    fits = []  # (members, rows, _ols result) of every set the walk reaches
+    buckets: dict[tuple, list[int]] = {}
     for i, members in enumerate(groups):
         members = frozenset(int(j) for j in members)
         rows = d.rows_of(members)
         fit = _ols(d, rows, members, spec, columns)
+        fits.append((members, rows, fit))
+        if isinstance(fit, str):
+            if stop:
+                break
+        elif serial and rows.size < 3:
+            break  # the walk raises here
+        else:
+            sizes = tuple(d.cluster_sizes[j] for j in sorted(members) if j in d.cluster_sizes)
+            buckets.setdefault((fit[1].shape, sizes), []).append(i)
+
+    floored = np.zeros(len(fits), bool)
+    for ((n, _), sizes), index in buckets.items():
+        y, X, n_cov, coef = zip(*(fits[i][2] for i in index))
+        y, X, coef, n_cov = np.stack(y), np.stack(X), np.stack(coef), n_cov[0]
+        stats[0, index] = np.sqrt(n) * ((h.c @ coef[:, :n_cov, None])[:, 0] - h.lam)
+        stats[1, index] = np.sqrt(n / d.n)
+        if model is not None:
+            residuals = y - (X @ coef[:, :, None])[:, :, 0]
+            order = np.argsort(d.cluster[np.stack([fits[i][1] for i in index])], axis=1,
+                               kind="stable")
+            var = _variances(X, residuals, order, sizes, model, h.c)
+            ok = var > SIGMA_FLOOR**2
+            stats[2, index] = np.sqrt(var, out=np.full(var.shape, SIGMA_FLOOR), where=ok)
+            floored[index] = ~ok
+
+    for i, (members, rows, fit) in enumerate(fits):
         if isinstance(fit, str):
             if stop:
                 return stats, (i, fit)
-            continue
-        X, n_cov, coef, residuals = fit
-        stats[0, i] = _score(X.shape[0], coef[:n_cov], h)
-        stats[1, i] = np.sqrt(X.shape[0] / d.n)
-        if model is not None:
-            segments = [rows.searchsorted(d.cluster_rows[j]) for j in sorted(members)
-                        if j in d.cluster_rows]
-            stats[2, i] = _sigma(X, residuals, segments, model, h.c, members)
+        elif serial and rows.size < 3:
+            raise ValueError(f"serial working model {model!r} needs at least 3 observations")
+        elif floored[i]:
+            warnings.warn(_floor_message(members, model), RuntimeWarning, stacklevel=2)
     return stats, None
 
 

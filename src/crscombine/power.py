@@ -41,6 +41,7 @@ from .estimation import LimitParams, group_limit_params, normal_tails
 from .regression import RegressionSpec
 
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
+CHUNK_VALUES = 1 << 16  # randomization values per kernel chunk: 512 kB, inside a core's L2
 
 _NORMAL_QUOTIENT = 2.0 ** -1021  # v0 / q at least this is normal, with a factor 2 to spare
 
@@ -132,7 +133,11 @@ class SignFlipKernel:
     (q, block) and (2^(q-1), block), so the comparisons run along contiguous
     rows; the values equal the row layout's bit for bit
     (``tests/test_kernel.py`` pins this).  The kernel holds all reps x q
-    draws.
+    draws.  A block of more than 3 * ``CHUNK_VALUES`` randomization values
+    is held as equal column chunks of at most ``CHUNK_VALUES`` values each,
+    so that one chunk's products, magnitudes and comparisons stay in cache;
+    every draw is decided on its own column, so the counts are the whole
+    block's.
 
     ``counts`` returns integers and validates nothing, so a search can compare
     its candidates by rejection count (value = count / reps exactly, since
@@ -151,8 +156,13 @@ class SignFlipKernel:
         self.reps = reps
         self.k = min(k_budget(n_u, alpha), n_u - 1)
         self._signs = signs.astype(np.float64)  # (n_u, q)
-        self._z = [np.ascontiguousarray(z.T) for z in _normal_blocks(q, reps, seed)]
-        n = self._z[0].shape[1]
+        self._z = []
+        for z in _normal_blocks(q, reps, seed):
+            parts = 1
+            if n_u * z.shape[0] > 3 * CHUNK_VALUES:
+                parts = -(-z.shape[0] // max(CHUNK_VALUES // n_u, 1))
+            self._z += [np.ascontiguousarray(c.T) for c in np.array_split(z, parts)]
+        n = max(z.shape[1] for z in self._z)
         self._w = np.empty((q, n))
         self._values = np.empty((n_u, n))
 

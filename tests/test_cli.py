@@ -255,6 +255,10 @@ GOLDEN_COMBINE = {
     # the other working models; every pair has n_g = 40 rows
     "bilp_hac": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "hac"], True),
     "bilp_iid": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "iid"], True),
+    # cluster fixed effects on every candidate pair: 36 lstsq fits of p = 7
+    "bilp_fe": ("dgp2", DGP2_CONTROLS,
+                ["--method", "bilp",
+                 "--formula", "y ~ const + i_post + d + x1 + x2 + x3 + fe(cluster)"], True),
     "heuristic": ("dgp2", DGP2_CONTROLS, ["--method", "heuristic", "--reps", "2000"], False),
     "exhaustive": ("dgp2", DGP2_CONTROLS, ["--method", "exhaustive", "--reps", "2000"], False),
     "loglinear": ("dgp2", DGP2_CONTROLS, ["--method", "loglinear", "--reps", "2000"], False),

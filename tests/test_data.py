@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crscombine import (
     BoundError,
@@ -86,6 +88,75 @@ def test_load_oversized_id_is_parse_error(tmp_path, header, row, message):
     with pytest.raises(ParseError) as err:
         load_panel(p, controls={1}, treated={2})
     assert str(err.value) == f"row 2: {message} is outside the 64-bit integer range"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cluster,y,x\n1,1.0,2.0\n2,0.5\n", "row 2: expected 3 cells per the header, got 2"),
+    ("cluster,y,x\n1,1.0,2.0\n2,,3.0\n", "row 2: missing value in column 'y'"),
+    ("cluster,y,x\n1,1.0, \t\n2,1.0,3.0\n", "row 1: missing value in column 'x'"),
+    ("cluster,y,x\n1,1.0,2.0\n1,oops,3.0\n", "row 2: cannot parse y='oops' as a number"),
+    ("cluster,y,x\n1,1.0,0x10\n2,1.0,3.0\n", "row 1: cannot parse x='0x10' as a number"),
+    ("cluster,y,x\n1.5,1.0,2.0\n2,1.0,3.0\n", "row 1: cannot parse cluster='1.5' as an integer"),
+    ("cluster,time,y,x\n1,1,1.0,2.0\n2,t2,1.0,3.0\n",
+     "row 2: cannot parse time='t2' as an integer"),
+    # the first bad cell in file order names the error, whatever its kind
+    ("cluster,y,x\n1,1.0,2.0\n1,1.0,x\n2,0.5\n", "row 2: cannot parse x='x' as a number"),
+    ("cluster,y,x\n1,1.0,2.0\n1,1.0\n2,zz,1.0\n", "row 2: expected 3 cells per the header, got 2"),
+    ("cluster,y,x\n1,y,2.0\nq,1.0,1.0\n", "row 1: cannot parse y='y' as a number"),
+    ("cluster,y,x\n1,1.0,2.0\n2,1.0,inf\n", "non-finite value in outcome or covariates"),
+])
+def test_load_parse_errors_name_the_first_bad_cell(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_panel(p, controls={1}, treated={2})
+    assert str(err.value) == message
+
+
+# number cells as written by programs and by hand: repr and %.17g of doubles,
+# integers, digit groups with underscores, padding, and the corner cases of
+# float(): full-width and Arabic-Indic digits, overflow to inf, the smallest
+# subnormal, underflow to 0, and strings it rejects
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False).map(lambda v: format(v, ".17g")),
+    st.integers(-10**30, 10**30).map(str),
+    st.from_regex(r"[ \t]{0,2}[+-]?[0-9_]{0,4}\.?[0-9_]{0,4}([eE][+-]?[0-9]{1,3})?[ \t]{0,2}",
+                  fullmatch=True),
+    st.sampled_from(["1_0", "\uff11\uff12", "\u0663.5", "infinity", "-Infinity", "1e400",
+                     "4.9e-324", "-1e-400", "nan", "0x10", "", " ", "\u20032.5", "1__0", "abc"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(_NUMBER_CELLS, _NUMBER_CELLS), min_size=2, max_size=6))
+def test_load_parses_numbers_as_float_does(tmp_path_factory, cells):
+    # the values equal float() of each cell bit for bit, and a bad cell raises
+    # the ParseError of the first one in file order
+    p = tmp_path_factory.mktemp("cells") / "panel.csv"
+    p.write_text("cluster,time,y,x\n" + "".join(
+        f"{r % 2 + 1},{r},{y},{x}\n" for r, (y, x) in enumerate(cells, start=1)), encoding="utf-8")
+    want, values = None, []
+    for r, row in enumerate(cells, start=1):
+        for name, cell in zip(("y", "x"), row):
+            if cell.strip() == "":
+                want = want or f"row {r}: missing value in column {name!r}"
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                want = want or f"row {r}: cannot parse {name}={cell!r} as a number"
+    if want is None and not np.isfinite(values).all():
+        want = "non-finite value in outcome or covariates"
+    if want is not None:
+        with pytest.raises(ParseError) as err:
+            load_panel(p, controls={1}, treated={2})
+        assert str(err.value) == want
+        return
+    d = load_panel(p, controls={1}, treated={2})
+    values = np.array(values).reshape(-1, 2)
+    assert d.y.tobytes() == values[:, 0].tobytes()
+    assert d.x.tobytes() == values[:, 1:].copy().tobytes()
 
 
 def test_load_int64_edge_ids(tmp_path):

@@ -1,18 +1,21 @@
-"""``group_stats``' one fit loop against the per-group loop it replaced.
+"""``group_stats``' stacked fit against the per-group loop it replaced.
 
 The reference below is that loop, kept verbatim but for the HAC default lag,
 which is now exact at perfect cubes: rows by ``np.isin``, a design built with
 its intercept scan and ``hstack``, one ``lstsq`` per group, ``score_stat``,
-and ``estimate_sigma`` with its own segment scan, called group by group and,
-in ``pairwise_group_stats``, pair by pair with a ``try``/``except`` around
-each fit.  The stats must agree bit for bit, an error in type and message
-(so the same group raises first), and the warnings in text and order.
+and ``estimate_sigma`` with its own segment scan and the per-cluster sums of
+``_ar1_longrun_variance`` and ``_bartlett_middle``, called group by group
+and, in ``pairwise_group_stats``, pair by pair with a ``try``/``except``
+around each fit.  The stats must agree bit for bit, an error in type and
+message (so the same group raises first), and the warnings in text and order.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crscombine import (
     Hypothesis,
@@ -30,10 +33,9 @@ from crscombine.estimation import (
     SIGMA_FLOOR,
     WORKING_MODELS,
     GroupFit,
-    _ar1_longrun_variance,
-    _bartlett_middle,
 )
 from crscombine.regression import _dummies, design_matrix
+from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 # --- the reference: the per-group loop as it was -----------------------------
 
@@ -104,6 +106,54 @@ def ref_score_stat(fit, h):
             f"c has length {h.c.shape[0]} but the fit reports {fit.beta_hat.shape[0]} coefficients"
         )
     return float(np.sqrt(fit.n_g) * (h.c @ fit.beta_hat - h.lam))
+
+
+def _ar1_longrun_variance(residuals: np.ndarray, groups: list[np.ndarray]) -> float:
+    """nu^2 / (1 - rho)^2 from the within-cluster AR(1) fit of the residuals.
+
+    The denominator of rho = num / den is the sum of squared lagged residuals
+    (every residual but each cluster's last).  When it is at most machine
+    epsilon times the sum of all squared residuals, the lagged residuals are
+    below sqrt(eps) ~ 1.5e-8 of the residual norm, where the rounding error of
+    the fit can dominate them and rho is noise; the fit is then degenerate and
+    0 is returned, which ``estimate_sigma`` floors with its warning.
+    """
+    num = 0.0
+    den = 0.0
+    for idx in groups:
+        u = residuals[idx]
+        if u.size >= 2:
+            num += float(u[1:] @ u[:-1])
+            den += float(u[:-1] @ u[:-1])
+    if den <= np.finfo(np.float64).eps * float(residuals @ residuals):
+        return 0.0
+    rho = num / den
+    rho = float(np.clip(rho, -1.0 + 1e-6, 1.0 - 1e-6))
+    sq_sum = 0.0
+    count = 0
+    for idx in groups:
+        u = residuals[idx]
+        if u.size >= 2:
+            eps = u[1:] - rho * u[:-1]
+            sq_sum += float(eps @ eps)
+            count += eps.size
+    nu2 = sq_sum / count if count else 0.0
+    return nu2 / (1.0 - rho) ** 2
+
+
+def _bartlett_middle(moments: np.ndarray, groups: list[np.ndarray], lag: int) -> np.ndarray:
+    n = moments.shape[0]
+    mid = moments.T @ moments / n
+    for ell in range(1, lag + 1):
+        w = 1.0 - ell / (lag + 1.0)
+        gamma = np.zeros_like(mid)
+        for idx in groups:
+            m = moments[idx]
+            if m.shape[0] > ell:
+                gamma += m[ell:].T @ m[:-ell]
+        gamma /= n
+        mid += w * (gamma + gamma.T)
+    return mid
 
 
 def ref_estimate_sigma(fit, model, c, hac_lag=None):
@@ -373,3 +423,145 @@ def test_hac_default_lag_is_exact_at_perfect_cubes(n_g):
     assert sigma == ref_estimate_sigma(fit, "hac", h.c, hac_lag=lag)
     assert sigma != ref_estimate_sigma(fit, "hac", h.c, hac_lag=lag - 1)
     assert group_stats(d, [{1, 2}], h, model="hac")[2, 0] == sigma
+
+
+# --- the stacked path -------------------------------------------------------------
+
+# cluster row counts: pairs of them reach n_g = 8, 27 and 64, the perfect cubes
+# where the HAC lag steps, and their neighbours on either side (26, 28, 63, 65)
+CLUSTER_SIZES = (1, 2, 3, 5, 8, 13, 14, 31, 32, 33)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A panel of 4 to 7 clusters with at most three sizes from
+    ``CLUSTER_SIZES``, its rows interleaved or not, some clusters without
+    outcome noise (groups of only those fit exactly), and 2 to 10 member sets
+    drawn from a pool of at most 4, so most calls stack several groups and
+    mix sizes; id 8 is absent from every panel."""
+    n_clusters = draw(st.integers(4, 7))
+    palette = draw(st.lists(st.sampled_from(CLUSTER_SIZES), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(palette), min_size=n_clusters, max_size=n_clusters))
+    quiet = draw(st.lists(st.booleans(), min_size=n_clusters, max_size=n_clusters))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.repeat(np.arange(1, n_clusters + 1), sizes)
+    if draw(st.booleans()):
+        labels = rng.permutation(labels)
+    time = np.empty(labels.size, dtype=np.int64)
+    for j in range(1, n_clusters + 1):
+        time[labels == j] = np.arange(1, sizes[j - 1] + 1)
+    treated = labels > n_clusters // 2
+    w = rng.standard_normal(labels.size)
+    noise = rng.standard_normal(labels.size) * ~np.array([False, *quiet])[labels]
+    d = PanelDataset(
+        cluster=labels, time=time, y=1.0 + 0.5 * treated + 0.3 * w + noise,
+        x=np.column_stack([np.ones(labels.size), treated, w]), x_names=("const", "d", "w"),
+        controls=set(range(1, n_clusters // 2 + 1)),
+        treated=set(range(n_clusters // 2 + 1, n_clusters + 1)),
+    )
+    # mostly a control, a treated cluster and maybe one more id; sometimes any ids
+    mixed = st.tuples(st.integers(1, n_clusters // 2), st.integers(n_clusters // 2 + 1, n_clusters),
+                      st.sets(st.integers(1, 8), max_size=1)).map(lambda t: {t[0], t[1], *t[2]})
+    loose = st.sets(st.integers(1, 8), min_size=1, max_size=3)
+    pool = draw(st.lists(st.one_of(mixed, mixed, mixed, loose), min_size=1, max_size=4))
+    groups = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
+    spec, c = SPECS[draw(st.sampled_from(list(SPECS)))]
+    h = Hypothesis(c=c, lam=draw(st.floats(-2.0, 2.0)), alpha=0.25)
+    return d, groups, h, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stacked_cases(), model=st.sampled_from(MODELS), allow_unidentified=st.booleans())
+def test_stacked_fit_equals_the_per_group_loop(case, model, allow_unidentified):
+    d, groups, h, spec = case
+    got = outcome(lambda: group_stats(d, groups, h, spec, model, allow_unidentified))
+    assert got == outcome(lambda: ref_group_stats(d, groups, h, spec, model, allow_unidentified))
+
+
+@pytest.mark.parametrize("n_g", [7, 8, 9, 26, 27, 28, 63, 64, 65])
+def test_stacked_hac_lag_on_either_side_of_a_cube(n_g):
+    # every pair of an 8-cluster panel has n_g rows, so each call is one stack
+    a = n_g // 2
+    rng = np.random.default_rng(n_g)
+    sizes = [a, n_g - a] * 4
+    cluster = rng.permutation(np.repeat(np.arange(1, 9), sizes))
+    time = np.empty(cluster.size, dtype=np.int64)
+    for j in range(1, 9):
+        time[cluster == j] = np.arange(1, sizes[j - 1] + 1)
+    x = np.column_stack([np.ones(cluster.size), cluster % 2 == 0,
+                         rng.standard_normal(cluster.size)])
+    u = np.cumsum(rng.standard_normal(cluster.size)) * 0.3 + rng.standard_normal(cluster.size)
+    d = PanelDataset(cluster=cluster, time=time, y=x @ [1.0, 0.5, 0.3] + u, x=x,
+                     x_names=("const", "d", "w"), controls={1, 3, 5, 7}, treated={2, 4, 6, 8})
+    h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.0, alpha=0.25)
+    pairs = [(j, r) for j in (1, 3, 5, 7) for r in (2, 4, 6, 8)]
+    got = group_stats(d, pairs, h, model="hac")
+    assert got.tobytes() == ref_group_stats(d, pairs, h, model="hac").tobytes()
+
+
+def degenerate_panel():
+    """Clusters 1-4 of 10 rows, 1 and 3 without noise; clusters 5-8 of one row.
+    {1, 3} and every three of 5-8 that mix the sides fit exactly, {1, 2} and
+    {5, 6} hold only controls and are rank deficient, and the one-row
+    clusters have no lagged residuals at all."""
+    rng = np.random.default_rng(8)
+    cluster = np.r_[np.tile([1, 2, 3, 4], 10), 5, 6, 7, 8]
+    time = np.r_[np.repeat(np.arange(1, 11), 4), 1, 1, 1, 1]
+    treated = np.isin(cluster, (3, 4, 7, 8))
+    x = np.column_stack([np.ones(cluster.size), treated, rng.standard_normal(cluster.size)])
+    y = x @ [1.0, 0.5, 0.3] + np.isin(cluster, (2, 4)) * rng.standard_normal(cluster.size)
+    return PanelDataset(cluster=cluster, time=time, y=y, x=x, x_names=("const", "d", "w"),
+                        controls={1, 2, 5, 6}, treated={3, 4, 7, 8})
+
+
+@pytest.mark.parametrize("model", WORKING_MODELS)
+@pytest.mark.parametrize("allow_unidentified", [False, True])
+@pytest.mark.parametrize("groups", [
+    [{1, 3}, {1, 2}, {2, 4}, {1, 3, 4}],   # an exact fit before a rank-deficient set
+    [{2, 4}, {1, 2}, {1, 3}, {2, 3}],      # and after it
+    [{5, 6, 7}, {2, 4}, {5, 7, 8}, {1, 3}, {6, 7, 8}, {5, 6}, {1, 4}],
+])
+def test_exact_and_rank_deficient_groups_in_either_order(model, allow_unidentified, groups):
+    d = degenerate_panel()
+    h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.2, alpha=0.25)
+    got = outcome(lambda: group_stats(d, groups, h, model=model,
+                                      allow_unidentified=allow_unidentified))
+    assert got == outcome(lambda: ref_group_stats(d, groups, h, model=model,
+                                                  allow_unidentified=allow_unidentified))
+    result, caught = got
+    assert (result[0] == "raised") == (not allow_unidentified)
+    assert caught or not allow_unidentified  # stopping may come before any exact fit
+
+
+@pytest.mark.parametrize("model", WORKING_MODELS)
+def test_degenerate_lanes_leak_no_numpy_warning(model):
+    # exact fits, groups without lagged residuals and unidentified groups share
+    # their stacks with regular ones; the floor warnings are the only ones
+    d = degenerate_panel()
+    h = Hypothesis(c=[0.0, 1.0, 0.0], lam=0.2, alpha=0.25)
+    groups = [{5, 6, 7}, {2, 4}, {1, 3}, {5, 7, 8}, {1, 2}, {1, 4}, {6, 7, 8}, {5, 6}, {2, 3}]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.filterwarnings("always", message=r"group \[.*\]: non-positive",
+                                category=RuntimeWarning)
+        stats = group_stats(d, groups, h, model=model, allow_unidentified=True)
+    want = outcome(lambda: ref_group_stats(d, groups, h, model=model, allow_unidentified=True))
+    assert (stats.tobytes(),) == want[0]
+    assert [(w.category, str(w.message)) for w in caught] == want[1]
+    assert np.isnan(stats[0, [4, 7]]).all() and len(caught) >= 2
+
+
+def test_equal_pairs_take_one_lstsq_each_and_one_solve(monkeypatch):
+    # the 64 pairs of a 16-cluster dgp2 panel share one shape: one stack
+    d = gen_dgp(DgpSpec("dgp2", h=4, q=16), seed=1)
+    pairs = [(j, r) for j in sorted(d.controls) for r in sorted(d.treated)]
+    calls = {"lstsq": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    stats = group_stats(d, pairs, dgp_hypothesis(0.05))
+    assert calls == {"lstsq": 64, "solve": 1}
+    monkeypatch.undo()
+    assert stats.tobytes() == ref_group_stats(d, pairs, dgp_hypothesis(0.05)).tobytes()

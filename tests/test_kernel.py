@@ -22,7 +22,14 @@ from crscombine.combine import (
 )
 from crscombine.crstest import k_budget, rejects, sign_changes
 from crscombine.estimation import pairwise_group_stats, psi_from_scales
-from crscombine.power import _NORMAL_QUOTIENT, MC_BLOCK, SignFlipKernel, _undivided_rejects
+from crscombine.power import (
+    _NORMAL_QUOTIENT,
+    CHUNK_VALUES,
+    MC_BLOCK,
+    SignFlipKernel,
+    _normal_blocks,
+    _undivided_rejects,
+)
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
 
 
@@ -155,6 +162,42 @@ def test_one_kernel_scores_many_parameters_like_fresh_calls():
         lp = LimitParams(xi=rng.uniform(0.1, 1.0, 6), sigma=rng.uniform(0.3, 3.0, 6))
         delta = float(rng.normal(scale=3.0))
         assert kernel_estimate(kernel, lp, delta) == reference_power_mc(lp, delta, 0.1, 5000, 42)
+
+
+def unchunked_counts(q, budgets, reps, seed, sigma, shift):
+    """``SignFlipKernel.counts`` at each rejection budget in ``budgets``, on
+    whole RNG blocks, as it ran before blocks were split into column chunks."""
+    signs = sign_changes(q).astype(np.float64)
+    counts = np.zeros((len(budgets), 3), dtype=np.int64)
+    for z in _normal_blocks(q, reps, seed):
+        w = np.ascontiguousarray(z.T) * sigma + shift
+        values = np.abs(signs @ w)
+        for i, k in enumerate(budgets):
+            counts[i, 0] += np.count_nonzero(_undivided_rejects(values.copy(), q, k))
+            if k == 1:
+                counts[i, 1] += np.count_nonzero(np.all(w < 0.0, axis=0))
+                counts[i, 2] += np.count_nonzero(np.all(w > 0.0, axis=0))
+    return [tuple(int(v) for v in row) for row in counts]
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+@pytest.mark.parametrize("reps", [1000, 5000, MC_BLOCK, MC_BLOCK + 1, 100_000])
+def test_column_chunks_count_as_whole_blocks(q, reps):
+    n_u = 1 << (q - 1)
+    # K = 1 (from q = 2 on), where left and right are tallied too, and K = floor(0.3 n_u)
+    kernels = [SignFlipKernel(q, alpha, reps=reps, seed=reps + q)
+               for alpha in (min(1.5 / n_u, 0.75), 0.3)]
+    blocks = {min(MC_BLOCK, reps - start) for start in range(0, reps, MC_BLOCK)}
+    chunks = [z.shape[1] for z in kernels[0]._z]
+    assert sum(chunks) == reps
+    # a chunk of more than CHUNK_VALUES values is a whole block of at most three times that
+    assert all(n_u * m <= CHUNK_VALUES or m in blocks and n_u * m <= 3 * CHUNK_VALUES
+               for m in chunks)
+    rng = np.random.default_rng(q * reps)
+    sigma, shift = rng.uniform(0.3, 3.0, (q, 1)), rng.uniform(0.2, 2.0, (q, 1))
+    want = unchunked_counts(q, [kernel.k for kernel in kernels], reps, reps + q, sigma, shift)
+    assert [kernel.counts(sigma, shift) for kernel in kernels] == want
+    assert q == 1 or want[0][1] + want[0][2] > 0
 
 
 def test_kernel_guards():
