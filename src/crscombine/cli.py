@@ -76,15 +76,21 @@ def _finite(values: list[float], text: str) -> list[float]:
 
 
 def _grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma list of finite numbers."""
+    """Parse 'start:stop:step' (inclusive, ascending) or a nonempty comma list
+    of finite numbers."""
     if ":" not in text:
-        return _finite(_float_list(text), text)
+        values = _finite(_float_list(text), text)
+        if not values:
+            raise argparse.ArgumentTypeError(f"grid holds no values, got {text!r}")
+        return values
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:step")
     start, stop, step = _finite([float(p) for p in parts], text)
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"grid stop lies below its start, got {text!r}")
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1)]
 
@@ -416,18 +422,23 @@ _NUMERIC_FLAGS = {"--deltas", "--betas", "--delta", "--lambda", "--c",
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` (flat key=value lines) into flags.
+    """Expand ``--config FILE`` or ``--config=FILE`` (flat key=value lines)
+    into flags.
 
     Explicit command-line flags win over config entries.  Keys use the long
     flag names without the leading dashes, e.g. ``controls=1,2,3``.
     """
-    if "--config" not in argv:
+    i = next((i for i, tok in enumerate(argv)
+              if tok == "--config" or tok.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if argv[i] == "--config":
+        path = argv[i + 1] if i + 1 < len(argv) else ""
+        rest = argv[:i] + argv[i + 2:]
+    else:
+        path, rest = argv[i].partition("=")[2], argv[:i] + argv[i + 1:]
+    if not path:
         raise SchemaError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
     extra: list[str] = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()

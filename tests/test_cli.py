@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from crscombine import cli
 from crscombine.cli import dispatch
 from crscombine.simulate import CalibrationParams, DgpSpec, gen_calibrated, gen_dgp
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "sixclusters.csv")
 DGP2_CONTROLS = "7,8,9,10,11,12"
@@ -248,110 +250,131 @@ def dgp2_panels(tmp_path_factory):
     return root
 
 
-# name -> (panel, controls, flags, writes diagnostics)
-GOLDEN_COMBINE = {
-    "bilp_pos": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "+"], True),
-    "bilp_neg": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--delta-sign", "-"], True),
+# The golden table: the argv of every CLI run whose outputs tests/data pins.
+# --data names a dgp2_panels file, and each output flag names the golden file
+# the run writes; tests/data holds each output without its JSON meta block or
+# CSV "#" lines.
+DGP2 = ["--data", "dgp2.csv", "--controls", DGP2_CONTROLS, "--treated", DGP2_TREATED,
+        "--c", DGP2_C, "--seed", "1"]
+POWER = ["power", *DGP2, "--deltas", "-60:60:30", "--reps", "20000"]
+SIMULATE = ["simulate", "--h", "4", "--betas", "-2:2:2", "--reps", "100", "--seed", "1"]
+K2_AT_Q4 = "{7,8}:{1,2},{9,10}:{3,4},11:5,12:6"
+GOLDEN = [
+    ["combine", *DGP2, "--method", "bilp", "--delta-sign", "+",
+     "--out", "combine_bilp_pos.json", "--diagnostics", "combine_bilp_pos_intervals.csv"],
+    ["combine", *DGP2, "--method", "bilp", "--delta-sign", "-",
+     "--out", "combine_bilp_neg.json", "--diagnostics", "combine_bilp_neg_intervals.csv"],
     # the other working models; every pair has n_g = 40 rows
-    "bilp_hac": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "hac"], True),
-    "bilp_iid": ("dgp2", DGP2_CONTROLS, ["--method", "bilp", "--model", "iid"], True),
+    ["combine", *DGP2, "--method", "bilp", "--model", "hac",
+     "--out", "combine_bilp_hac.json", "--diagnostics", "combine_bilp_hac_intervals.csv"],
+    ["combine", *DGP2, "--method", "bilp", "--model", "iid",
+     "--out", "combine_bilp_iid.json", "--diagnostics", "combine_bilp_iid_intervals.csv"],
     # cluster fixed effects on every candidate pair: 36 lstsq fits of p = 7
-    "bilp_fe": ("dgp2", DGP2_CONTROLS,
-                ["--method", "bilp",
-                 "--formula", "y ~ const + i_post + d + x1 + x2 + x3 + fe(cluster)"], True),
-    "heuristic": ("dgp2", DGP2_CONTROLS, ["--method", "heuristic", "--reps", "2000"], False),
-    "exhaustive": ("dgp2", DGP2_CONTROLS, ["--method", "exhaustive", "--reps", "2000"], False),
-    "loglinear": ("dgp2", DGP2_CONTROLS, ["--method", "loglinear", "--reps", "2000"], False),
+    ["combine", *DGP2, "--method", "bilp",
+     "--formula", "y ~ const + i_post + d + x1 + x2 + x3 + fe(cluster)",
+     "--out", "combine_bilp_fe.json", "--diagnostics", "combine_bilp_fe_intervals.csv"],
+    ["combine", *DGP2, "--method", "heuristic", "--reps", "2000",
+     "--out", "combine_heuristic.json"],
+    ["combine", *DGP2, "--method", "exhaustive", "--reps", "2000",
+     "--out", "combine_exhaustive.json"],
+    ["combine", *DGP2, "--method", "loglinear", "--reps", "2000",
+     "--out", "combine_loglinear.json"],
     # K = 3: every candidate is scored on the Monte Carlo sign-flip kernel
-    "heuristic_mc": ("dgp2", DGP2_CONTROLS,
-                     ["--method", "heuristic", "--alpha", "0.1", "--reps", "5000"], False),
-    "exhaustive_mc": ("dgp2", DGP2_CONTROLS,
-                      ["--method", "exhaustive", "--alpha", "0.1", "--reps", "2000"], False),
-    "unequal": ("dgp2_unequal", "7,8,9", [], False),
+    ["combine", *DGP2, "--method", "heuristic", "--alpha", "0.1", "--reps", "5000",
+     "--out", "combine_heuristic_mc.json"],
+    ["combine", *DGP2, "--method", "exhaustive", "--alpha", "0.1", "--reps", "2000",
+     "--out", "combine_exhaustive_mc.json"],
+    ["combine", "--data", "dgp2_unequal.csv", "--controls", "7,8,9", "--treated", DGP2_TREATED,
+     "--c", DGP2_C, "--seed", "1", "--out", "combine_unequal.json"],
     # cluster fixed effects: every candidate group is fit by lstsq
-    "unequal_fe": ("calibrated", "7,8,9",
-                   ["--c", "0,1,0", "--formula", "y ~ const + c + l + fe(cluster)",
-                    "--delta", "-8"], False),
-}
+    ["combine", "--data", "calibrated.csv", "--controls", "7,8,9", "--treated", DGP2_TREATED,
+     "--c", "0,1,0", "--formula", "y ~ const + c + l + fe(cluster)", "--delta", "-8",
+     "--seed", "1", "--out", "combine_unequal_fe.json"],
+    # K = 2 at q = 4, two groups of four clusters and two pairs
+    ["test", *DGP2, "--grouping", K2_AT_Q4, "--alpha", "0.25", "--lambda", "0.5",
+     "--out", "test_q4_k2.json"],
+    # the same K = 2 grouping and K = 3 at q = 6, both on the sign-flip kernel
+    [*POWER, "--grouping", K2_AT_Q4, "--alpha", "0.25", "--out", "power_q4_k2.csv"],
+    [*POWER, "--grouping", "7:1,8:2,9:3,10:4,11:5,12:6", "--alpha", "0.1",
+     "--out", "power_monte_carlo.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "crs_data", "--alpha", "0.05",
+     "--out", "simulate_crs_data_alpha05.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "crs_data", "--alpha", "0.1",
+     "--out", "simulate_crs_data_alpha10.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "all_omegas", "--out", "simulate_all_omegas.csv",
+     "--omega-out", "simulate_all_omegas_matrix.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "fixed", "--grouping", "7:1,8:2,9:3,10:4,11:5,12:6",
+     "--out", "simulate_fixed_pairing.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "fixed",
+     "--grouping", "{7,8}:{1,2},{9,10}:{3,4},{11,12}:{5,6}", "--alpha", "0.25",
+     "--out", "simulate_fixed_three_groups.csv"],
+    [*SIMULATE, "--dgp", "2", "--policy", "crs_random", "--out", "simulate_crs_random.csv"],
+    [*SIMULATE, "--dgp", "1", "--policy", "crs_data", "--model", "iid",
+     "--out", "simulate_dgp1_crs_data_iid.csv"],
+    [*SIMULATE, "--dgp", "3", "--policy", "crs_data", "--out", "simulate_dgp3_crs_data.csv"],
+]
+OUTPUT_FLAGS = ("--out", "--diagnostics", "--omega-out")
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_COMBINE))
+def golden_outputs(argv):
+    """The golden files one entry of the table writes."""
+    return [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in OUTPUT_FLAGS]
+
+
+def golden(command):
+    """``parametrize`` arguments for the entries that run ``command``, each
+    named by its ``--out`` file without the command prefix and suffix."""
+    entries = [argv for argv in GOLDEN if argv[0] == command]
+    return {"argvalues": entries,
+            "ids": [Path(a[a.index("--out") + 1]).stem.removeprefix(f"{command}_")
+                    for a in entries]}
+
+
+def check_golden(argv, panels, tmp_path):
+    """Run one entry and compare each output it writes with its golden file."""
+    where = {"--data": panels, **dict.fromkeys(OUTPUT_FLAGS, tmp_path)}
+    assert dispatch([str(where[flag] / arg) if flag in where else arg
+                     for flag, arg in zip(["", *argv], argv)]) == 0
+    for name in golden_outputs(argv):
+        if name.endswith(".json"):
+            payload = read_json(tmp_path / name)
+            payload.pop("meta")
+            got = (json.dumps(payload, indent=2) + "\n").encode()
+        else:
+            got = b"".join(ln for ln in (tmp_path / name).read_bytes().splitlines(True)
+                           if not ln.startswith(b"#"))
+        assert got == (DATA / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", **golden("combine"))
 @pytest.mark.filterwarnings("ignore:the log-linear objective")
-def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
-    # tests/data holds each output without its JSON meta block or CSV "#" lines
-    panel, controls, flags, diagnostics = GOLDEN_COMBINE[name]
-    out, diag = tmp_path / "g.json", tmp_path / "intervals.csv"
-    if "--c" not in flags:
-        flags = ["--c", DGP2_C, *flags]
-    argv = ["combine", "--data", str(dgp2_panels / f"{panel}.csv"), "--controls", controls,
-            "--treated", DGP2_TREATED, "--seed", "1", *flags, "--out", str(out)]
-    assert dispatch(argv + (["--diagnostics", str(diag)] if diagnostics else [])) == 0
-    payload = read_json(out)
-    payload.pop("meta")
-    assert json.dumps(payload, indent=2) + "\n" == (DATA / f"combine_{name}.json").read_text()
-    if diagnostics:
-        lines = [ln for ln in diag.read_bytes().splitlines(True) if not ln.startswith(b"#")]
-        assert b"".join(lines) == (DATA / f"combine_{name}_intervals.csv").read_bytes()
+def test_combine_outputs_equal_golden_files(dgp2_panels, tmp_path, argv):
+    check_golden(argv, dgp2_panels, tmp_path)
 
 
-# name -> test flags: K = 2 at q = 4, two groups of four clusters and two pairs
-GOLDEN_TEST = {
-    "q4_k2": ["--grouping", "{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "--alpha", "0.25",
-              "--lambda", "0.5"],
-}
+@pytest.mark.parametrize("argv", **golden("test"))
+def test_test_outputs_equal_golden_files(dgp2_panels, tmp_path, argv):
+    check_golden(argv, dgp2_panels, tmp_path)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_TEST))
-def test_test_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
-    # tests/data holds each output without its JSON meta block
-    out = tmp_path / "t.json"
-    assert dispatch([
-        "test", "--data", str(dgp2_panels / "dgp2.csv"), "--controls", DGP2_CONTROLS,
-        "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", *GOLDEN_TEST[name],
-        "--out", str(out),
-    ]) == 0
-    payload = read_json(out)
-    payload.pop("meta")
-    assert json.dumps(payload, indent=2) + "\n" == (DATA / f"test_{name}.json").read_text()
+@pytest.mark.parametrize("argv", **golden("power"))
+def test_power_outputs_equal_golden_files(dgp2_panels, tmp_path, argv):
+    check_golden(argv, dgp2_panels, tmp_path)
 
 
-# name -> (grouping, alpha): K = 2 at q = 4 and K = 3 at q = 6, both scored
-# on the sign-flip kernel
-GOLDEN_POWER = {
-    "q4_k2": ("{7,8}:{1,2},{9,10}:{3,4},11:5,12:6", "0.25"),
-    "monte_carlo": ("7:1,8:2,9:3,10:4,11:5,12:6", "0.1"),
-}
+@pytest.mark.parametrize("argv", **golden("simulate"))
+def test_simulate_outputs_equal_golden_files(dgp2_panels, tmp_path, argv):
+    check_golden(argv, dgp2_panels, tmp_path)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_POWER))
-def test_power_outputs_equal_golden_files(dgp2_panels, tmp_path, name):
-    # tests/data holds each CSV without its "#" lines
-    grouping, alpha = GOLDEN_POWER[name]
-    out = tmp_path / "power.csv"
-    assert dispatch([
-        "power", "--data", str(dgp2_panels / "dgp2.csv"), "--controls", DGP2_CONTROLS,
-        "--treated", DGP2_TREATED, "--c", DGP2_C, "--seed", "1", "--grouping", grouping,
-        "--alpha", alpha, "--deltas", "-60:60:30", "--reps", "20000", "--out", str(out),
-    ]) == 0
-    lines = [ln for ln in out.read_bytes().splitlines(True) if not ln.startswith(b"#")]
-    assert b"".join(lines) == (DATA / f"power_{name}.csv").read_bytes()
-
-
-# name -> simulate flags, each run with --h 4 --betas -2:2:2 --reps 100 --seed 1
-GOLDEN_SIMULATE = {
-    "dgp1_crs_data_iid": ["--dgp", "1", "--policy", "crs_data", "--model", "iid"],
-    "dgp3_crs_data": ["--dgp", "3", "--policy", "crs_data"],
-}
-
-
-@pytest.mark.parametrize("name", list(GOLDEN_SIMULATE))
-def test_simulate_outputs_equal_golden_files(tmp_path, name):
-    # tests/data holds each CSV without its "#" lines
-    out = tmp_path / "sim.csv"
-    assert dispatch(["simulate", "--h", "4", "--betas", "-2:2:2", "--reps", "100", "--seed", "1",
-                     *GOLDEN_SIMULATE[name], "--out", str(out)]) == 0
-    lines = [ln for ln in out.read_bytes().splitlines(True) if not ln.startswith(b"#")]
-    assert b"".join(lines) == (DATA / f"simulate_{name}.csv").read_bytes()
+def test_every_file_under_tests_data_is_accounted_for():
+    # the one input panel, each demo's recorded stdout, and the outputs of the
+    # golden table, each claimed by exactly one entry
+    claimed = Counter(name for argv in GOLDEN for name in golden_outputs(argv))
+    assert [name for name, n in claimed.items() if n > 1] == []
+    demos = {f"demo_{p.stem.split('_', 1)[1]}.txt" for p in (ROOT / "demos").glob("*.py")}
+    assert sorted(p.name for p in DATA.iterdir()) == sorted({"sixclusters.csv", *demos,
+                                                             *claimed})
 
 
 class TestPowerCommand:
@@ -517,21 +540,22 @@ def test_config_file_supplies_defaults(tmp_path):
         "controls=1,2,3\n"
         "treated=4,5,6\n"
         "c=0,1\n"
-        "alpha=0.05\n"
+        "alpha=0.25\n"
     )
     out = tmp_path / "res.json"
-    code = dispatch([
-        "test", "--config", str(cfg), "--grouping", "1:4,2:5,3:6",
-        "--seed", "2", "--out", str(out),
-    ])
-    assert code == 0
-    assert read_json(out)["outcome"]["q"] == 3
-    # explicit flags win over config entries
-    code = dispatch([
-        "test", "--config", str(cfg), "--grouping", "1:4,2:5,3:6",
-        "--treated", "4,5", "--seed", "2", "--out", str(out),
-    ])
-    assert code == 1  # cluster 6 unassigned -> partition error
+    # both forms read the file: at the default alpha = 0.05 this grouping
+    # has K = 0 and cannot reject
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        code = dispatch(["test", *config, "--grouping", "1:4,2:5,3:6", "--seed", "2",
+                         "--out", str(out)])
+        assert code == 0
+        outcome = read_json(out)["outcome"]
+        assert (outcome["q"], outcome["alpha"], outcome["K"], outcome["reject"]) == \
+            (3, 0.25, 1, True)
+        # explicit flags win over config entries
+        code = dispatch(["test", *config, "--grouping", "1:4,2:5,3:6", "--treated", "4,5",
+                         "--seed", "2", "--out", str(out)])
+        assert code == 1  # cluster 6 unassigned -> partition error
 
 
 def test_seed_drawn_and_echoed_when_absent(tmp_path, capsys):
@@ -622,27 +646,34 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == "error: lambda must be finite\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan", "1,nan", "-1,inf", "nan:1:1", "0:inf:1", "0:1:nan",
-                                      "1e999"])
-    def test_power_deltas(self, tmp_path, capsys, grid):
+    POWER_DELTAS = [(grid, "grid values must be finite") for grid in
+                    ["nan", "1,nan", "-1,inf", "nan:1:1", "0:inf:1", "0:1:nan", "1e999"]] + [
+        ("3:1:1", "grid stop lies below its start"),
+        (",", "grid holds no values"),
+    ]
+
+    @pytest.mark.parametrize("grid, message", POWER_DELTAS, ids=[g for g, _ in POWER_DELTAS])
+    def test_power_deltas(self, tmp_path, capsys, grid, message):
         out = tmp_path / "p.csv"
         code = dispatch([
             "power", "--xi", "0.5,0.5", "--sigma", "1,1", "--alpha", "0.5",
             "--deltas", grid, "--seed", "1", "--out", str(out),
         ])
         assert code == 2
-        assert f"argument --deltas: grid values must be finite, got {grid!r}" in \
-            capsys.readouterr().err
+        assert f"argument --deltas: {message}, got {grid!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan", "0:nan:1"])
-    def test_simulate_betas(self, tmp_path, capsys, grid):
+    SIMULATE_BETAS = [("nan", "grid values must be finite"),
+                      ("0:nan:1", "grid values must be finite"),
+                      ("2:-2:1", "grid stop lies below its start")]
+
+    @pytest.mark.parametrize("grid, message", SIMULATE_BETAS, ids=[g for g, _ in SIMULATE_BETAS])
+    def test_simulate_betas(self, tmp_path, capsys, grid, message):
         out = tmp_path / "curves.csv"
         code = dispatch([
             "simulate", "--dgp", "2", "--h", "4", "--betas", grid, "--policy", "crs_random",
             "--reps", "100", "--seed", "1", "--out", str(out),
         ])
         assert code == 2
-        assert f"argument --betas: grid values must be finite, got {grid!r}" in \
-            capsys.readouterr().err
+        assert f"argument --betas: {message}, got {grid!r}" in capsys.readouterr().err
         assert not out.exists()

@@ -2,7 +2,7 @@
 
 ``tests/data/demo_<name>.txt`` holds each demo's stdout.  Demos 01-03 run here
 (about 0.3 s each); the CI ``demos`` job diffs all five, including the slower
-simulation demos 04 and 05.
+simulation demos 04 and 05 (about 1.5 s and 10 s).
 """
 
 import os
