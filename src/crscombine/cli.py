@@ -190,11 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crscombine",
         description="Randomization inference with few clusters: test, combine, power, simulate.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"crscombine {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("test", help="run the sign-change randomization test")
+    p = sub.add_parser("test", help="run the sign-change randomization test", allow_abbrev=False)
     _add_data_flags(p)
     _add_common_flags(p)
     p.add_argument("--grouping", required=True,
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.05)
 
-    p = sub.add_parser("combine", help="choose the power-maximizing grouping")
+    p = sub.add_parser("combine", help="choose the power-maximizing grouping", allow_abbrev=False)
     _add_data_flags(p)
     _add_common_flags(p)
     p.add_argument("--method", default="bilp",
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostics", default=None,
                    help="per-interval CSV output (bilp and heuristic, paired data only)")
 
-    p = sub.add_parser("power", help="evaluate local asymptotic power")
+    p = sub.add_parser("power", help="evaluate local asymptotic power", allow_abbrev=False)
     _add_common_flags(p)
     p.add_argument("--xi", default=None, help="comma list of group size ratios")
     p.add_argument("--sigma", default=None, help="comma list of group scales")
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-method", default="auto", choices=["auto", "k1", "mc"])
     p.add_argument("--reps", type=int, default=100_000)
 
-    p = sub.add_parser("simulate", help="rejection-rate curves for the DID designs")
+    p = sub.add_parser("simulate", help="rejection-rate curves for the DID designs", allow_abbrev=False)
     _add_common_flags(p)
     p.add_argument("--dgp", type=int, required=True, choices=[1, 2, 3])
     p.add_argument("--h", type=int, required=True, choices=[1, 2, 3, 4])
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-out", default=None,
                    help="per-pairing rejection matrix CSV (all_omegas only)")
 
-    p = sub.add_parser("calibrate", help="fit the calibrated-simulation parameters")
+    p = sub.add_parser("calibrate", help="fit the calibrated-simulation parameters", allow_abbrev=False)
     _add_data_flags(p)
     _add_common_flags(p)
 

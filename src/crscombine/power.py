@@ -12,10 +12,12 @@ evaluators are provided:
 - ``power_mc``: simulates the limit experiment directly for any (q, K).
   ``SignFlipKernel`` is its engine: it draws the common random numbers once
   and scores any number of (xi, sigma) on them, which is how the grouping
-  searches compare candidates.  It scores the randomization values undivided
-  by q, with the observed value replaced by its threshold, the smallest
-  value whose quotient equals its own, so its decisions are those on the
-  quotients.
+  searches compare candidates.  It decides each draw on float32 values with
+  a rigorous rounding bound, and recomputes in float64 only the chunks of
+  draws holding a near tie.  The float64 path scores the randomization
+  values undivided by q, with the observed value replaced by its threshold,
+  the smallest value whose quotient equals its own, so its decisions are
+  those on the quotients, and every count is that float64 computation's.
 
 ``power_tally`` is the one place that resolves a method ('auto', 'k1' or
 'mc') and builds its evaluator: an object-free score per candidate (the
@@ -41,7 +43,10 @@ from .estimation import LimitParams, group_limit_params, normal_tails
 from .regression import RegressionSpec
 
 MC_BLOCK = 1 << 15  # fixed simulation block size; results never depend on scheduling
-CHUNK_VALUES = 1 << 16  # randomization values per kernel chunk: 512 kB, inside a core's L2
+CHUNK_VALUES = 1 << 18  # randomization values per kernel chunk: 1 MB in float32, 2 MB in float64
+CHUNK_SCORES = 1 << 15  # scores per kernel chunk: 256 kB in float64
+SCREEN_SAFETY = 8  # c of the float32 screen's error bound (SignFlipKernel)
+SCREEN_RANGE = (2.0 ** -100, 2.0 ** 100)  # Sum_k |w_k| bounds the screen takes
 
 _NORMAL_QUOTIENT = 2.0 ** -1021  # v0 / q at least this is normal, with a factor 2 to spare
 
@@ -125,19 +130,67 @@ class SignFlipKernel:
     The limit experiment's standard normal draws, the sign matrix and the
     rejection budget are made once; ``counts`` then scores any (sigma, xi *
     delta) on those same draws, so estimates of different groupings differ
-    only through the groupings.  Each block is decided as
-    ``crstest.rejects`` decides |(Z * sigma + xi * delta) @ signs| / q, but on
-    the undivided values, with the observed one replaced by its threshold
-    (``_undivided_rejects``): no pass divides the block by q, and every count
-    is that of the divided values.  The draws and sums are kept transposed,
-    (q, block) and (2^(q-1), block), so the comparisons run along contiguous
-    rows; the values equal the row layout's bit for bit
-    (``tests/test_kernel.py`` pins this).  The kernel holds all reps x q
-    draws.  A block of more than 3 * ``CHUNK_VALUES`` randomization values
-    is held as equal column chunks of at most ``CHUNK_VALUES`` values each,
-    so that one chunk's products, magnitudes and comparisons stay in cache;
-    every draw is decided on its own column, so the counts are the whole
-    block's.
+    only through the groupings.  Each draw is decided as ``crstest.rejects``
+    decides |(Z * sigma + xi * delta) @ signs| / q, and every count equals
+    that float64 computation's.  The draws are kept transposed, (q, block),
+    so that a draw's scores w and its 2^(q-1) randomization values are
+    columns and every pass runs along contiguous rows.
+
+    Each chunk of draws is decided in two passes:
+
+    - The screen casts w to float32 once and takes v = |signs @ w32| in
+      float32.  Value v_j is certainly below the observed v_0 when v_j < v_0 -
+      e, and certainly not below when v_j >= v_0 + e, with e = c q 2^-24 B
+      (c = ``SCREEN_SAFETY``).  A draw needs n_u - K values below v_0 to
+      reject: it rejects for certain when that many lie below v_0 - e, and
+      for certain not when fewer lie below v_0 + e.
+    - The exact path takes float64 values, undivided by q, with the
+      observed one replaced by its threshold, the smallest value whose
+      quotient equals its own (``_undivided_rejects``).  It decides the
+      whole chunk when the screen cannot call one of its draws, or when B is
+      out of ``SCREEN_RANGE`` (NaN and inf included).  ``exact_draws`` counts the draws it decided.
+      It reruns the chunk rather than the draws in doubt: OpenBLAS's dgemm
+      can round a column differently with the matrix's width (seen from q =
+      4 on), so only the chunk's own product has the chunk's bits.
+
+    B bounds Sum_k |w_k| for every draw of the chunk.  |w_k| <= sigma_k |z_k|
+    + |shift_k|, and by Cauchy-Schwarz Sum_k sigma_k |z_k| <= ||sigma|| ||z||,
+    so B = ||sigma|| max ||z|| + Sum_k |shift_k|, the max over the chunk's
+    draws: one number per chunk and call.  When B leaves a draw in doubt, the
+    screen tries again with each draw's own B, its float32 Sum_k |w_k|, and
+    it takes that only when every draw's is at least 2^-100.  Why e
+    certifies the float64 decision (Higham 2002, section 2.2 for the
+    rounding model, section 4.2 for summation):
+
+    - Casting w costs at most 2^-24 Sum_k |w_k|.  A sum of q terms in any
+      order costs at most gamma_(q-1) = (q-1) 2^-24 (1 + O(q 2^-24)) times
+      the sum of magnitudes, with or without fused multiply-add, since the
+      products with signs +-1 are exact.  So each float32 value lies within
+      about q 2^-24 B of the exact |sum|.
+    - The float64 value lies within about q 2^-53 B of the exact |sum|.
+      Rounding v_0 -+ e to float32 costs 2^-24 B, and the threshold moves v_0
+      by one float64 ulp.
+    - So a value the screen certifies differs from v_0 by more than (c - 2) q
+      2^-24 B - 2^-24 B >= 5 2^-24 B in exact arithmetic.  The float64
+      comparison then falls on the same side, on the threshold path and on
+      the divided one alike.
+    - B >= 2^-100 keeps float32 underflow (at most 2^-150 a score) and the
+      spacing of subnormal float64 quotients (2^-1074) far below that
+      margin.  B < 2^100 keeps every float32 sum finite.  The rounding of B
+      itself, a few float64 ulps or q float32 ones for a draw's own B, is
+      inside the margin.
+
+    Near ties are rare: on ``sim_k3``-shaped rounds (q = 6, 5,000 draws in
+    one chunk) 2.6 % of the calls took the exact path, so the counts are the
+    float64 computation's at about the screen's cost.  ``tests/test_kernel.py`` pins
+    the counts against that computation, with adversarial ties.
+
+    The kernel holds all reps x q draws in float64 and no float32 copy of
+    them.  A block of draws is held as equal column chunks of at most
+    ``CHUNK_VALUES`` randomization values and ``CHUNK_SCORES`` scores; every
+    draw is decided on its own column, so the counts are the whole block's.
+    One byte buffer holds either a chunk's float64 values or the screen's
+    float32 values, float32 w and comparison flags.
 
     ``counts`` returns integers and validates nothing, so a search can compare
     its candidates by rejection count (value = count / reps exactly, since
@@ -155,16 +208,33 @@ class SignFlipKernel:
         self.q = q
         self.reps = reps
         self.k = min(k_budget(n_u, alpha), n_u - 1)
+        self.exact_draws = 0
         self._signs = signs.astype(np.float64)  # (n_u, q)
+        self._signs32 = signs.astype(np.float32)
         self._z = []
+        width = max(min(CHUNK_VALUES // n_u, CHUNK_SCORES // q), 1)
         for z in _normal_blocks(q, reps, seed):
-            parts = 1
-            if n_u * z.shape[0] > 3 * CHUNK_VALUES:
-                parts = -(-z.shape[0] // max(CHUNK_VALUES // n_u, 1))
+            parts = -(-z.shape[0] // width)
             self._z += [np.ascontiguousarray(c.T) for c in np.array_split(z, parts)]
-        n = max(z.shape[1] for z in self._z)
-        self._w = np.empty((q, n))
-        self._values = np.empty((n_u, n))
+        self._z_norms = [math.sqrt(np.einsum("ij,ij->j", z, z).max()) for z in self._z]
+        self._need = n_u - self.k
+        self._tally = np.min_scalar_type(n_u)  # as crstest.rejects counts
+        self._slack = SCREEN_SAFETY * q * 2.0 ** -24
+        # every chunk width's (rows, n) views into two flat buffers: w, and one
+        # byte buffer that holds either the exact path's float64 values or the
+        # screen's float32 values, float32 w and comparison flags
+        widths = {z.shape[1] for z in self._z}
+        n = max(widths)
+        w = np.empty(q * n)
+        buffer = np.empty(max(8 * n_u, 5 * n_u - 1 + 4 * q) * n, dtype=np.uint8)
+
+        def view(dtype, n, rows, offset=0):
+            size = np.dtype(dtype).itemsize * rows * n
+            return buffer[offset * n:offset * n + size].view(dtype).reshape(rows, n)
+
+        self._views = {n: (w[:q * n].reshape(q, n), view(np.float64, n, n_u),
+                           view(np.float32, n, n_u), view(np.float32, n, q, 4 * n_u),
+                           view(np.bool_, n, n_u - 1, 4 * (n_u + q))) for n in widths}
 
     def counts(self, sigma: np.ndarray, shift: np.ndarray) -> tuple[int, int, int]:
         """``(rejections, left, right)`` over the kernel's draws at one (sigma,
@@ -172,17 +242,53 @@ class SignFlipKernel:
         ``right`` count the all-negative / all-positive score events; otherwise
         they are 0.  The caller validates the parameters."""
         rejections = left = right = 0
-        for z in self._z:
-            n = z.shape[1]
-            w = np.multiply(z, sigma, out=self._w[:, :n])
+        norm = math.sqrt(float(np.vdot(sigma, sigma)))
+        offset = float(np.abs(shift).sum())
+        for z, z_norm in zip(self._z, self._z_norms):
+            w, values, values32, w32, below = self._views[z.shape[1]]
+            np.multiply(z, sigma, out=w)
             np.add(w, shift, out=w)
-            values = np.matmul(self._signs, w, out=self._values[:, :n])
-            np.abs(values, out=values)
-            rejections += int(np.count_nonzero(_undivided_rejects(values, self.q, self.k)))
+            bound = norm * z_norm + offset  # >= Sum_k |w_k| of every draw
+            decided = None
+            if SCREEN_RANGE[0] <= bound < SCREEN_RANGE[1]:
+                decided = self._screen(w, bound, values32, w32, below)
+            if decided is None:
+                self.exact_draws += w.shape[1]
+                np.matmul(self._signs, w, out=values)
+                np.abs(values, out=values)
+                decided = int(np.count_nonzero(_undivided_rejects(values, self.q, self.k)))
+            rejections += decided
             if self.k == 1:
                 left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
                 right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))
         return rejections, left, right
+
+    def _screen(self, w, bound, values, w32, below) -> int | None:
+        """The number of draws (columns of ``w``) that reject, from their
+        float32 ``values``; None when one is too close to call.  The error
+        bound is first the chunk's, from ``bound``, then, when that leaves a
+        draw in doubt, each draw's own, from its Sum_k |w_k|."""
+        np.copyto(w32, w, casting="same_kind")
+        np.matmul(self._signs32, w32, out=values)
+        np.abs(values, out=values)
+        decided = self._certain(values, self._slack * bound, below)
+        if decided is None:
+            scale = np.add.reduce(np.abs(w32, out=w32), axis=0)
+            if np.minimum.reduce(scale) >= SCREEN_RANGE[0]:
+                decided = self._certain(values, self._slack * scale, below)
+        return decided
+
+    def _certain(self, values: np.ndarray, e, below: np.ndarray) -> int | None:
+        """The number of draws with n_u - K values certainly below v_0, given
+        the error bound ``e`` of the float32 ``values``; None when that is not
+        the number with n_u - K values possibly below it."""
+        others, v0 = values[1:], values[0]
+        counts = []
+        for threshold in (v0 - e, v0 + e):
+            np.less(others, threshold, out=below)
+            tally = np.add.reduce(below.view(np.uint8), axis=0, dtype=self._tally)
+            counts.append(int(np.count_nonzero(tally >= self._need)))
+        return counts[0] if counts[0] == counts[1] else None
 
     def estimate_of(self, counts: tuple[int, int, int]) -> PowerEstimate:
         """The ``PowerEstimate`` of a ``counts`` result, with the (pi_left,

@@ -558,6 +558,27 @@ def test_config_file_supplies_defaults(tmp_path):
         assert code == 1  # cluster 6 unassigned -> partition error
 
 
+@pytest.mark.parametrize("abbreviated, flags", [
+    ("--conf", ["--conf", "CFG"]),
+    ("--alph", ["--config", "CFG", "--alph", "0.05"]),
+], ids=["--conf", "--alph"])
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, abbreviated, flags):
+    # argparse would take --conf for --config and --alph for --alpha, but
+    # _apply_config matches whole flags: --conf went unread (the run kept
+    # alpha = 0.05), and the config's alpha=0.25 was appended after --alph
+    # 0.05 and won.  Abbreviations are refused instead.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.25\n")
+    out = tmp_path / "res.json"
+    code = dispatch(["test", "--data", str(FIXTURE), "--controls", "1,2,3", "--treated", "4,5,6",
+                     "--c", "0,1", "--grouping", "1:4,2:5,3:6", "--seed", "2",
+                     *[str(cfg) if flag == "CFG" else flag for flag in flags],
+                     "--out", str(out)])
+    assert code == 2
+    assert f"unrecognized arguments: {abbreviated}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_drawn_and_echoed_when_absent(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = dispatch([

@@ -3,7 +3,8 @@
 ``reference_power_mc`` writes the Monte Carlo evaluator out in the row layout:
 a fresh draw per call, |w @ signs| / q per block and a ``np.partition``
 cutoff.  The kernel, ``power_mc`` and both grouping searches must reproduce
-it bit for bit.
+it bit for bit.  ``reference_counts`` is the kernel's float64 ``counts`` as it
+was before the float32 screen; the screen must give its counts exactly.
 """
 
 import itertools
@@ -12,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crscombine import LimitParams, PowerEstimate, combine, power_mc
 from crscombine.combine import (
@@ -24,6 +27,7 @@ from crscombine.crstest import k_budget, rejects, sign_changes
 from crscombine.estimation import pairwise_group_stats, psi_from_scales
 from crscombine.power import (
     _NORMAL_QUOTIENT,
+    CHUNK_SCORES,
     CHUNK_VALUES,
     MC_BLOCK,
     SignFlipKernel,
@@ -187,12 +191,10 @@ def test_column_chunks_count_as_whole_blocks(q, reps):
     # K = 1 (from q = 2 on), where left and right are tallied too, and K = floor(0.3 n_u)
     kernels = [SignFlipKernel(q, alpha, reps=reps, seed=reps + q)
                for alpha in (min(1.5 / n_u, 0.75), 0.3)]
-    blocks = {min(MC_BLOCK, reps - start) for start in range(0, reps, MC_BLOCK)}
     chunks = [z.shape[1] for z in kernels[0]._z]
     assert sum(chunks) == reps
-    # a chunk of more than CHUNK_VALUES values is a whole block of at most three times that
-    assert all(n_u * m <= CHUNK_VALUES or m in blocks and n_u * m <= 3 * CHUNK_VALUES
-               for m in chunks)
+    # a chunk holds at most CHUNK_VALUES values and CHUNK_SCORES scores, or one draw
+    assert all(m * n_u <= CHUNK_VALUES and m * q <= CHUNK_SCORES or m == 1 for m in chunks)
     rng = np.random.default_rng(q * reps)
     sigma, shift = rng.uniform(0.3, 3.0, (q, 1)), rng.uniform(0.2, 2.0, (q, 1))
     want = unchunked_counts(q, [kernel.k for kernel in kernels], reps, reps + q, sigma, shift)
@@ -391,3 +393,122 @@ def test_subnormal_quotients_match_reference(q, alpha, scale):
     kernel = SignFlipKernel(q, alpha, reps=5000, seed=q)
     for delta in (0.0, scale, -2.0 * scale):
         assert kernel_estimate(kernel, lp, delta) == reference_power_mc(lp, delta, alpha, 5000, q)
+
+
+# --- the reference: the float64 counts body as it was before the screen -----
+
+
+def reference_counts(kernel, sigma, shift):
+    rejections = left = right = 0
+    signs = sign_changes(kernel.q).astype(np.float64)
+    for z in kernel._z:
+        n = z.shape[1]
+        w = np.multiply(z, sigma, out=np.empty((kernel.q, n)))
+        np.add(w, shift, out=w)
+        values = np.matmul(signs, w, out=np.empty((len(signs), n)))
+        np.abs(values, out=values)
+        rejections += int(np.count_nonzero(_undivided_rejects(values, kernel.q, kernel.k)))
+        if kernel.k == 1:
+            left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
+            right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))
+    return rejections, left, right
+
+
+# -----------------------------------------------------------------------------
+
+
+def _column(values):
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
+def _tied_shift(q, pattern):
+    """Integer-valued scores with exact ties among the randomization values:
+    repeated, symmetric or zero entries, and v_0 = 0 for the zero-sum ones."""
+    return _column({"ones": np.ones(q), "zeros": np.zeros(q), "first": np.eye(q)[0],
+                    "alternating": (-1.0) ** np.arange(q), "pairs": np.arange(q) // 2 % 2 + 1.0,
+                    }[pattern])
+
+
+@st.composite
+def kernel_params(draw, q):
+    """(sigma, shift) columns: scales from 1e-300 to 1e300, non-finite shifts,
+    integer-valued and symmetric scores (sigma = 0), and the same perturbed by
+    2^-16 to 2^-60 of their size, so that float32 rounding reorders values
+    that float64 keeps apart or tied."""
+    kind = draw(st.sampled_from(["scaled", "tied", "near_tie", "non_finite"]))
+    unit = np.array(draw(st.lists(st.floats(0.3, 3.0), min_size=q, max_size=q)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=q, max_size=q)))
+    if kind in ("tied", "near_tie"):
+        shift = _tied_shift(q, draw(st.sampled_from(["ones", "zeros", "first", "alternating",
+                                                     "pairs"])))
+        shift *= signs[:, None] * 2.0 ** draw(st.integers(-40, 40))
+        if kind == "tied":
+            return np.zeros((q, 1)), shift
+        size = max(float(np.abs(shift).max()), 2.0 ** -1000)
+        return _column(unit * size * 2.0 ** -draw(st.integers(16, 60))), shift
+    sigma = _column(unit * 10.0 ** draw(st.floats(-300, 300)))
+    shift = _column(signs * unit[::-1] * 10.0 ** draw(st.floats(-300, 300)))
+    if kind == "non_finite":
+        shift[draw(st.integers(0, q - 1)), 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return sigma, shift
+
+
+# every reachable budget K <= 3, and K = floor(0.3 n_u) >= 4
+_BUDGETS = list(budget_cases(range(1, 11))) + [(q, 0.3) for q in range(5, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=st.sampled_from(_BUDGETS), reps=st.integers(1000, 40_000),
+       seed=st.integers(0, 2**31 - 1))
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_screened_counts_equal_the_float64_reference(data, case, reps, seed):
+    q, alpha = case
+    kernel = SignFlipKernel(q, alpha, reps=reps, seed=seed)
+    for _ in range(3):
+        sigma, shift = data.draw(kernel_params(q))
+        got = kernel.counts(sigma, shift)
+        assert got == reference_counts(kernel, sigma, shift)
+        assert all(type(count) is int for count in got)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_both_paths_decide_many_draws():
+    # ordinary parameters go through the screen; near ties, exact ties and
+    # out-of-range scales through the float64 path.  Every count is the
+    # reference's either way.
+    exact = screened = 0
+    rng = np.random.default_rng(29)
+    for q, alpha in budget_cases(range(2, 9)):
+        kernel = SignFlipKernel(q, alpha, reps=5000, seed=q)
+        params = [(rng.uniform(0.3, 3.0, (q, 1)), rng.normal(size=(q, 1))) for _ in range(3)]
+        for pattern in ("ones", "first", "alternating"):
+            shift = _tied_shift(q, pattern)
+            params += [(np.zeros((q, 1)), shift), (rng.uniform(1, 2, (q, 1)) * 2.0 ** -23, shift)]
+        params += [(np.full((q, 1), 1e-40), np.zeros((q, 1))), (np.full((q, 1), 1e40), shift)]
+        for sigma, shift in params:
+            before = kernel.exact_draws
+            assert kernel.counts(sigma, shift) == reference_counts(kernel, sigma, shift)
+            exact += kernel.exact_draws - before
+            screened += kernel.reps - (kernel.exact_draws - before)
+    assert exact > 100_000 and screened > 100_000
+
+
+def test_draw_with_subnormal_float32_scores_goes_to_the_float64_path():
+    # Draw j's scores cancel to t = (0, 0, 0, 1.4, 1.3, 0.2) * 2^-149, where
+    # the cast to float32 errs by up to half of 2^-149 whatever the score, not
+    # by a share of it: t casts to (0, 0, 0, 1, 1, 0) * 2^-149, which ties
+    # |t4 + t5 - t6| with v_0, while float64 keeps all 24 values of the other
+    # three sign patterns of (t4, t5, t6) below v_0, the 24 that K = 8 needs.
+    # The other draws' scores are of order 1, so only the per-draw Sum_k |w_k|
+    # below 2^-100 sends the chunk to the float64 path.
+    q = 6
+    kernel = SignFlipKernel(q, 0.25, reps=1000, seed=6)
+    z = kernel._z[0]
+    sigma = np.array([[1.0], [1.0], [1.0], [2.0 ** -140], [2.0 ** -140], [2.0 ** -140]])
+    tiny = np.array([[1.4], [1.3], [0.2]]) * 2.0 ** -149
+    for j in range(0, 1000, 100):
+        shift = np.vstack([-z[:3, j:j + 1], tiny - z[3:, j:j + 1] * 2.0 ** -140])
+        before = kernel.exact_draws
+        assert kernel.counts(sigma, shift) == reference_counts(kernel, sigma, shift)
+        assert kernel.exact_draws - before == 1000
