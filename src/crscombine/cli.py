@@ -91,7 +91,9 @@ def _grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError(f"grid stop lies below its start, got {text!r}")
-    n = int(round((stop - start) / step))
+    # the last value that does not pass stop, with a relative tolerance so that
+    # 0:0.9:0.3 still ends at 0.9
+    n = math.floor((stop - start) / step * (1.0 + 1e-9))
     return [start + i * step for i in range(n + 1)]
 
 
@@ -358,6 +360,11 @@ def _cmd_power(args, cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
+    for flag, value, policy in (("--grouping", args.grouping, "fixed"),
+                                ("--omega-out", args.omega_out, "all_omegas")):
+        if value is not None and args.policy != policy:
+            print(f"error: {flag} needs --policy {policy}", file=sys.stderr)
+            return 2
     spec = DgpSpec(variant=f"dgp{args.dgp}", h=args.h)
     grouping = Grouping.from_literal(args.grouping) if args.grouping else None
     curve = rejection_curve(

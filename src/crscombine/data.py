@@ -294,22 +294,32 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
 
     Built a row per level; a partial assignment is dropped once its uncovered
     clusters cannot be split among the remaining rows (1 to popcount(full) -
-    q + 1 each).  Raises BoundError before a level of over ``MAX_ASSIGNMENTS``.
+    q + 1 each).  Partial assignments are indexed by their covered sets' bit
+    masks.  Raises BoundError on a ``full`` over ``MAX_ASSIGNMENTS`` (22
+    clusters or more), and before a level of over ``MAX_ASSIGNMENTS``.
     """
-    bits = np.array(masks, dtype=np.int64)
+    if full > MAX_ASSIGNMENTS:
+        raise BoundError(f"refusing to index {full + 1} bit masks of covered clusters; "
+                         f"bound is {MAX_ASSIGNMENTS}")
+    bits = np.array(masks, dtype=np.int32)
     sizes = np.array([bin(m).count("1") for m in masks])
     total = bin(full).count("1")
     max_size = total - q + 1
     step = max(1, _TABLE_CELLS // len(masks))
-    covered, uncovered = np.zeros(1, dtype=np.int64), np.array([total])  # distinct covered sets
-    # index of each partial assignment's covered set.  It, ``skip`` and ``pair``
-    # are int32 (at most MAX_ASSIGNMENTS rows), and each is deleted once used,
-    # to keep the build's peak memory down; ``counts`` stays intp for np.repeat
-    cover_of = np.zeros(1, dtype=np.int32)
+    popcount = np.zeros(1, dtype=np.int8)
+    while popcount.size <= full:
+        popcount = np.concatenate([popcount, popcount + 1])
+    # each partial assignment's covered set, as its bit mask.  It, ``skip`` and
+    # ``pair`` are int32 (at most MAX_ASSIGNMENTS rows), and each is deleted
+    # once used, to keep the build's peak memory down; ``counts`` stays intp
+    # for np.repeat
+    cover = np.zeros(1, dtype=np.int32)
     columns: list[np.ndarray] = []
     for row in range(q):
         remaining = q - row - 1
-        weight = np.bincount(cover_of, minlength=covered.shape[0])
+        weight = np.bincount(cover, minlength=full + 1)
+        covered = np.flatnonzero(weight).astype(np.int32)  # the distinct covered sets
+        weight, uncovered = weight[covered], total - popcount[covered]
         n_rows, opens = 0, []
         for lo in range(0, covered.shape[0], step):
             unc = uncovered[lo:lo + step, None] - sizes
@@ -320,14 +330,14 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
                 raise BoundError(f"refusing to enumerate over {MAX_ASSIGNMENTS} assignments "
                                  f"of {q} rows to {len(masks)} column sets")
             cover_idx, col_idx = np.nonzero(ok)
-            opens.append((cover_idx.astype(np.int32) + lo, col_idx.astype(np.int32)))
+            opens.append((covered[cover_idx + lo], col_idx.astype(np.int32)))
         open_cover, open_col = (np.concatenate(part) for part in zip(*opens))
-        n_open = np.bincount(open_cover, minlength=covered.shape[0])
-        counts = n_open[cover_of]
+        n_open = np.bincount(open_cover, minlength=full + 1)
+        counts = n_open[cover]
         # the k-th child of a partial assignment takes the k-th open column of
         # its covered set: entry pair[child] of (open_cover, open_col)
-        skip = (np.cumsum(n_open) - n_open).astype(np.int32)[cover_of]
-        del cover_of
+        skip = (np.cumsum(n_open) - n_open).astype(np.int32)[cover]
+        del cover
         skip -= np.cumsum(counts, dtype=np.int32)
         skip += counts
         pair = np.repeat(skip, counts)
@@ -337,12 +347,9 @@ def _assignment_table(masks: tuple[int, ...], full: int, q: int) -> np.ndarray:
             columns[i] = np.repeat(c, counts)
         del counts
         columns.append(open_col.astype(np.min_scalar_type(len(masks) - 1))[pair])
-        covered, head, inverse = np.unique(covered[open_cover] | bits[open_col],
-                                          return_index=True, return_inverse=True)
-        uncovered = (uncovered[open_cover] - sizes[open_col])[head]
-        cover_of = inverse.astype(np.int32)[pair]
+        cover = (open_cover | bits[open_col])[pair]
         del pair
-    del cover_of
+    del cover
     table = np.stack(columns, axis=1)
     table.setflags(write=False)
     return table

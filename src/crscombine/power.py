@@ -14,10 +14,7 @@ evaluators are provided:
   and scores any number of (xi, sigma) on them, which is how the grouping
   searches compare candidates.  It decides each draw on float32 values with
   a rigorous rounding bound, and recomputes in float64 only the chunks of
-  draws holding a near tie.  The float64 path scores the randomization
-  values undivided by q, with the observed value replaced by its threshold,
-  the smallest value whose quotient equals its own, so its decisions are
-  those on the quotients, and every count is that float64 computation's.
+  draws holding a near tie, so every count is that float64 computation's.
 
 ``power_tally`` is the one place that resolves a method ('auto', 'k1' or
 'mc') and builds its evaluator: an object-free score per candidate (the
@@ -47,8 +44,6 @@ CHUNK_VALUES = 1 << 18  # randomization values per kernel chunk: 1 MB in float32
 CHUNK_SCORES = 1 << 15  # scores per kernel chunk: 256 kB in float64
 SCREEN_SAFETY = 8  # c of the float32 screen's error bound (SignFlipKernel)
 SCREEN_RANGE = (2.0 ** -100, 2.0 ** 100)  # Sum_k |w_k| bounds the screen takes
-
-_NORMAL_QUOTIENT = 2.0 ** -1021  # v0 / q at least this is normal, with a factor 2 to spare
 
 
 @dataclass(frozen=True)
@@ -100,30 +95,6 @@ def _normal_blocks(q: int, reps: int, seed):
         yield rng.standard_normal((min(MC_BLOCK, reps - start), q))
 
 
-def _undivided_rejects(values: np.ndarray, q: int, k: int) -> np.ndarray:
-    """``rejects(values / q, k, axis=0)`` without dividing the (n_u, n) block
-    ``values`` (each entry >= 0 or NaN); row 0 is overwritten.
-
-    Row 0, the observed value v0, becomes its threshold t: the smallest double
-    with fl(t / q) == fl(v0 / q).  fl(. / q) is monotone, so fl(v / q) <
-    fl(v0 / q) exactly when v < t, and the comparisons ``rejects`` makes on the
-    undivided values decide as on the quotients, ties, NaN and inf included.
-    When v0 / q is a normal double y at most two adjacent doubles share it
-    (the dividends that round to y span q ulp(y), under two of their own
-    spacings), so t is v0 or its predecessor, the int64 view minus one.  A
-    subnormal quotient can be shared by more (v0 = 1e-320 with four
-    predecessors at q = 6), so a block with any v0 < q * 2^-1021 is divided
-    as before.
-    """
-    v0 = values[0]
-    if np.any(v0 < q * _NORMAL_QUOTIENT):
-        np.divide(values, q, out=values)
-    else:
-        pred = (v0.view(np.int64) - 1).view(np.float64)
-        np.copyto(v0, pred, where=pred / q == v0 / q)
-    return rejects(values, k, axis=0)
-
-
 class SignFlipKernel:
     """Monte Carlo power of the sign-change test on common random numbers.
 
@@ -144,14 +115,14 @@ class SignFlipKernel:
       (c = ``SCREEN_SAFETY``).  A draw needs n_u - K values below v_0 to
       reject: it rejects for certain when that many lie below v_0 - e, and
       for certain not when fewer lie below v_0 + e.
-    - The exact path takes float64 values, undivided by q, with the
-      observed one replaced by its threshold, the smallest value whose
-      quotient equals its own (``_undivided_rejects``).  It decides the
-      whole chunk when the screen cannot call one of its draws, or when B is
-      out of ``SCREEN_RANGE`` (NaN and inf included).  ``exact_draws`` counts the draws it decided.
-      It reruns the chunk rather than the draws in doubt: OpenBLAS's dgemm
-      can round a column differently with the matrix's width (seen from q =
-      4 on), so only the chunk's own product has the chunk's bits.
+    - The exact path takes the float64 quotients |signs @ w| / q and
+      decides them with ``crstest.rejects``.  It decides the whole chunk
+      when the screen cannot call one of its draws, or when B is out of
+      ``SCREEN_RANGE`` (NaN and inf included).  ``exact_draws`` counts the
+      draws it decided.  It reruns the chunk rather than the draws in doubt:
+      OpenBLAS's dgemm can round a column differently with the matrix's
+      width (seen from q = 4 on), so only the chunk's own product has the
+      chunk's bits.
 
     B bounds Sum_k |w_k| for every draw of the chunk.  |w_k| <= sigma_k |z_k|
     + |shift_k|, and by Cauchy-Schwarz Sum_k sigma_k |z_k| <= ||sigma|| ||z||,
@@ -167,13 +138,12 @@ class SignFlipKernel:
       the sum of magnitudes, with or without fused multiply-add, since the
       products with signs +-1 are exact.  So each float32 value lies within
       about q 2^-24 B of the exact |sum|.
-    - The float64 value lies within about q 2^-53 B of the exact |sum|.
-      Rounding v_0 -+ e to float32 costs 2^-24 B, and the threshold moves v_0
-      by one float64 ulp.
+    - The float64 value lies within about q 2^-53 B of the exact |sum|, and
+      rounding v_0 -+ e to float32 costs 2^-24 B.
     - So a value the screen certifies differs from v_0 by more than (c - 2) q
       2^-24 B - 2^-24 B >= 5 2^-24 B in exact arithmetic.  The float64
-      comparison then falls on the same side, on the threshold path and on
-      the divided one alike.
+      comparison of the quotients then falls on the same side: that margin
+      over q is far above their rounding error.
     - B >= 2^-100 keeps float32 underflow (at most 2^-150 a score) and the
       spacing of subnormal float64 quotients (2^-1074) far below that
       margin.  B < 2^100 keeps every float32 sum finite.  The rounding of B
@@ -187,10 +157,14 @@ class SignFlipKernel:
 
     The kernel holds all reps x q draws in float64 and no float32 copy of
     them.  A block of draws is held as equal column chunks of at most
-    ``CHUNK_VALUES`` randomization values and ``CHUNK_SCORES`` scores; every
-    draw is decided on its own column, so the counts are the whole block's.
-    One byte buffer holds either a chunk's float64 values or the screen's
-    float32 values, float32 w and comparison flags.
+    ``CHUNK_VALUES`` randomization values and ``CHUNK_SCORES`` scores.  A
+    draw the screen decides is decided as on any chunk layout.  A draw the
+    float64 path decides takes its chunk's own product, which OpenBLAS may
+    round in the last bit differently for another width, so at a float64 tie
+    within an ulp its count could move with ``CHUNK_VALUES``,
+    ``CHUNK_SCORES`` or the BLAS core.  One byte buffer holds either a
+    chunk's float64 values or the screen's float32 values, float32 w and
+    comparison flags.
 
     ``counts`` returns integers and validates nothing, so a search can compare
     its candidates by rejection count (value = count / reps exactly, since
@@ -256,7 +230,8 @@ class SignFlipKernel:
                 self.exact_draws += w.shape[1]
                 np.matmul(self._signs, w, out=values)
                 np.abs(values, out=values)
-                decided = int(np.count_nonzero(_undivided_rejects(values, self.q, self.k)))
+                values /= self.q
+                decided = int(np.count_nonzero(rejects(values, self.k, axis=0)))
             rejections += decided
             if self.k == 1:
                 left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))

@@ -499,6 +499,25 @@ class TestSimulateCommand:
         assert "all_omegas_min" in policies and "all_omegas_max" in policies
         assert len(strip_header(mat)) == 721
 
+    PAIRING = ["--grouping", "7:1,8:2,9:3,10:4,11:5,12:6"]
+
+    @pytest.mark.parametrize("policy, extra, message", [
+        ("crs_random", PAIRING, "--grouping needs --policy fixed"),
+        ("all_omegas", PAIRING, "--grouping needs --policy fixed"),
+        ("crs_random", ["--omega-out", "m.csv"], "--omega-out needs --policy all_omegas"),
+        ("crs_data", ["--omega-out", "m.csv"], "--omega-out needs --policy all_omegas"),
+        ("fixed", [*PAIRING, "--omega-out", "m.csv"], "--omega-out needs --policy all_omegas"),
+    ], ids=["grouping-crs_random", "grouping-all_omegas", "omega_out-crs_random",
+            "omega_out-crs_data", "omega_out-fixed"])
+    def test_flags_of_another_policy_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                                      policy, extra, message):
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(["simulate", "--dgp", "2", "--h", "4", "--betas", "0", "--policy", policy,
+                         "--reps", "100", "--seed", "1", "--out", "c.csv", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--dgp", "1", "--h", "2", "--alpha", "0.05",
@@ -683,6 +702,22 @@ class TestNonFiniteInputs:
         assert code == 2
         assert f"argument --deltas: {message}, got {grid!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid, values", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:2:0.75", [0.0, 0.75, 1.5]),
+        ("1:2:0.4", [1.0, 1.4, 1.8]),
+        ("0:0.9:0.3", [0.0, 0.3, 0.6, 0.9]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("-2:2:0.5", [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]),
+        ("0:0:1", [0.0]),
+        ("0:0.5:1", [0.0]),
+    ])
+    def test_grid_ends_at_the_last_value_within_stop(self, grid, values):
+        got = cli._grid(grid)
+        assert got == pytest.approx(values, rel=0, abs=1e-12)
+        start, stop, step = map(float, grid.split(":"))
+        assert got == [start + i * step for i in range(len(values))]
 
     SIMULATE_BETAS = [("nan", "grid values must be finite"),
                       ("0:nan:1", "grid values must be finite"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from crscombine import (
     validate_grouping,
     write_panel,
 )
-from crscombine.data import _perm_table
+from crscombine.combine import enumerate_side_subsets
+from crscombine.data import MAX_ASSIGNMENTS, _assignment_table, _paired, _perm_table
 from crscombine.simulate import DgpSpec, gen_dgp
 
 FIXTURE = Path(__file__).parent / "data" / "sixclusters.csv"
@@ -240,6 +242,48 @@ def test_pairing_table_is_every_permutation_in_order(qbar):
     assert not table.flags.writeable
     expected = np.array(list(itertools.permutations(range(qbar))), dtype=np.int64)
     np.testing.assert_array_equal(table, expected)
+
+
+def covering_masks(qbar, n_big):
+    """The column sets of the unequal-count search: subsets of n_big clusters."""
+    subsets = enumerate_side_subsets(tuple(range(n_big)), qbar)
+    return tuple(sum(1 << j for j in m) for m in subsets), (1 << n_big) - 1
+
+
+@pytest.mark.parametrize("qbar,n_big", [(1, 3), (1, 5), (2, 3), (2, 5), (2, 6), (3, 4),
+                                        (3, 5), (3, 6), (4, 5)])
+def test_covering_table_is_every_disjoint_covering_in_order(qbar, n_big):
+    masks, full = covering_masks(qbar, n_big)
+    table = _assignment_table(masks, full, qbar)
+    assert table.dtype == np.min_scalar_type(len(masks) - 1)
+    assert not table.flags.writeable
+    expected = [p for p in itertools.permutations(range(len(masks)), qbar)
+                if sum(masks[c] for c in p) == full
+                and all(masks[a] & masks[b] == 0 for a, b in itertools.combinations(p, 2))]
+    np.testing.assert_array_equal(table, np.array(expected, dtype=np.int64).reshape(-1, qbar))
+
+
+def test_covering_table_build_indexes_covered_sets_by_mask():
+    # 519,156 coverings of 12 treated clusters by 3 groups: indexing the
+    # partial assignments by their covered bit masks peaks at about 17 MB; a
+    # build that deduplicates (covered set, column) pairs with np.unique
+    # peaks at 38 MB
+    tracemalloc.start()
+    try:
+        table = _assignment_table.__wrapped__(*covering_masks(3, 12), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (519_156, 3)
+    assert peak < 25e6
+
+
+def test_covering_table_refuses_masks_over_the_bound():
+    # 22 clusters span more bit masks than MAX_ASSIGNMENTS; refused before
+    # any index array is allocated
+    assert (1 << 21) <= MAX_ASSIGNMENTS < (1 << 22) - 1
+    with pytest.raises(BoundError, match="bit masks of covered clusters"):
+        _assignment_table.__wrapped__(*_paired(22), 22)
 
 
 @pytest.mark.parametrize("qbar", [2, 3, 4])

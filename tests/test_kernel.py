@@ -25,16 +25,11 @@ from crscombine.combine import (
 )
 from crscombine.crstest import k_budget, rejects, sign_changes
 from crscombine.estimation import pairwise_group_stats, psi_from_scales
-from crscombine.power import (
-    _NORMAL_QUOTIENT,
-    CHUNK_SCORES,
-    CHUNK_VALUES,
-    MC_BLOCK,
-    SignFlipKernel,
-    _normal_blocks,
-    _undivided_rejects,
-)
+from crscombine.power import CHUNK_SCORES, CHUNK_VALUES, MC_BLOCK, SignFlipKernel, _normal_blocks
 from crscombine.simulate import DgpSpec, dgp_hypothesis, gen_dgp
+
+# a RuntimeWarning (invalid value, overflow) from the kernel or its references fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_power_mc(lp, delta, alpha, reps, seed):
@@ -177,7 +172,7 @@ def unchunked_counts(q, budgets, reps, seed, sigma, shift):
         w = np.ascontiguousarray(z.T) * sigma + shift
         values = np.abs(signs @ w)
         for i, k in enumerate(budgets):
-            counts[i, 0] += np.count_nonzero(_undivided_rejects(values.copy(), q, k))
+            counts[i, 0] += np.count_nonzero(rejects(values / q, k, axis=0))
             if k == 1:
                 counts[i, 1] += np.count_nonzero(np.all(w < 0.0, axis=0))
                 counts[i, 2] += np.count_nonzero(np.all(w > 0.0, axis=0))
@@ -334,60 +329,11 @@ def test_exhaustive_mc_matches_per_candidate_reference(qbar, alpha, n_excluded):
         assert got == reference_exhaustive(psi, delta, alpha, 1000, seed)
 
 
-def _step(v, n):
-    """The double n places from v >= 0 in the int64 view (n < 0: predecessors)."""
-    return (np.asarray(v, dtype=np.float64).view(np.int64) + n).view(np.float64)
-
-
-def _spanning_values(q):
-    """Dividends >= 0 over every binade, subnormals included: powers of two,
-    q times powers of two (quotients at binade edges) and random mantissas,
-    each with two neighbours either side, then 0, the largest double, inf and
-    NaN."""
-    e = np.arange(-1074, 1019)
-    rng = np.random.default_rng(q)
-    base = np.concatenate([np.ldexp(1.0, e), np.ldexp(float(q), e),
-                           np.ldexp(rng.uniform(1.0, 2.0, e.size), e)])
-    v = np.concatenate([_step(base, n) for n in range(-2, 3)])
-    v = v[np.isfinite(v) & (v >= 0.0)]
-    return np.concatenate([v, [0.0, np.finfo(np.float64).max, np.inf, np.nan]])
-
-
-@pytest.mark.parametrize("q", range(2, 25))
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
-def test_threshold_decides_as_the_quotients(q):
-    # each block compares v0 with its near ties (itself, three predecessors,
-    # its successor) and with 0, inf and NaN, at every budget; the first block
-    # holds the quotients that may be subnormal, the second the others, the
-    # third both.  A step from NaN can give a signalling NaN, which warns when
-    # divided.
-    v0 = _spanning_values(q)
-    subnormal = v0 < q * 2.0 ** -1021
-    for row0 in (v0[subnormal], v0[~subnormal], v0):
-        n = row0.size
-        block = np.stack([row0, row0, _step(row0, -1), _step(row0, -2), _step(row0, -3),
-                          _step(row0, 1), np.zeros(n), np.full(n, np.inf), np.full(n, np.nan)])
-        for k in range(1, block.shape[0]):
-            want = rejects(block / q, k, axis=0)
-            np.testing.assert_array_equal(_undivided_rejects(block.copy(), q, k), want)
-
-
-@pytest.mark.parametrize("q", range(2, 25))
-def test_at_most_two_doubles_share_a_normal_quotient(q):
-    # above the kernel's guard no three adjacent doubles share a quotient, so
-    # the threshold is v0 or its predecessor; below it they can
-    v = _spanning_values(q)
-    v = v[np.isfinite(v) & (v >= q * _NORMAL_QUOTIENT)]
-    assert v.size > 6000
-    assert not np.any(_step(v, -2) / q == v / q)
-    assert _step(1e-320, -4) / 6 == 1e-320 / 6
-
-
 @pytest.mark.parametrize("q,alpha", [(4, 0.25), (5, 0.2), (6, 0.1), (6, 0.05), (7, 0.05)])
 @pytest.mark.parametrize("scale", [1e-321, 1e-306])
 def test_subnormal_quotients_match_reference(q, alpha, scale):
-    # at 1e-321 every quotient is subnormal and ties abound, so the kernel
-    # must divide; at 1e-306 only some draws of a block fall below the guard
+    # at 1e-321 every quotient is subnormal and ties abound; at 1e-306 only
+    # some draws of a block have subnormal quotients
     rng = np.random.default_rng(q)
     lp = LimitParams(xi=rng.uniform(0.1, 1.0, q), sigma=rng.uniform(1.0, 3.0, q) * scale)
     kernel = SignFlipKernel(q, alpha, reps=5000, seed=q)
@@ -407,7 +353,7 @@ def reference_counts(kernel, sigma, shift):
         np.add(w, shift, out=w)
         values = np.matmul(signs, w, out=np.empty((len(signs), n)))
         np.abs(values, out=values)
-        rejections += int(np.count_nonzero(_undivided_rejects(values, kernel.q, kernel.k)))
+        rejections += int(np.count_nonzero(rejects(values / kernel.q, kernel.k, axis=0)))
         if kernel.k == 1:
             left += int(np.count_nonzero(np.all(w < 0.0, axis=0)))
             right += int(np.count_nonzero(np.all(w > 0.0, axis=0)))
@@ -460,8 +406,6 @@ _BUDGETS = list(budget_cases(range(1, 11))) + [(q, 0.3) for q in range(5, 11)]
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), case=st.sampled_from(_BUDGETS), reps=st.integers(1000, 40_000),
        seed=st.integers(0, 2**31 - 1))
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_screened_counts_equal_the_float64_reference(data, case, reps, seed):
     q, alpha = case
     kernel = SignFlipKernel(q, alpha, reps=reps, seed=seed)
@@ -472,7 +416,6 @@ def test_screened_counts_equal_the_float64_reference(data, case, reps, seed):
         assert all(type(count) is int for count in got)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_both_paths_decide_many_draws():
     # ordinary parameters go through the screen; near ties, exact ties and
     # out-of-range scales through the float64 path.  Every count is the
